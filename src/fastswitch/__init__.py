@@ -3,22 +3,31 @@ semi-Markov evolutions, with Monte Carlo and deterministic oracles."""
 
 from .analysis import RemainderReport, remainder_compare
 from .config import RunConfig, config_from_document, load_config
-from .field import (DomainEscape, GridFunction, StateVelocity, TestFunction,
-                    UGrid, VelocityField, averaged_velocity, flow,
-                    semigroup_apply, sup_norm, u_derivative,
-                    velocity_operator_apply)
+from .field import (DomainEscape, StateVelocity, TestFunction, UGrid,
+                    VelocityField, averaged_velocity, flow, sup_norm)
 from .model import (ModelDiagnostics, ModelError, SemiMarkovModel,
                     SojournDistribution, embedded_stationary, generator,
-                    sample_sojourn, semi_markov_stationary, validate_model)
-from .operators import (L_apply, L_series, OperatorKit, PotentialData,
-                        ProjectorData, TimeSeries, build_kit, frak_L_apply,
-                        frak_L_series, potential_apply, potential_build,
-                        projector_apply)
-from .oracle import OracleEstimate, direct_solve_phi, mc_expectation, sample_trajectory
+                    semi_markov_stationary, validate_model)
+from .operators import (L_series, OperatorKit, PotentialData, TimeSeries,
+                        build_kit, frak_L_series, potential_build)
+from .oracle import OracleEstimate, direct_solve_phi, mc_expectation
 from .pipeline import ExpansionResult, build_expansion
-from .regular import solve_c0, solve_ck, time_derivatives_at_zero
-from .singular import (SingularExpansion, TauGrid, initial_ck0,
-                       negative_extension, psi_k, psi_k0, solve_Wk)
+from .regular import solve_c0, solve_ck
+from .singular import (TauGrid, initial_ck0, negative_extension, psi_k, psi_k0,
+                       solve_Wk)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "RemainderReport", "remainder_compare",
+    "RunConfig", "config_from_document", "load_config",
+    "DomainEscape", "StateVelocity", "TestFunction", "UGrid", "VelocityField",
+    "averaged_velocity", "flow", "sup_norm",
+    "ModelDiagnostics", "ModelError", "SemiMarkovModel", "SojournDistribution",
+    "embedded_stationary", "generator", "semi_markov_stationary", "validate_model",
+    "L_series", "OperatorKit", "PotentialData", "TimeSeries", "build_kit",
+    "frak_L_series", "potential_build",
+    "OracleEstimate", "direct_solve_phi", "mc_expectation",
+    "ExpansionResult", "build_expansion",
+    "solve_c0", "solve_ck",
+    "TauGrid", "initial_ck0", "negative_extension", "psi_k", "psi_k0", "solve_Wk",
+]
 __version__ = "0.1.0"

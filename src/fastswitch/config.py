@@ -3,6 +3,7 @@ expansion order, epsilon ladder and oracle choices."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,6 +54,19 @@ def _require(doc: dict, key: str, context: str):
     if key not in doc:
         raise ConfigError(f"missing key {key!r} in {context}")
     return doc[key]
+
+
+def _positive(doc: dict, key: str, default, where: str, cast=float):
+    """doc[key] (or the default) as a finite number > 0; cast=int asks >= 1."""
+    val = doc.get(key, default)
+    try:
+        num = None if isinstance(val, bool) else cast(val)
+    except (TypeError, ValueError, OverflowError):
+        num = None
+    if num is None or not (num > 0 and math.isfinite(num)):
+        need = "an integer >= 1" if cast is int else "a number > 0"
+        raise ConfigError(f"{where}.{key} must be {need}, got {val!r}")
+    return num
 
 
 def _sojourn_from_doc(doc: dict, where: str) -> SojournDistribution:
@@ -120,7 +134,13 @@ def config_from_document(doc: dict) -> RunConfig:
                        coeffs=tuple(tdoc.get("coeffs", (1.0,))))
 
     time_doc = doc.get("time", {})
+    horizon = _positive(time_doc, "horizon", 1.0, "time")
+    h_t = _positive(time_doc, "h_t", 0.002, "time")
     layer_doc = doc.get("layer", {})
+    h_tau = _positive(layer_doc, "h_tau", 0.005, "layer")
+    tau_max = layer_doc.get("tau_max")
+    if tau_max is not None and (type(tau_max) not in (int, float) or not 0 < tau_max < math.inf):
+        raise ConfigError(f"layer.tau_max must be null or a number > 0, got {tau_max!r}")
     eps = tuple(float(e) for e in doc.get("epsilons", (0.2, 0.1, 0.05, 0.025)))
     for e in eps:
         if not 0.0 < e < 1.0:
@@ -128,29 +148,32 @@ def config_from_document(doc: dict) -> RunConfig:
 
     odoc = doc.get("oracle", {})
     oracle = OracleConfig(method=odoc.get("method", "direct"),
-                          n_samples=int(odoc.get("n_samples", 100000)),
+                          n_samples=_positive(odoc, "n_samples", 100000, "oracle", int),
                           seed=int(odoc.get("seed", 20240811)),
-                          h_s=float(odoc.get("h_s", 0.02)),
-                          u_stride=int(odoc.get("u_stride", 16)),
+                          h_s=_positive(odoc, "h_s", 0.02, "oracle"),
+                          u_stride=_positive(odoc, "u_stride", 16, "oracle", int),
                           t_eval=tuple(float(t) for t in odoc.get("t_eval", (0.5, 1.0))),
                           richardson=bool(odoc.get("richardson", False)))
     if oracle.method not in ("direct", "mc"):
         raise ConfigError(f"oracle.method must be 'direct' or 'mc', got {oracle.method!r}")
+    # the expansion's time step, as build_expansion derives it from h_t
+    step = horizon / max(4, int(round(horizon / h_t)))
+    for t in oracle.t_eval:
+        if not (0.0 < t <= horizon and abs(round(t / step) * step - t) <= 1e-9 * max(1.0, t)):
+            raise ConfigError(f"oracle.t_eval {t} must lie in (0, {horizon}] on the "
+                              f"time grid of step {step:.6g}")
 
     outdoc = doc.get("output", {})
-    output = OutputConfig(t_stride=int(outdoc.get("t_stride", 25)),
-                          tau_stride=int(outdoc.get("tau_stride", 40)),
-                          u_stride=int(outdoc.get("u_stride", 1)))
+    output = OutputConfig(**{key: _positive(outdoc, key, default, "output", int)
+                             for key, default in (("t_stride", 25), ("tau_stride", 40),
+                                                  ("u_stride", 1))})
 
     order = int(doc.get("order", 2))
     if not 0 <= order <= 3:
         raise ConfigError(f"order {order} outside the supported range 0..3")
 
     return RunConfig(model=model, grid=grid, field=fld, phi=phi, order=order,
-                     horizon=float(time_doc.get("horizon", 1.0)),
-                     h_t=float(time_doc.get("h_t", 0.002)),
-                     h_tau=float(layer_doc.get("h_tau", 0.005)),
-                     tau_max=layer_doc.get("tau_max"),
+                     horizon=horizon, h_t=h_t, h_tau=h_tau, tau_max=tau_max,
                      epsilons=eps, oracle=oracle, output=output)
 
 

@@ -1,8 +1,8 @@
-"""Spatial discretization: u-grid, grid functions, velocity fields and flows.
+"""Spatial discretization: u-grid, velocity fields and flows.
 
 The evolution semigroup is composition with the characteristic flow, so the
 module provides exact flows for constant/linear fields, RK4 for tabulated
-ones, and local Lagrange interpolation to evaluate grid functions at flowed
+ones, and local Lagrange interpolation to evaluate grid data at flowed
 points.  Differentiation is 4th-order finite differences throughout.
 """
 from __future__ import annotations
@@ -84,46 +84,8 @@ class UGrid:
                                f"[{lo:.4g}, {hi:.4g}] ({context})")
 
 
-@dataclass
-class GridFunction:
-    """Real values indexed by (state, grid point)."""
-
-    values: np.ndarray
-    grid: UGrid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values[None, :]
-        if self.values.shape[-1] != self.grid.n_points:
-            raise ValueError("value array does not match grid size")
-
-    @property
-    def n_states(self) -> int:
-        return self.values.shape[0]
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.values.copy(), self.grid)
-
-    def __add__(self, other):
-        return GridFunction(self.values + other.values, self.grid)
-
-    def __sub__(self, other):
-        return GridFunction(self.values - other.values, self.grid)
-
-    def __mul__(self, scalar):
-        return GridFunction(self.values * scalar, self.grid)
-
-    __rmul__ = __mul__
-
-
-def state_constant(values_1d: np.ndarray, grid: UGrid, n_states: int) -> GridFunction:
-    return GridFunction(np.broadcast_to(np.asarray(values_1d, dtype=float),
-                                        (n_states, grid.n_points)).copy(), grid)
-
-
-def sup_norm(f: GridFunction | np.ndarray) -> float:
-    vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
+def sup_norm(values: np.ndarray) -> float:
+    vals = np.asarray(values)
     return float(np.abs(vals).max()) if vals.size else 0.0
 
 
@@ -209,16 +171,6 @@ def u_derivative_values(values: np.ndarray, grid: UGrid) -> np.ndarray:
     return out
 
 
-def u_derivative(f: GridFunction, order: int, max_order: int = 8) -> GridFunction:
-    """Repeated 4th-order differentiation in u."""
-    if order < 0 or order > max_order:
-        raise ValueError(f"derivative order {order} outside [0, {max_order}]")
-    vals = f.values
-    for _ in range(order):
-        vals = u_derivative_values(vals, f.grid)
-    return GridFunction(vals, f.grid)
-
-
 # -- velocity fields -----------------------------------------------------------
 
 
@@ -281,12 +233,14 @@ class VelocityField:
         return interp_eval(self.grid, self.values[x], pos)
 
 
-def flow(fld: VelocityField, x: int, u0, t: float, h_flow: float | None = None,
+def flow(fld: VelocityField, x: int, u0, t, h_flow: float | None = None,
          check: bool = True) -> np.ndarray:
-    """Characteristic position u_x(t) started from u0 (scalar or array).
+    """Characteristic position u_x(t) started from u0.
 
-    Closed form for constant and linear fields; RK4 with step <= h_flow for
-    tabulated ones.
+    t is a scalar or an array that broadcasts against u0 (one duration per
+    element).  Closed form for constant and linear fields; for tabulated ones
+    RK4 with one step count taken from max|t|, so each element advances by
+    t/n per step with t/n <= h_flow.
     """
     u0 = np.asarray(u0, dtype=float)
     spec = fld.specs[x]
@@ -302,17 +256,17 @@ def flow(fld: VelocityField, x: int, u0, t: float, h_flow: float | None = None,
     else:
         if h_flow is None:
             h_flow = fld.grid.spacing / 4.0
-        n_steps = max(1, int(math.ceil(abs(t) / h_flow)))
+        n_steps = max(1, int(math.ceil(float(np.max(np.abs(t))) / h_flow)))
         dt = t / n_steps
-        out = u0.copy()
+        out = u0
         for _ in range(n_steps):
             out = _rk4_step(fld, x, out, dt)
     if check:
-        fld.grid.check_inside(out, context=f"state {x}, t={t:.4g}")
+        fld.grid.check_inside(out, context=f"state {x}, t={np.max(t):.4g}")
     return out
 
 
-def _rk4_step(fld: VelocityField, x: int, u: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step(fld: VelocityField, x: int, u: np.ndarray, dt) -> np.ndarray:
     k1 = fld.eval_state(x, u)
     k2 = fld.eval_state(x, u + 0.5 * dt * k1)
     k3 = fld.eval_state(x, u + 0.5 * dt * k2)
@@ -324,54 +278,26 @@ def flow_positions(fld: VelocityField, x: int, times: np.ndarray,
                    h_flow: float | None = None, check: bool = True) -> np.ndarray:
     """u_x(t) from every grid node, for each t in an increasing time array.
 
-    Closed-form fields evaluate each time directly; tabulated fields advance
-    incrementally so the cost stays linear in len(times).
+    Closed-form fields evaluate every time in one call; tabulated fields
+    advance incrementally so the cost stays linear in len(times).
     """
     times = np.asarray(times, dtype=float)
     nodes = fld.grid.nodes
-    spec = fld.specs[x]
-    if spec.kind in ("constant", "linear"):
-        out = np.empty((len(times), len(nodes)))
-        for i, t in enumerate(times):
-            out[i] = flow(fld, x, nodes, float(t), check=False)
+    if fld.specs[x].kind in ("constant", "linear"):
+        out = flow(fld, x, nodes, times[:, None], check=False)
     else:
-        if h_flow is None:
-            h_flow = fld.grid.spacing / 4.0
         out = np.empty((len(times), len(nodes)))
-        pos = nodes.copy()
+        pos = nodes
         prev = 0.0
         for i, t in enumerate(times):
             dt = float(t) - prev
             if dt > 0:
-                n_steps = max(1, int(math.ceil(dt / h_flow)))
-                sub = dt / n_steps
-                for _ in range(n_steps):
-                    pos = _rk4_step(fld, x, pos, sub)
+                pos = flow(fld, x, pos, dt, h_flow, check=False)
             out[i] = pos
             prev = float(t)
     if check:
         fld.grid.check_inside(out, context=f"state {x}, horizon {times[-1]:.4g}")
     return out
-
-
-def semigroup_apply(fld: VelocityField, x: int, t: float, f: GridFunction,
-                    order: int = 4) -> GridFunction:
-    """(V_t(x) f)(u) = f(u_x(t)): composition with the flow, cubic interpolation."""
-    pos = flow(fld, x, f.grid.nodes, t)
-    vals = interp_eval(f.grid, f.values, pos, order=order)
-    return GridFunction(vals, f.grid)
-
-
-def velocity_operator_apply(fld: VelocityField, f: GridFunction) -> GridFunction:
-    """(V f)(x, u) = v(u; x) ∂_u f(x, u)."""
-    df = u_derivative_values(f.values, f.grid)
-    if f.values.shape[0] == fld.n_states:
-        vals = fld.values * df
-    elif f.values.shape[0] == 1:
-        vals = fld.values * df[0]
-    else:
-        raise ValueError("state dimensions of field and function disagree")
-    return GridFunction(vals, f.grid)
 
 
 def averaged_velocity(pi: np.ndarray, fld: VelocityField) -> VelocityField:
@@ -426,6 +352,3 @@ class TestFunction:
                 p = p * u + c
             return p * np.exp(-0.5 * z**2)
         raise ValueError(f"unknown test function kind {self.kind!r}")
-
-    def on_grid(self, grid: UGrid, n_states: int = 1) -> GridFunction:
-        return state_constant(self(grid.nodes), grid, n_states)

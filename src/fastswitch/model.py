@@ -194,22 +194,25 @@ class SojournDistribution:
                 hi = mid
         return hi
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw sojourns: inverse CDF for exponential/uniform, sum of
+    @property
+    def n_uniforms(self) -> int:
+        """Uniform variates one sojourn draw consumes."""
+        return self.shape if self.family == "erlang" else 1
+
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """Map uniforms on the last axis (at least n_uniforms of them) to
+        sojourns: inverse CDF for exponential/uniform, a sum of shape
         exponentials for erlang."""
         if self.family == "exponential":
-            u = rng.random(size)
-            return -np.log1p(-u) / self.rate
+            return -np.log1p(-u[..., 0]) / self.rate
         if self.family == "uniform":
-            u = rng.random(size)
-            return self.a + (self.b - self.a) * u
-        shp = (self.shape,) if size is None else (self.shape,) + tuple(np.atleast_1d(size))
-        u = rng.random(shp)
-        return -np.log1p(-u).sum(axis=0) / self.rate
+            return self.a + (self.b - self.a) * u[..., 0]
+        return -np.log1p(-u[..., :self.shape]).sum(axis=-1) / self.rate
 
-
-def sample_sojourn(dist: SojournDistribution, rng: np.random.Generator, size=None):
-    return dist.sample(rng, size)
+    def sample(self, rng: np.random.Generator, size=None):
+        """Draw sojourns of the given size (a scalar when size is None)."""
+        shp = () if size is None else tuple(np.atleast_1d(size))
+        return self.from_uniforms(rng.random(shp + (self.n_uniforms,)))
 
 
 @dataclass(frozen=True)

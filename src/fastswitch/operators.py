@@ -17,23 +17,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (GridFunction, UGrid, VelocityField, fornberg_weights,
-                    state_constant, u_derivative_values)
+from .field import UGrid, VelocityField, fornberg_weights, u_derivative_values
 from .model import SemiMarkovModel, embedded_stationary, generator, semi_markov_stationary
-
-
-@dataclass(frozen=True)
-class ProjectorData:
-    pi: np.ndarray
-
-
-def projector_apply(pi, f: GridFunction) -> GridFunction:
-    """(Π f)(x, u) = Σ_y π_y f(y, u): state-constant output."""
-    p = pi.pi if isinstance(pi, ProjectorData) else np.asarray(pi)
-    if f.n_states == 1:
-        return f.copy()
-    avg = p @ f.values
-    return state_constant(avg, f.grid, f.n_states)
 
 
 @dataclass
@@ -57,11 +42,6 @@ def potential_build(Q: np.ndarray, pi: np.ndarray) -> PotentialData:
     res1 = max(np.abs(R0 @ Q - (eye - Pi)).max(), np.abs(Q @ R0 - (eye - Pi)).max())
     res2 = max(np.abs(Pi @ R0).max(), np.abs(R0 @ Pi).max())
     return PotentialData(R0=R0, identity_residual=float(res1), commute_residual=float(res2))
-
-
-def potential_apply(pot: PotentialData | np.ndarray, f: GridFunction) -> GridFunction:
-    R0 = pot.R0 if isinstance(pot, PotentialData) else pot
-    return GridFunction(np.tensordot(R0, f.values, axes=(1, 0)), f.grid)
 
 
 def state_mix(P: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -99,7 +79,7 @@ def _time_weights(n_times: int, order: int, h: float):
 
 @dataclass
 class TimeSeries:
-    """Grid functions sampled on a uniform time grid, with finite-difference
+    """(state, point) arrays sampled on a uniform time grid, with finite-difference
     time derivatives (or an analytic derivative hook where one exists)."""
 
     values: np.ndarray  # (n_times, n_states, n_points)
@@ -122,9 +102,6 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return self.h_t * np.arange(self.n_times)
 
-    def at(self, i: int) -> GridFunction:
-        return GridFunction(self.values[i], self.grid)
-
     def derivative_values(self, order: int) -> np.ndarray:
         if order == 0:
             return self.values
@@ -142,10 +119,6 @@ class TimeSeries:
                     out[i] = np.tensordot(weights[i], win, axes=(0, 0))
                 self._deriv_cache[order] = out
         return self._deriv_cache[order]
-
-    def derivative(self, order: int) -> "TimeSeries":
-        return TimeSeries(self.derivative_values(order), self.grid, self.h_t,
-                          max_derivative=self.max_derivative)
 
     def map_values(self, fn) -> "TimeSeries":
         return TimeSeries(fn(self.values), self.grid, self.h_t,
@@ -243,13 +216,6 @@ def L_series(k: int, kit: OperatorKit, series: TimeSeries, form: str = "binomial
                       max_derivative=series.max_derivative)
 
 
-def L_apply(k: int, kit: OperatorKit, series: TimeSeries, t_index: int,
-            form: str = "binomial") -> GridFunction:
-    """L_k U(t) at one time index."""
-    vals = L_series_values(k, kit, series, form)
-    return GridFunction(vals[t_index], series.grid)
-
-
 def frak_L_series(k: int, kit: OperatorKit, c_series: TimeSeries) -> TimeSeries:
     """Unprojected recursion:  𝔏_k = Σ_{n=1..k} μ_n L_n R0 𝔏_{k-n} + μ_{k+1} L_{k+1},
     with 𝔏_0 = L_1."""
@@ -269,14 +235,6 @@ def frak_L_series(k: int, kit: OperatorKit, c_series: TimeSeries) -> TimeSeries:
         cache.append(TimeSeries(total, c_series.grid, c_series.h_t,
                                 max_derivative=c_series.max_derivative))
     return cache[k]
-
-
-def frak_L_apply(k: int, kit: OperatorKit, c_series: TimeSeries, t_index: int) -> GridFunction:
-    """Π 𝔏_k c at one time index (state-constant)."""
-    if k < 1:
-        raise ValueError("projected script-L starts at order 1")
-    series = frak_L_series(k, kit, c_series)
-    return GridFunction(kit.project_values(series.values[t_index]), series.grid)
 
 
 def projected_frak_L_series(k: int, kit: OperatorKit, c_series: TimeSeries) -> TimeSeries:

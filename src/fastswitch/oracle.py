@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import VelocityField, flow_positions, interp_weights
+from .field import VelocityField, flow, flow_positions, interp_weights
 from .model import SemiMarkovModel
 
 
@@ -32,53 +32,6 @@ class OracleEstimate:
 # -- trajectory simulation ---------------------------------------------------------
 
 
-def _advance(fld: VelocityField, x: int, u: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Flow state-x characteristics for elementwise durations dt >= 0."""
-    spec = fld.specs[x]
-    if spec.kind == "constant":
-        return u + spec.value * dt
-    if spec.kind == "linear":
-        a, b = spec.slope, spec.intercept
-        if abs(a) < 1e-300:
-            return u + b * dt
-        ea = np.exp(a * dt)
-        return u * ea + (b / a) * (ea - 1.0)
-    h_flow = fld.grid.spacing / 4.0
-    top = float(np.max(dt)) if np.size(dt) else 0.0
-    n_sub = max(1, int(math.ceil(top / h_flow)))
-    sub = dt / n_sub
-    out = u
-    for _ in range(n_sub):
-        k1 = fld.eval_state(x, out)
-        k2 = fld.eval_state(x, out + 0.5 * sub * k1)
-        k3 = fld.eval_state(x, out + 0.5 * sub * k2)
-        k4 = fld.eval_state(x, out + sub * k3)
-        out = out + (sub / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return out
-
-
-def sample_trajectory(model: SemiMarkovModel, fld: VelocityField, u0: float, x0: int,
-                      t: float, eps: float, rng: np.random.Generator) -> float:
-    """One path of the switched evolution; sojourns run on the fast clock."""
-    if t < 0:
-        raise ValueError("trajectory horizon must be nonnegative")
-    u = np.array(u0, dtype=float)
-    x = int(x0)
-    remaining = float(t)
-    cum_p = np.cumsum(model.P, axis=1)
-    while remaining > 0.0:
-        theta = float(model.sojourns[x].sample(rng))
-        dt = eps * theta
-        if dt >= remaining:
-            u = _advance(fld, x, u, np.array(remaining))
-            break
-        u = _advance(fld, x, u, np.array(dt))
-        remaining -= dt
-        x = int(np.searchsorted(cum_p[x], rng.random(), side="right"))
-        x = min(x, model.n_states - 1)
-    return float(u)
-
-
 def _philox_stream(seed: int, x_idx: int, u_idx: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
                     ((x_idx & 0xFFFFFFFF) << 32) | (u_idx & 0xFFFFFFFF)],
@@ -92,8 +45,7 @@ def _simulate_batch(model: SemiMarkovModel, fld: VelocityField, u0: float, x0: i
     """Vectorized replicates from one start point; per-replicate randomness is
     one row of the start's counter-based stream."""
     n = model.n_states
-    shapes = [d.shape if d.family == "erlang" else 1 for d in model.sojourns]
-    channels = 1 + max(shapes)
+    channels = 1 + max(d.n_uniforms for d in model.sojourns)
     cum_p = np.cumsum(model.P, axis=1)
     mean_j = t / eps / float(model.mean_sojourns().min())
     block = max(16, int(mean_j * 1.5) + 8)
@@ -112,18 +64,12 @@ def _simulate_batch(model: SemiMarkovModel, fld: VelocityField, u0: float, x0: i
                 sel = alive[st == s]
                 if not sel.size:
                     continue
-                dist = model.sojourns[s]
-                us = draws[sel, r, :]
-                if dist.family == "exponential":
-                    theta = -np.log1p(-us[:, 1]) / dist.rate
-                elif dist.family == "uniform":
-                    theta = dist.a + (dist.b - dist.a) * us[:, 1]
-                else:
-                    theta = -np.log1p(-us[:, 1:1 + dist.shape]).sum(axis=1) / dist.rate
+                # channel 0 drives the jump, channels 1.. the sojourn
+                theta = model.sojourns[s].from_uniforms(draws[sel, r, 1:])
                 dt = eps * theta
                 hit_end = dt >= remaining[sel]
                 step = np.where(hit_end, remaining[sel], dt)
-                u[sel] = _advance(fld, s, u[sel], step)
+                u[sel] = flow(fld, s, u[sel], step, check=False)
                 remaining[sel] = np.where(hit_end, 0.0, remaining[sel] - dt)
                 jumpers = sel[~hit_end]
                 if jumpers.size:

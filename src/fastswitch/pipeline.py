@@ -46,30 +46,6 @@ class ExpansionResult:
     def h_t(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def regular(self):
-        """Outer-series view: coefficients, full terms, range components."""
-        from .regular import RegularExpansion
-
-        orders = self.diagnostics.get("orders", {})
-        return RegularExpansion(
-            order=self.order, h_t=self.h_t, c=list(self.c), U=list(self.U),
-            U_R=list(self.U_R),
-            solvability=[orders[k]["solvability_sup"] for k in sorted(orders)],
-            projection_defect=[orders[k]["range_projection_defect"]
-                               for k in sorted(orders)])
-
-    @property
-    def singular(self):
-        """Layer view: fast-time series, initial data, decay diagnostics."""
-        from .singular import SingularExpansion
-
-        orders = self.diagnostics.get("orders", {})
-        return SingularExpansion(
-            order=self.order, tau_grid=self.tau_grid, W=list(self.W),
-            W0=list(self.W0), ck0=list(self.ck0), Uk0=list(self.Uk0),
-            diagnostics={k: orders[k] for k in sorted(orders)})
-
     def t_index(self, t: float) -> int:
         idx = int(round(t / self.h_t))
         if abs(idx * self.h_t - t) > 1e-9 * max(1.0, t) or idx >= len(self.times):

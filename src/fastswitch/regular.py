@@ -8,25 +8,11 @@ and the homogeneous part is pure composition with the flow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
-from .field import (GridFunction, TestFunction, flow_positions, interp_apply,
-                    interp_weights)
+from .field import TestFunction, flow_positions, interp_apply, interp_weights
 from .operators import (L_series_values, OperatorKit, TimeSeries,
                         projected_frak_L_series, velocity_power_values)
-
-
-@dataclass
-class RegularExpansion:
-    order: int
-    h_t: float
-    c: list = dc_field(default_factory=list)     # state-constant TimeSeries
-    U: list = dc_field(default_factory=list)     # full TimeSeries
-    U_R: list = dc_field(default_factory=list)   # range components
-    solvability: list = dc_field(default_factory=list)
-    projection_defect: list = dc_field(default_factory=list)
 
 
 class _AveragedDerivative:
@@ -158,8 +144,3 @@ def transport_sources(kit: OperatorKit, c_list: list, k: int) -> np.ndarray:
         proj = projected_frak_L_series(j, kit, c_list[k - j])
         total = total + proj.values[:, 0, :]
     return -total
-
-
-def time_derivatives_at_zero(series: TimeSeries, order: int) -> GridFunction:
-    """U^(n)(0) via the one-sided end of the series' derivative stencils."""
-    return GridFunction(series.derivative_values(order)[0], series.grid)

@@ -10,7 +10,7 @@ fast-time marching unconditionally stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,17 +50,6 @@ def default_tau_grid(kit: OperatorKit, h_tau: float = 0.005,
         tau_max = max(10.0 * float(m1.max()), decay)
     n_tau = int(math.ceil(tau_max / h_tau / 2)) * 2
     return TauGrid(tau_max=float(n_tau * h_tau), n_tau=n_tau)
-
-
-@dataclass
-class SingularExpansion:
-    order: int
-    tau_grid: TauGrid
-    W: list = dc_field(default_factory=list)        # TimeSeries on the tau grid
-    W0: list = dc_field(default_factory=list)       # W_k(0) arrays
-    ck0: list = dc_field(default_factory=list)      # c_k(0) 1-d arrays
-    Uk0: list = dc_field(default_factory=list)      # U_k(0) arrays
-    diagnostics: dict = dc_field(default_factory=dict)
 
 
 # -- closed-form pieces -----------------------------------------------------------

@@ -58,6 +58,27 @@ class TestConfig:
             load_config(path)
 
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("layer", "tau_max", "30"), ("layer", "tau_max", 0), ("layer", "tau_max", -2.0),
+        ("time", "horizon", 0), ("time", "h_t", 0), ("time", "h_t", -0.01),
+        ("layer", "h_tau", 0), ("oracle", "h_s", 0), ("oracle", "n_samples", 0),
+        ("oracle", "u_stride", 0), ("output", "t_stride", 0),
+        ("output", "tau_stride", 0), ("output", "u_stride", 0),
+        ("oracle", "t_eval", [0.2525]), ("oracle", "t_eval", [0.75]),
+        ("oracle", "t_eval", [0.0]),
+    ])
+    def test_rejected_at_load(self, tmp_path, capsys, section, key, value):
+        # small_config: horizon 0.5, h_t 0.005
+        path = small_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["expand", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidateCommand:
     def test_valid_exits_zero(self, tmp_path, capsys):
         path = small_config(tmp_path)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from fastswitch.model import (ModelError, SemiMarkovModel, SojournDistribution,
-                              embedded_stationary, generator, sample_sojourn,
+                              embedded_stationary, generator,
                               semi_markov_stationary, validate_model)
 
 from conftest import make_model_a, random_model
@@ -218,21 +218,21 @@ class TestSampling:
     def test_exponential_mean(self):
         rng = np.random.default_rng(42)
         dist = SojournDistribution("exponential", rate=2.0)
-        x = sample_sojourn(dist, rng, size=10**6)
+        x = dist.sample(rng, size=10**6)
         se = x.std() / math.sqrt(len(x))
         assert abs(x.mean() - 0.5) < 3 * se
 
     def test_uniform_support(self):
         rng = np.random.default_rng(1)
         dist = SojournDistribution("uniform", a=0.25, b=1.5)
-        x = sample_sojourn(dist, rng, size=10**5)
+        x = dist.sample(rng, size=10**5)
         assert x.min() >= 0.25 and x.max() <= 1.5
 
     def test_erlang_variance(self):
         rng = np.random.default_rng(7)
         lam = 1.5
         dist = SojournDistribution("erlang", rate=lam, shape=2)
-        x = sample_sojourn(dist, rng, size=10**6)
+        x = dist.sample(rng, size=10**6)
         # var = 2 / lam^2; the sampling error of the variance is ~ var * sqrt(2/n)-ish
         target = 2.0 / lam**2
         se = np.var((x - x.mean())**2, ddof=1)**0.5 / math.sqrt(len(x))

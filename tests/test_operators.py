@@ -3,30 +3,35 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from fastswitch.field import (GridFunction, StateVelocity, UGrid,
-                              VelocityField, state_constant, sup_norm)
+from fastswitch.field import StateVelocity, UGrid, VelocityField, sup_norm
 from fastswitch.model import SojournDistribution, SemiMarkovModel, generator, semi_markov_stationary
-from fastswitch.operators import (L_apply, L_series, L_series_values, TimeSeries,
-                                  build_kit, frak_L_apply, frak_L_series,
-                                  potential_apply, potential_build,
-                                  projected_frak_L_series, projector_apply, state_mix)
+from fastswitch.operators import (L_series, L_series_values, TimeSeries, build_kit,
+                                  frak_L_series, potential_build,
+                                  projected_frak_L_series, state_mix)
 from fastswitch.regular import solve_c0
 
 from conftest import make_model_a, make_pm_field, random_model, PHI
 
 
+def project(pi, values):
+    """(Π f)(x, u) = Σ_y π_y f(y, u), broadcast back over the states."""
+    return np.broadcast_to(pi @ values, values.shape)
+
+
+def state_independent(values_1d, n_states):
+    return np.repeat(np.asarray(values_1d)[None, :], n_states, axis=0)
+
+
 class TestProjector:
     def test_direct_example(self, grid):
-        pi = np.array([2.0 / 3.0, 1.0 / 3.0])
-        f = GridFunction(np.vstack([np.full(grid.n_points, 3.0),
-                                    np.zeros(grid.n_points)]), grid)
-        out = projector_apply(pi, f)
-        assert_allclose(out.values, 2.0, atol=1e-14)
+        kit = _constant_kit()  # model A: pi = (2/3, 1/3)
+        f = np.vstack([np.full(grid.n_points, 3.0), np.zeros(grid.n_points)])
+        assert_allclose(kit.project_values(f), 2.0, atol=1e-14)
 
     def test_fixes_state_constant(self, grid):
         pi = np.array([0.3, 0.7])
-        f = state_constant(np.sin(grid.nodes), grid, 2)
-        assert_allclose(projector_apply(pi, f).values, f.values, atol=1e-14)
+        f = state_independent(np.sin(grid.nodes), 2)
+        assert_allclose(project(pi, f), f, atol=1e-14)
 
     def test_P_fixes_state_constant_before_projection(self, grid):
         # P is stochastic, so state-constant functions pass through unchanged
@@ -34,9 +39,9 @@ class TestProjector:
         m = make_model_a()
         from fastswitch.model import semi_markov_stationary as _sms
         pi, _ = _sms(m)
-        f = state_constant(np.sin(grid.nodes), grid, 2)
-        pf = GridFunction(state_mix(m.P, f.values), grid)
-        assert sup_norm(projector_apply(pi, pf) - projector_apply(pi, f)) < 1e-14
+        f = state_independent(np.sin(grid.nodes), 2)
+        pf = state_mix(m.P, f)
+        assert sup_norm(project(pi, pf) - project(pi, f)) < 1e-14
 
     @given(st.integers(min_value=0, max_value=5_000))
     def test_idempotent(self, seed):
@@ -44,10 +49,9 @@ class TestProjector:
         n = int(rng.integers(1, 6))
         pi = rng.random(n) + 0.05
         pi /= pi.sum()
-        small = UGrid(-1.0, 1.0, 17)
-        f = GridFunction(rng.normal(size=(n, 17)), small)
-        once = projector_apply(pi, f)
-        twice = projector_apply(pi, once)
+        f = rng.normal(size=(n, 17))
+        once = project(pi, f)
+        twice = project(pi, once)
         assert sup_norm(once - twice) < 1e-14
 
 
@@ -68,8 +72,8 @@ class TestPotential:
         m = make_model_a()
         pi, _ = semi_markov_stationary(m)
         pot = potential_build(generator(m), pi)
-        f = state_constant(np.cos(grid.nodes), grid, 2)
-        assert sup_norm(potential_apply(pot, f)) < 1e-13
+        f = state_independent(np.cos(grid.nodes), 2)
+        assert sup_norm(state_mix(pot.R0, f)) < 1e-13
 
     @given(st.integers(min_value=0, max_value=5_000))
     def test_inverts_generator_on_range(self, seed):
@@ -78,12 +82,10 @@ class TestPotential:
         pi, _ = semi_markov_stationary(m)
         Q = generator(m)
         pot = potential_build(Q, pi)
-        small = UGrid(-1.0, 1.0, 17)
-        f = GridFunction(rng.normal(size=(m.n_states, 17)), small)
-        qf = GridFunction(Q @ f.values, small)
-        back = potential_apply(pot, qf)
-        expect = f.values - pi @ f.values
-        assert np.abs(back.values - expect).max() < 1e-9
+        f = rng.normal(size=(m.n_states, 17))
+        back = state_mix(pot.R0, Q @ f)
+        expect = f - pi @ f
+        assert np.abs(back - expect).max() < 1e-9
 
     @given(st.integers(min_value=0, max_value=5_000))
     def test_identities_random_models(self, seed):
@@ -139,12 +141,12 @@ class TestLOperators:
         kit = _constant_kit()
         times = np.linspace(0.0, 1.0, 201)
         c0 = solve_c0(kit, PHI, times)
-        got = L_apply(1, kit, c0, 50)
+        got = L_series_values(1, kit, c0)[50]
         d1 = c0.derivative_values(1)[50]
         expected = state_mix(kit.P, d1) - kit.fld.values * np.gradient(
             state_mix(kit.P, c0.values[50]), grid.spacing, axis=-1)
         # loose comparison: np.gradient is 2nd order; just check structure agrees
-        assert np.abs(got.values - expected).max() < 1e-3
+        assert np.abs(got - expected).max() < 1e-3
 
     def test_k1_binomial_equals_literal(self):
         kit = _constant_kit()
@@ -197,13 +199,13 @@ class TestFrakL:
         kit = _constant_kit()
         times = np.linspace(0.0, 1.0, 201)
         c0 = solve_c0(kit, PHI, times)
-        got = frak_L_apply(1, kit, c0, 100)
+        got = projected_frak_L_series(1, kit, c0).values[100]
         l1 = L_series(1, kit, c0)
         r0l1 = l1.map_values(lambda v: state_mix(kit.R0, v))
         term1 = L_series_values(1, kit, r0l1)[100]
         term2 = kit.mu(2)[:, None] * L_series_values(2, kit, c0)[100]
         expected = kit.project_values(term1 + term2)
-        assert np.abs(got.values - expected).max() < 1e-12
+        assert np.abs(got - expected).max() < 1e-12
 
     def test_single_state_reduces_to_tail_term(self):
         grid = UGrid(-8.0, 8.0, 257)

@@ -2,36 +2,68 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastswitch.field import StateVelocity, VelocityField
+from fastswitch.field import StateVelocity, UGrid, VelocityField
 from fastswitch.model import SemiMarkovModel, SojournDistribution
-from fastswitch.oracle import (DirectSolverCost, direct_solve_phi, mc_expectation,
-                               sample_trajectory)
+from fastswitch.oracle import DirectSolverCost, direct_solve_phi, mc_expectation
 
 from conftest import GRID, PHI, make_model_a, make_pm_field
 
 
+def make_mixed_model():
+    """Three states with exponential, erlang and uniform sojourns."""
+    return SemiMarkovModel(
+        states=("a", "b", "c"),
+        P=[[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.7, 0.0]],
+        sojourns=(SojournDistribution("exponential", rate=1.5),
+                  SojournDistribution("erlang", rate=2.0, shape=2),
+                  SojournDistribution("uniform", a=0.2, b=1.2)))
+
+
 class TestSampleTrajectory:
+    """Switching paths seen through mc_expectation at its minimum sample count."""
+
     def test_zero_time(self):
-        rng = np.random.default_rng(0)
-        m = make_model_a()
-        fld = make_pm_field()
-        assert sample_trajectory(m, fld, 0.3, 0, 0.0, 0.1, rng) == 0.3
+        u_idx = np.array([100, 128, 133])
+        est = mc_expectation(make_model_a(), make_pm_field(), lambda u: u, 0.0, 0.1,
+                             1000, seed=0, u_indices=u_idx)
+        assert np.array_equal(est.values, np.tile(GRID.nodes[u_idx], (2, 1)))
+        assert est.stderr.max() == 0.0
 
     def test_deterministic_velocity_matches_flow(self):
         m = make_model_a()
         fld = VelocityField(GRID, (StateVelocity("constant", value=0.7),
                                    StateVelocity("constant", value=0.7)))
+        u_idx = np.array([100, 131])
         for seed in (1, 2, 3):
-            rng = np.random.default_rng(seed)
-            out = sample_trajectory(m, fld, 0.2, 0, 1.0, 0.05, rng)
-            assert_allclose(out, 0.2 + 0.7, rtol=1e-12)
+            est = mc_expectation(m, fld, lambda u: u, 1.0, 0.05, 1000, seed=seed,
+                                 u_indices=u_idx)
+            assert_allclose(est.values, np.tile(GRID.nodes[u_idx] + 0.7, (2, 1)),
+                            rtol=1e-12)
 
     def test_seed_reproducibility(self):
         m = make_model_a()
         fld = make_pm_field()
-        a = sample_trajectory(m, fld, 0.0, 0, 1.0, 0.1, np.random.default_rng(11))
-        b = sample_trajectory(m, fld, 0.0, 0, 1.0, 0.1, np.random.default_rng(11))
-        assert a == b
+        kwargs = dict(t=1.0, eps=0.1, n_samples=1000, seed=11, u_indices=np.array([128]))
+        a = mc_expectation(m, fld, lambda u: u, **kwargs)
+        b = mc_expectation(m, fld, lambda u: u, **kwargs)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.stderr, b.stderr)
+
+    def test_tabulated_velocities_match_closed_form(self):
+        # same seed, same jumps: only the RK4 flow of the tables differs
+        grid = UGrid(-8.0, 8.0, 129)
+        specs = (StateVelocity("linear", slope=-0.1, intercept=1.0),
+                 StateVelocity("constant", value=-1.0),
+                 StateVelocity("linear", slope=0.05, intercept=0.3))
+        closed = VelocityField(grid, specs)
+        tabulated = VelocityField(grid, tuple(StateVelocity("tabulated", table=row)
+                                              for row in closed.values))
+        kwargs = dict(t=1.0, eps=0.2, n_samples=1000, seed=4,
+                      u_indices=np.arange(0, grid.n_points, 16))
+        a = mc_expectation(make_mixed_model(), closed, PHI, **kwargs)
+        b = mc_expectation(make_mixed_model(), tabulated, PHI, **kwargs)
+        assert np.abs(a.values - b.values).max() < 1e-12
+        assert np.abs(a.stderr - b.stderr).max() < 1e-12
 
     def test_averaging_principle_statistics(self):
         """Mean displacement approaches vhat * t as eps -> 0 (weak limit)."""

@@ -3,11 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fastswitch.field import (StateVelocity, TestFunction, VelocityField,
-                              state_constant, sup_norm, u_derivative_values)
+                              sup_norm, u_derivative_values)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import L_series_values, TimeSeries, build_kit
-from fastswitch.regular import (solve_c0, solve_ck, system_rhs_values,
-                                time_derivatives_at_zero)
+from fastswitch.regular import solve_c0, solve_ck, system_rhs_values
 
 from conftest import GRID, PHI, make_model_a, make_pm_field
 
@@ -115,18 +114,18 @@ class TestRegularTerm:
 class TestDerivativesAtZero:
     def test_first_derivative_is_vhat_phi(self, expansion_a):
         kit = expansion_a.kit
-        got = time_derivatives_at_zero(expansion_a.U[0], 1)
-        phi_vals = state_constant(PHI(GRID.nodes), GRID, 2)
-        expected = kit.vhat.values * u_derivative_values(phi_vals.values, GRID)
-        assert np.abs(got.values - expected).max() < 1e-6
+        got = expansion_a.U[0].derivative_values(1)[0]
+        phi_vals = np.repeat(PHI(GRID.nodes)[None, :], 2, axis=0)
+        expected = kit.vhat.values * u_derivative_values(phi_vals, GRID)
+        assert np.abs(got - expected).max() < 1e-6
 
     def test_second_derivative_operator_oracle(self, expansion_a):
         kit = expansion_a.kit
-        got = time_derivatives_at_zero(expansion_a.U[0], 2)
-        phi_vals = state_constant(PHI(GRID.nodes), GRID, 2).values
+        got = expansion_a.U[0].derivative_values(2)[0]
+        phi_vals = np.repeat(PHI(GRID.nodes)[None, :], 2, axis=0)
         once = kit.vhat.values * u_derivative_values(phi_vals, GRID)
         twice = kit.vhat.values * u_derivative_values(once, GRID)
-        assert np.abs(got.values - twice).max() < 1e-5
+        assert np.abs(got - twice).max() < 1e-5
 
     def test_constant_drift_translation_derivatives(self, expansion_a):
         # vhat constant: d^n/dt^n c0(0) = vhat^n phi^(n)
@@ -136,8 +135,8 @@ class TestDerivativesAtZero:
         dn = phi_vals.copy()
         for n in (1, 2):
             dn = u_derivative_values(dn, GRID)
-            got = time_derivatives_at_zero(expansion_a.U[0], n)
-            assert np.abs(got.values[0] - vhat**n * dn[0]).max() < 1e-6
+            got = expansion_a.U[0].derivative_values(n)[0]
+            assert np.abs(got[0] - vhat**n * dn[0]).max() < 1e-6
 
     def test_fd_cross_check_of_hook(self, kit_a):
         # finite differences in t recover the true derivative almost exactly;
@@ -165,13 +164,16 @@ class TestSystem15:
 
 class TestViews:
     def test_regular_and_singular_views(self, expansion_a):
-        reg = expansion_a.regular
-        sing = expansion_a.singular
-        assert reg.order == 2 and sing.order == 2
-        assert len(reg.U) == 3 and len(sing.W) == 3
-        assert reg.solvability[0] < 1e-6
-        assert sing.diagnostics[1]["w_decay_ratio"] < 1e-3
-        assert np.abs(sing.W0[1] + sing.Uk0[1]).max() < 1e-12
+        # the regular (c, U, U_R) and singular (W, W0, ck0, Uk0) parts are
+        # fields of the one result, indexed by order
+        res = expansion_a
+        assert res.order == 2
+        assert len(res.U) == 3 and len(res.W) == 3
+        assert len(res.c) == len(res.U_R) == len(res.W0) == len(res.ck0) == 3
+        orders = res.diagnostics["orders"]
+        assert orders[1]["solvability_sup"] < 1e-6
+        assert orders[1]["w_decay_ratio"] < 1e-3
+        assert np.abs(res.W0[1] + res.Uk0[1]).max() < 1e-12
 
 
 class TestPermutationEquivariance:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastswitch.field import (GridFunction, StateVelocity, VelocityField,
-                              sup_norm, u_derivative)
+from fastswitch.field import (StateVelocity, VelocityField, sup_norm,
+                              u_derivative_values)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import build_kit, state_mix, velocity_power_values
 from fastswitch.pipeline import build_expansion
@@ -51,8 +51,7 @@ class TestNegativeExtension:
         def u_derivs0(j, n):
             out = phi
             for _ in range(n):
-                out = kit.vhat.values * u_derivative(
-                    GridFunction(out, GRID), 1).values
+                out = kit.vhat.values * u_derivative_values(out, GRID)
             return out
         return u_derivs0
 
@@ -173,8 +172,7 @@ class TestInitialCk0:
     def test_model_b_analytic_value(self, expansion_b):
         # pi = (2/3, 1/3), nu_1 = (-1/2, -1/4), vhat = 1/3, v = (1, -1):
         # c_1(0) = [2/3*(-1/2)*(1/3-1) + 1/3*(-1/4)*(1/3+1)] phi' = phi'/9
-        phi_gf = GridFunction(PHI(GRID.nodes), GRID)
-        expected = u_derivative(phi_gf, 1).values[0] / 9.0
+        expected = u_derivative_values(PHI(GRID.nodes), GRID) / 9.0
         assert np.abs(expansion_b.ck0[1] - expected).max() < 1e-12
 
     def test_nu_form_equivalence_k1(self, expansion_b):
