@@ -56,17 +56,24 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
-def _positive(doc: dict, key: str, default, where: str, cast=float):
-    """doc[key] (or the default) as a finite number > 0; cast=int asks >= 1."""
-    val = doc.get(key, default)
+def _number(val, name: str, cast=float, positive: bool = False):
+    """val as a finite number, integral for cast=int and > 0 if positive;
+    anything else (a fraction for an integer, a boolean) is a ConfigError."""
     try:
-        num = None if isinstance(val, bool) else cast(val)
+        num = None if isinstance(val, bool) else float(val)
     except (TypeError, ValueError, OverflowError):
         num = None
-    if num is None or not (num > 0 and math.isfinite(num)):
-        need = "an integer >= 1" if cast is int else "a number > 0"
-        raise ConfigError(f"{where}.{key} must be {need}, got {val!r}")
-    return num
+    if (num is None or not math.isfinite(num) or (positive and not num > 0)
+            or (cast is int and not num.is_integer())):
+        need = "an integer" if cast is int else "a number"
+        need += (" >= 1" if cast is int else " > 0") if positive else ""
+        raise ConfigError(f"{name} must be {need}, got {val!r}")
+    return cast(num)
+
+
+def _positive(doc: dict, key: str, default, where: str, cast=float):
+    """doc[key] (or the default) as a finite number > 0; cast=int asks >= 1."""
+    return _number(doc.get(key, default), f"{where}.{key}", cast, positive=True)
 
 
 def _sojourn_from_doc(doc: dict, where: str) -> SojournDistribution:
@@ -76,10 +83,13 @@ def _sojourn_from_doc(doc: dict, where: str) -> SojournDistribution:
             return SojournDistribution("exponential", rate=float(_require(doc, "rate", where)))
         if fam == "erlang":
             return SojournDistribution("erlang", rate=float(_require(doc, "rate", where)),
-                                       shape=int(_require(doc, "shape", where)))
+                                       shape=_number(_require(doc, "shape", where),
+                                                     f"{where}.shape", int))
         if fam == "uniform":
             return SojournDistribution("uniform", a=float(_require(doc, "a", where)),
                                        b=float(_require(doc, "b", where)))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sojourn parameters in {where}: {exc}") from exc
     raise ConfigError(f"unknown sojourn family {fam!r} in {where}")
@@ -118,7 +128,7 @@ def config_from_document(doc: dict) -> RunConfig:
     gdoc = doc.get("grid", {})
     grid = UGrid(u_min=float(gdoc.get("u_min", -8.0)),
                  u_max=float(gdoc.get("u_max", 8.0)),
-                 n_points=int(gdoc.get("n_points", 257)),
+                 n_points=_number(gdoc.get("n_points", 257), "grid.n_points", int),
                  boundary_mode=gdoc.get("boundary_mode", "extrapolate"))
 
     vdoc = _require(doc, "velocity", "document")
@@ -168,7 +178,7 @@ def config_from_document(doc: dict) -> RunConfig:
                              for key, default in (("t_stride", 25), ("tau_stride", 40),
                                                   ("u_stride", 1))})
 
-    order = int(doc.get("order", 2))
+    order = _number(doc.get("order", 2), "order", int)
     if not 0 <= order <= 3:
         raise ConfigError(f"order {order} outside the supported range 0..3")
 

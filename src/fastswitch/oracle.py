@@ -125,17 +125,11 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     h_phys = eps * h_s
     s_nodes = h_s * np.arange(n_steps + 1)
 
-    pos_idx, pos_w = [], []
     times_phys = h_phys * np.arange(n_steps + 1)
-    for x in range(n):
-        pos = flow_positions(fld, x, times_phys)
-        ij, wj = interp_weights(grid, pos, order=interp_order)
-        pos_idx.append(ij)
-        pos_w.append(wj)
+    pos_idx, pos_w = zip(*(interp_weights(grid, flow_positions(fld, x, times_phys),
+                                          order=interp_order) for x in range(n)))
 
-    pairs = [kernel_node_weights(d, 0, s_nodes) for d in model.sojourns]
-    weights = np.array([p[0] for p in pairs])
-    left_w = np.array([p[1] for p in pairs])
+    weights, left_w = kernel_node_weights(model.sojourns, 0, s_nodes)
     surv = np.array([d.survival(s_nodes) for d in model.sojourns])
     j_cut = np.array([min(n_steps, int(math.ceil(d.decay_point(1e-14) / h_s)) + 1)
                       for d in model.sojourns])
@@ -193,10 +187,7 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
         raise DirectSolverCost(
             f"march needs {n_steps} steps (> {max_steps}); increase h_s, "
             "shorten the horizon, or use the Monte Carlo oracle")
-    keep = {}
-    for t in t_eval:
-        idx = int(round(t / h_phys))
-        keep[idx] = idx * h_phys
+    keep = {i: i * h_phys for i in (round(t / h_phys) for t in t_eval)}
     grid = fld.grid
     phi_values = phi(grid.nodes)
     if n_steps == 0:

@@ -15,18 +15,7 @@ from .operators import (L_series_values, OperatorKit, TimeSeries,
                         projected_frak_L_series, velocity_power_values)
 
 
-class _AveragedDerivative:
-    """Analytic time-derivative hook: d^n/dt^n c = (vhat d/du)^n c."""
-
-    def __init__(self, kit: OperatorKit, values: np.ndarray):
-        self.kit = kit
-        self.values = values
-
-    def __call__(self, order: int) -> np.ndarray:
-        return velocity_power_values(self.kit.vhat, self.values, order)
-
-
-def _cumulative_simpson_weights(i: int, h: float) -> np.ndarray:
+def cumulative_simpson_weights(i: int, h: float) -> np.ndarray:
     """Weights over nodes 0..i for ∫_0^{t_i}; composite Simpson with a
     quadratic end correction on odd panel counts."""
     w = np.zeros(i + 1)
@@ -52,12 +41,7 @@ def _cumulative_simpson_weights(i: int, h: float) -> np.ndarray:
 def averaged_flow_table(kit: OperatorKit, times: np.ndarray):
     """Interpolation stencils at the averaged-flow positions for every time."""
     pos = flow_positions(kit.vhat, 0, times)
-    idx = []
-    wts = []
-    for row in pos:
-        i, w = interp_weights(kit.fld.grid, row)
-        idx.append(i)
-        wts.append(w)
+    idx, wts = zip(*(interp_weights(kit.fld.grid, row) for row in pos))
     return np.array(idx), np.array(wts)
 
 
@@ -72,12 +56,12 @@ def solve_c0(kit: OperatorKit, phi: TestFunction, times: np.ndarray,
     phi_vals = phi(grid.nodes)
     vals = np.empty((len(times), n, grid.n_points))
     for i in range(len(times)):
-        row = interp_apply(phi_vals, idx[i], wts[i])
-        vals[i] = row[None, :]
+        vals[i] = interp_apply(phi_vals, idx[i], wts[i])
     vals[0] = phi_vals[None, :]
     h_t = float(times[1] - times[0]) if len(times) > 1 else 1.0
     series = TimeSeries(vals, grid, h_t)
-    series.derivative_hook = _AveragedDerivative(kit, vals)
+    # analytic time derivatives: d^n/dt^n c = (vhat d/du)^n c
+    series.derivative_hook = lambda order: velocity_power_values(kit.vhat, vals, order)
     return series
 
 
@@ -101,7 +85,7 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, source: np.ndarray,
     for i in range(n_t):
         row = interp_apply(c_k0, idx[i], wts[i])
         if i > 0:
-            w = _cumulative_simpson_weights(i, h_t)
+            w = cumulative_simpson_weights(i, h_t)
             m = len(w)
             # source slice j evaluated at the flow positions for time t_{i-j}
             gathered = np.empty((m, grid.n_points))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .field import sup_norm
 from .operators import OperatorKit, TimeSeries, state_mix, velocity_power_values
+from .regular import cumulative_simpson_weights
 
 
 class LayerWindowError(RuntimeError):
@@ -66,10 +67,8 @@ def psi_k(kit: OperatorKit, phi_values: np.ndarray, k: int, tau: np.ndarray) -> 
 
 def _poly_tail_factor(dist, n: int, r: int, tau: np.ndarray) -> np.ndarray:
     """∫_τ^∞ s^r (τ-s)^n F(ds) expanded into partial moments."""
-    total = 0.0
-    for i in range(n + 1):
-        total = total + math.comb(n, i) * tau ** (n - i) * (-1.0) ** i * dist.partial_moment(r + i, tau)
-    return total
+    return sum(math.comb(n, i) * tau ** (n - i) * (-1.0) ** i * dist.partial_moment(r + i, tau)
+               for i in range(n + 1))
 
 
 def psi_k1(kit: OperatorKit, W_k0: np.ndarray, u_derivs0, k: int,
@@ -99,26 +98,45 @@ def negative_extension(W_k0: np.ndarray, u_derivs0, k: int, tau) -> np.ndarray:
 # -- product-integration kernels ---------------------------------------------------
 
 
-def kernel_node_weights(dist, r: int, tau_nodes: np.ndarray):
+def kernel_node_weights(sojourns, r: int, tau_nodes: np.ndarray):
     """Product-integration node weights for ∫_0^{τ_i} s^r/r! F(ds) G(s) with G
-    linear per cell.
+    linear per cell, one row per sojourn law F.
 
-    Returns (w, a): w[m] is the full-assembly weight of node m and a[j] the
-    left-node weight of cell j.  The integral up to τ_i is
-    Σ_{m<=i} w[m] G(τ_m) - a[i] G(τ_i), since cell i starts beyond τ_i.
+    Returns (w, a), each (n_laws, n_nodes): w[:, m] is the full-assembly
+    weight of node m and a[:, j] the left-node weight of cell j.  The integral
+    up to τ_i is Σ_{m<=i} w[:, m] G(τ_m) - a[:, i] G(τ_i), since cell i starts
+    beyond τ_i.
     """
     h = tau_nodes[1] - tau_nodes[0]
-    Mr = dist.partial_moment(r, tau_nodes)
-    Mr1 = dist.partial_moment(r + 1, tau_nodes)
-    mass = (Mr[:-1] - Mr[1:]) / math.factorial(r)
-    first = (Mr1[:-1] - Mr1[1:]) / math.factorial(r)
-    a = np.zeros(len(tau_nodes))
-    b = np.zeros(len(tau_nodes) - 1)
-    a[:-1] = (mass * tau_nodes[1:] - first) / h
-    b[:] = (first - mass * tau_nodes[:-1]) / h
+    Mr = np.array([d.partial_moment(r, tau_nodes) for d in sojourns])
+    Mr1 = np.array([d.partial_moment(r + 1, tau_nodes) for d in sojourns])
+    mass = (Mr[:, :-1] - Mr[:, 1:]) / math.factorial(r)
+    first = (Mr1[:, :-1] - Mr1[:, 1:]) / math.factorial(r)
+    a = np.zeros(Mr.shape)
+    a[:, :-1] = (mass * tau_nodes[1:] - first) / h
     w = a.copy()
-    w[1:] += b
+    w[:, 1:] += (first - mass * tau_nodes[:-1]) / h
     return w, a
+
+
+# u-columns per FFT pass: bounds the complex temporaries of a long window
+_COLUMN_BLOCK = 32
+
+
+def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Causal sums out[i] = Σ_{m<=i} kernel[m] @ values[i-m] over fast time.
+
+    kernel is (N, n, n) and values (N, n, n_points); the sums are one
+    zero-padded real-FFT convolution, taken over blocks of u-columns.
+    """
+    n_nodes = kernel.shape[0]
+    length = 1 << (2 * n_nodes - 2).bit_length()  # >= 2N - 1: no wrap-around
+    k_hat = np.fft.rfft(kernel, length, axis=0)
+    out = np.empty(values.shape)
+    for c in range(0, values.shape[2], _COLUMN_BLOCK):
+        v_hat = np.fft.rfft(values[:, :, c:c + _COLUMN_BLOCK], length, axis=0)
+        out[:, :, c:c + _COLUMN_BLOCK] = np.fft.irfft(k_hat @ v_hat, length, axis=0)[:n_nodes]
+    return out
 
 
 def psi_k0(kit: OperatorKit, W_lower: list, W0_lower: list, u_derivs0, k: int,
@@ -129,18 +147,13 @@ def psi_k0(kit: OperatorKit, W_lower: list, W0_lower: list, u_derivs0, k: int,
     (τ, ∞) part hits the negative extension and collapses to partial moments.
     """
     tau = grid_tau.nodes
-    n_nodes = len(tau)
     n = kit.model.n_states
-    npts = kit.fld.grid.n_points
-    out = np.zeros((n_nodes, n, npts))
+    out = np.zeros((len(tau), n, kit.fld.grid.n_points))
     for r in range(1, k):
-        series = W_lower[k - r]  # TimeSeries on the tau grid
-        vrpw = velocity_power_values(kit.fld, state_mix(kit.P, series.values), r)
-        for xi, dist in enumerate(kit.model.sojourns):
-            w, a = kernel_node_weights(dist, r, tau)
-            vx = np.ascontiguousarray(vrpw[:, xi])
-            for i in range(1, n_nodes):
-                out[i, xi] += w[i:0:-1] @ vx[:i] + w[0] * vx[i] - a[i] * vx[0]
+        vrpw = velocity_power_values(kit.fld, state_mix(kit.P, W_lower[k - r].values), r)
+        w, a = kernel_node_weights(kit.model.sojourns, r, tau)
+        out += history_convolution(w.T[:, :, None] * np.eye(n), vrpw)
+        out -= a.T[:, :, None] * vrpw[0]
         # tail: negative extension in closed form
         vr_pw0 = velocity_power_values(kit.fld, state_mix(kit.P, W0_lower[k - r]), r)
         Mr = np.array([d.partial_moment(r, tau) for d in kit.model.sojourns]).T
@@ -154,53 +167,67 @@ def psi_k0(kit: OperatorKit, W_lower: list, W0_lower: list, u_derivs0, k: int,
     return out
 
 
-# -- the renewal march --------------------------------------------------------------
+# -- the renewal solve --------------------------------------------------------------
+
+
+def renewal_resolvent(P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Discrete resolvent of the implicit renewal march with node weights w
+    (n_states, N): R_0 = A⁻¹ and R_m = A⁻¹ Σ_{j=1..m} diag(w_j) P R_{m-j},
+    where A = I - diag(w_0) P.  Shape (N, n, n)."""
+    n, n_nodes = w.shape
+    A_inv = np.linalg.inv(np.eye(n) - w[:, 0, None] * P)
+    R = np.empty((n_nodes, n, n))
+    R[0] = A_inv
+    pr_sm = np.empty((n, n_nodes, n))  # state-major history of P R
+    pr_sm[:, 0] = P @ A_inv
+    rhs = np.empty((n, n))
+    for m in range(1, n_nodes):
+        for x in range(n):
+            rhs[x] = w[x, m:0:-1] @ pr_sm[x, :m]
+        R[m] = A_inv @ rhs
+        pr_sm[:, m] = P @ R[m]
+    return R
 
 
 def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
              phi_values: np.ndarray, u_derivs0, W_lower: list, W0_lower: list):
-    """March the standard-form fast-time renewal equation
+    """Solve the standard-form fast-time renewal equation
 
         ∫_0^τ F(ds) P W_k(τ-s) - W_k(τ) = ψ^k - ψ^k_0 - ψ^k_1
 
-    forward with product integration and an implicit diagonal correction.
+    by product integration with an implicit diagonal correction.  The march
+    is linear with a convolution kernel, so it is applied as its discrete
+    resolvent convolved with the forcing.
     Returns the series and (t0 residual, decay ratio, monotone-tail flag).
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
-    n = kit.model.n_states
-    npts = kit.fld.grid.n_points
-
-    g = psi_k(kit, phi_values, k, tau)
-    g -= psi_k1(kit, W_k0, u_derivs0, k, tau)
+    # forcing f = -(ψ^k - ψ^k_0 - ψ^k_1)
+    f = psi_k1(kit, W_k0, u_derivs0, k, tau)
+    f -= psi_k(kit, phi_values, k, tau)
     if k > 1:
-        g -= psi_k0(kit, W_lower, W0_lower, u_derivs0, k, grid_tau)
+        f += psi_k0(kit, W_lower, W0_lower, u_derivs0, k, grid_tau)
+    t0_residual = sup_norm(f[0] - W_k0)
 
-    t0_residual = sup_norm(-g[0] - W_k0)
-
-    pairs = [kernel_node_weights(d, 0, tau) for d in kit.model.sojourns]
-    weights = np.array([p[0] for p in pairs])
-    left_w = np.array([p[1] for p in pairs])
-    A = np.eye(n) - weights[:, 0, None] * kit.P
-    A_inv = np.linalg.inv(A)
-
-    W = np.empty((n_nodes, n, npts))
+    # node i >= 1 of the march solves A W_i - Σ_{m=1..i} diag(w_m) P W_{i-m}
+    # = f_i - diag(a_i) P W_0; with right side A W_0 at i = 0 this holds at
+    # every node, so W is the march's resolvent convolved with the right side
+    w, a = kernel_node_weights(kit.model.sojourns, 0, tau)
+    pw0 = state_mix(kit.P, W_k0)
+    f -= a.T[:, :, None] * pw0
+    f[0] = W_k0 - w[:, 0, None] * pw0
+    W = history_convolution(renewal_resolvent(kit.P, w), f)
     W[0] = W_k0
-    pw_sm = np.empty((n, n_nodes, npts))  # state-major history of P W
-    pw_sm[:, 0] = state_mix(kit.P, W_k0)
-    for i in range(1, n_nodes):
-        rhs = -g[i]
-        for xi in range(n):
-            rhs[xi] += weights[xi, i:0:-1] @ pw_sm[xi, :i] - left_w[xi, i] * pw_sm[xi, 0]
-        W[i] = np.tensordot(A_inv, rhs, axes=(1, 0))
-        pw_sm[:, i] = state_mix(kit.P, W[i])
 
     series = TimeSeries(W, kit.fld.grid, grid_tau.h_tau)
     norm0 = sup_norm(W_k0)
     # a numerically vanishing layer has no meaningful decay ratio
     decay_ratio = sup_norm(W[-1]) / norm0 if norm0 > 1e-13 else 0.0
+    # a settled layer ends on a state-independent level, so states level with
+    # the worst to rounding of the solve report the first of them
     terminal_by_state = np.abs(W[-1]).max(axis=1)
-    worst_state = kit.model.states[int(np.argmax(terminal_by_state))]
+    level = terminal_by_state >= terminal_by_state.max() - 1e-12 * norm0
+    worst_state = kit.model.states[int(np.argmax(level))]
     if decay_ratio > 0.1:
         # a layer that retains 10% of its initial size signals an
         # inconsistent initial coefficient, a sign error, or a short window
@@ -237,10 +264,7 @@ def layer_time_integral(series: TimeSeries, grid_tau: TauGrid):
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= grid_tau.h_tau / 3.0
+    w = cumulative_simpson_weights(grid_tau.n_tau, grid_tau.h_tau)
     J = np.tensordot(w, series.values, axes=(0, 0))
     profile = np.abs(series.values).max(axis=(1, 2))
     end = profile[-1]

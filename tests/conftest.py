@@ -27,6 +27,16 @@ def make_model_b() -> SemiMarkovModel:
                                      SojournDistribution("erlang", rate=2.0, shape=2)))
 
 
+def make_mixed_model() -> SemiMarkovModel:
+    """Three states with exponential, erlang and uniform sojourns."""
+    return SemiMarkovModel(
+        states=("a", "b", "c"),
+        P=[[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.7, 0.0]],
+        sojourns=(SojournDistribution("exponential", rate=1.5),
+                  SojournDistribution("erlang", rate=2.0, shape=2),
+                  SojournDistribution("uniform", a=0.2, b=1.2)))
+
+
 def make_pm_field(grid=GRID) -> VelocityField:
     return VelocityField(grid, (StateVelocity("constant", value=1.0),
                                 StateVelocity("constant", value=-1.0)))

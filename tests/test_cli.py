@@ -66,16 +66,22 @@ class TestConfig:
         ("output", "tau_stride", 0), ("output", "u_stride", 0),
         ("oracle", "t_eval", [0.2525]), ("oracle", "t_eval", [0.75]),
         ("oracle", "t_eval", [0.0]),
+        ("oracle", "u_stride", 2.7), ("", "order", 1.9), ("grid", "n_points", 129.6),
+        ("output", "t_stride", 2.5), ("model.sojourns[1]", "shape", 2.5),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, section, key, value):
         # small_config: horizon 0.5, h_t 0.005
         path = small_config(tmp_path)
         doc = json.loads(path.read_text())
-        doc[section][key] = value
+        if section == "model.sojourns[1]":
+            target = doc["model"]["sojourns"][1] = {"family": "erlang", "rate": 2.0}
+        else:
+            target = doc[section] if section else doc
+        target[key] = value
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["expand", "--config", str(path), "--out", str(out)]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        assert f"{section}.{key}".lstrip(".") in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -6,17 +6,7 @@ from fastswitch.field import StateVelocity, UGrid, VelocityField
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.oracle import DirectSolverCost, direct_solve_phi, mc_expectation
 
-from conftest import GRID, PHI, make_model_a, make_pm_field
-
-
-def make_mixed_model():
-    """Three states with exponential, erlang and uniform sojourns."""
-    return SemiMarkovModel(
-        states=("a", "b", "c"),
-        P=[[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.3, 0.7, 0.0]],
-        sojourns=(SojournDistribution("exponential", rate=1.5),
-                  SojournDistribution("erlang", rate=2.0, shape=2),
-                  SojournDistribution("uniform", a=0.2, b=1.2)))
+from conftest import GRID, PHI, make_mixed_model, make_model_a, make_pm_field
 
 
 class TestSampleTrajectory:

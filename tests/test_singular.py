@@ -4,16 +4,42 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastswitch.field import (StateVelocity, VelocityField, sup_norm,
+from fastswitch.field import (StateVelocity, UGrid, VelocityField, sup_norm,
                               u_derivative_values)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
-from fastswitch.operators import build_kit, state_mix, velocity_power_values
+from fastswitch.operators import TimeSeries, build_kit, state_mix, velocity_power_values
 from fastswitch.pipeline import build_expansion
 from fastswitch.singular import (TauGrid, default_tau_grid,
-                                 kernel_node_weights, layer_time_integral,
-                                 negative_extension, psi_k, psi_k0)
+                                 history_convolution, kernel_node_weights,
+                                 layer_time_integral, negative_extension,
+                                 psi_k, psi_k0, psi_k1, solve_Wk)
 
-from conftest import GRID, PHI, make_model_a, make_pm_field
+from conftest import GRID, PHI, make_mixed_model, make_model_a, make_pm_field
+
+
+def make_mixed_field() -> VelocityField:
+    """Velocities for make_mixed_model on 65 points, one of them linear."""
+    return VelocityField(UGrid(-6.0, 6.0, 65),
+                         (StateVelocity("constant", value=1.0),
+                          StateVelocity("constant", value=-1.0),
+                          StateVelocity("linear", slope=-0.2, intercept=0.3)))
+
+
+def reference_march(kit, grid_tau, g, W_k0):
+    """The step-by-step implicit product-integration march of the renewal
+    equation, node by node over the whole history."""
+    tau = grid_tau.nodes
+    w, a = kernel_node_weights(kit.model.sojourns, 0, tau)
+    A_inv = np.linalg.inv(np.eye(kit.model.n_states) - w[:, 0, None] * kit.P)
+    W = np.empty((len(tau),) + W_k0.shape)
+    pw = np.empty_like(W)
+    W[0] = W_k0
+    pw[0] = state_mix(kit.P, W_k0)
+    for i in range(1, len(tau)):
+        rhs = -g[i] + np.einsum("xm,mxu->xu", w[:, i:0:-1], pw[:i]) - a[:, i, None] * pw[0]
+        W[i] = A_inv @ rhs
+        pw[i] = state_mix(kit.P, W[i])
+    return W
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +106,11 @@ class TestKernelWeights:
     def test_total_mass(self):
         d = SojournDistribution("exponential", rate=2.0)
         nodes = 0.005 * np.arange(4001)
-        w, a = kernel_node_weights(d, 0, nodes)
+        w, a = kernel_node_weights((d,), 0, nodes)
+        assert w.shape == a.shape == (1, nodes.size)
         # integral of 1 dF over [0, 20] = F(20) ~ 1
         assert abs(w.sum() - 1.0) < 1e-10
-        assert a[-1] == 0.0
+        assert a[0, -1] == 0.0
 
     def test_quadrature_accuracy_halving(self):
         d = SojournDistribution("erlang", rate=1.5, shape=2)
@@ -91,8 +118,8 @@ class TestKernelWeights:
         results = []
         for h in (0.01, 0.005):
             nodes = h * np.arange(int(12.0 / h) + 1)
-            w, a = kernel_node_weights(d, 1, nodes)
-            results.append(w @ gfun(nodes))
+            w, a = kernel_node_weights((d,), 1, nodes)
+            results.append(w[0] @ gfun(nodes))
         s = np.linspace(0, 12, 200001)
         ref = np.trapezoid(s * d.density(s) * gfun(s), s)
         e1, e2 = abs(results[0] - ref), abs(results[1] - ref)
@@ -102,8 +129,32 @@ class TestKernelWeights:
     def test_uniform_cells_exact_mass(self):
         d = SojournDistribution("uniform", a=0.3, b=1.1)
         nodes = 0.005 * np.arange(401)
-        w, a = kernel_node_weights(d, 0, nodes)
+        w, a = kernel_node_weights((d,), 0, nodes)
         assert abs(w.sum() - 1.0) < 1e-12
+
+
+    def test_rows_match_single_laws(self):
+        laws = make_mixed_model().sojourns
+        nodes = 0.01 * np.arange(801)
+        w, a = kernel_node_weights(laws, 1, nodes)
+        for x, d in enumerate(laws):
+            w1, a1 = kernel_node_weights((d,), 1, nodes)
+            assert np.array_equal(w[x], w1[0]) and np.array_equal(a[x], a1[0])
+
+
+class TestHistoryConvolution:
+    @pytest.mark.parametrize("n,n_nodes,n_points", [
+        (1, 17, 65), (1, 24, 257), (3, 17, 257), (3, 24, 65)])
+    def test_matches_causal_double_loop(self, n, n_nodes, n_points):
+        rng = np.random.default_rng(n * 1000 + n_nodes + n_points)
+        kernel = rng.normal(size=(n_nodes, n, n))
+        values = rng.normal(size=(n_nodes, n, n_points))
+        expected = np.zeros_like(values)
+        for i in range(n_nodes):
+            for m in range(i + 1):
+                expected[i] += kernel[m] @ values[i - m]
+        out = history_convolution(kernel, values)
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestPsiK0:
@@ -187,6 +238,19 @@ class TestInitialCk0:
 
 
 class TestSolveWk:
+    def test_matches_step_by_step_march(self):
+        res = build_expansion(make_mixed_model(), make_mixed_field(), PHI, order=2, horizon=0.5, h_t=0.005, h_tau=0.01)
+        kit, grid_tau, tau = res.kit, res.tau_grid, res.tau_grid.nodes
+        u_derivs0 = lambda j, n: res.U[j].derivative_values(n)[0]
+        for k in (1, 2):
+            W, _ = solve_Wk(kit, k, grid_tau, res.W0[k], res.phi_values, u_derivs0,
+                            res.W, res.W0)
+            g = psi_k(kit, res.phi_values, k, tau) - psi_k1(kit, res.W0[k], u_derivs0, k, tau)
+            if k > 1:
+                g -= psi_k0(kit, res.W, res.W0, u_derivs0, k, grid_tau)
+            expected = reference_march(kit, grid_tau, g, res.W0[k])
+            assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_single_state_constant_velocity_zero_layer(self):
         m = SemiMarkovModel(states=("s",), P=[[1.0]],
                             sojourns=(SojournDistribution("erlang", rate=2.0, shape=2),))
@@ -257,6 +321,14 @@ class TestTauGrid:
         assert grid_tau.tau_max >= 10 * m1_max
         surv = max(d.survival(grid_tau.tau_max) for d in kit_a.model.sojourns)
         assert surv < 1e-9
+
+    def test_layer_integral_exact_for_cubics(self):
+        # composite Simpson integrates cubics exactly on the even tau grid
+        grid_tau = TauGrid(3.0, 60)
+        tau = grid_tau.nodes
+        vals = np.broadcast_to((tau**3 - 2.0 * tau)[:, None, None], (len(tau), 2, 5))
+        J, _ = layer_time_integral(TimeSeries(vals, GRID, grid_tau.h_tau), grid_tau)
+        assert_allclose(J, 3.0**4 / 4 - 3.0**2, rtol=1e-14)
 
     def test_layer_integral_tail_bound(self, expansion_a):
         J, tail = layer_time_integral(expansion_a.W[1], expansion_a.tau_grid)
