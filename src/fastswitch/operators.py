@@ -52,6 +52,7 @@ def state_mix(P: np.ndarray, values: np.ndarray) -> np.ndarray:
 # -- time series ----------------------------------------------------------------
 
 
+MAX_DERIVATIVE = 8  # highest time-derivative order a TimeSeries serves
 _WINDOW_CACHE: dict = {}
 
 
@@ -85,7 +86,6 @@ class TimeSeries:
     values: np.ndarray  # (n_times, n_states, n_points)
     grid: UGrid
     h_t: float
-    max_derivative: int = 8
     derivative_hook: object = None  # optional: order -> values array
     _deriv_cache: dict = dc_field(default_factory=dict, repr=False)
 
@@ -105,24 +105,19 @@ class TimeSeries:
     def derivative_values(self, order: int) -> np.ndarray:
         if order == 0:
             return self.values
-        if order > self.max_derivative:
-            raise ValueError(f"derivative order {order} beyond cap {self.max_derivative}")
+        if order > MAX_DERIVATIVE:
+            raise ValueError(f"derivative order {order} beyond cap {MAX_DERIVATIVE}")
         if order not in self._deriv_cache:
             if self.derivative_hook is not None:
                 self._deriv_cache[order] = self.derivative_hook(order)
             else:
                 starts, weights = _time_weights(self.n_times, order, self.h_t)
-                width = weights.shape[1]
-                out = np.empty_like(self.values)
-                for i in range(self.n_times):
-                    win = self.values[starts[i]:starts[i] + width]
-                    out[i] = np.tensordot(weights[i], win, axes=(0, 0))
-                self._deriv_cache[order] = out
+                windows = self.values[starts[:, None] + np.arange(weights.shape[1])]
+                self._deriv_cache[order] = np.einsum("tw,twxu->txu", weights, windows)
         return self._deriv_cache[order]
 
     def map_values(self, fn) -> "TimeSeries":
-        return TimeSeries(fn(self.values), self.grid, self.h_t,
-                          max_derivative=self.max_derivative)
+        return TimeSeries(fn(self.values), self.grid, self.h_t)
 
 
 # -- operator kit ----------------------------------------------------------------
@@ -212,8 +207,7 @@ def L_series_values(k: int, kit: OperatorKit, series: TimeSeries,
 
 
 def L_series(k: int, kit: OperatorKit, series: TimeSeries, form: str = "binomial") -> TimeSeries:
-    return TimeSeries(L_series_values(k, kit, series, form), series.grid, series.h_t,
-                      max_derivative=series.max_derivative)
+    return TimeSeries(L_series_values(k, kit, series, form), series.grid, series.h_t)
 
 
 def frak_L_series(k: int, kit: OperatorKit, c_series: TimeSeries) -> TimeSeries:
@@ -232,8 +226,7 @@ def frak_L_series(k: int, kit: OperatorKit, c_series: TimeSeries) -> TimeSeries:
             total = term if total is None else total + term
         tail = kit.mu(j + 1)[None, :, None] * L_series_values(j + 1, kit, c_series)
         total = tail if total is None else total + tail
-        cache.append(TimeSeries(total, c_series.grid, c_series.h_t,
-                                max_derivative=c_series.max_derivative))
+        cache.append(TimeSeries(total, c_series.grid, c_series.h_t))
     return cache[k]
 
 

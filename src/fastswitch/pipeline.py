@@ -108,14 +108,8 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
     result.ck0.append(phi_values.copy())
     result.Uk0.append(c0.values[0].copy())
 
-    deriv_cache: dict = {}
-
-    def u_derivs0(j: int, n: int) -> np.ndarray:
-        """U_j^(n)(0) as an (n_states, n_points) array."""
-        key = (j, n)
-        if key not in deriv_cache:
-            deriv_cache[key] = result.U[j].derivative_values(n)[0]
-        return deriv_cache[key]
+    # U_j^(n)(0) as an (n_states, n_points) array; TimeSeries caches each order
+    u_derivs0 = lambda j, n: result.U[j].derivative_values(n)[0]
 
     orders_diag: dict = {}
     for k in range(1, order + 1):

@@ -39,24 +39,20 @@ def cumulative_simpson_weights(i: int, h: float) -> np.ndarray:
 
 
 def averaged_flow_table(kit: OperatorKit, times: np.ndarray):
-    """Interpolation stencils at the averaged-flow positions for every time."""
-    pos = flow_positions(kit.vhat, 0, times)
-    idx, wts = zip(*(interp_weights(kit.fld.grid, row) for row in pos))
-    return np.array(idx), np.array(wts)
+    """Interpolation stencils at the averaged-flow positions for every time,
+    as (n_times, n_points, width) index and weight arrays."""
+    return interp_weights(kit.fld.grid, flow_positions(kit.vhat, 0, times))
 
 
 def solve_c0(kit: OperatorKit, phi: TestFunction, times: np.ndarray,
-             flow_table=None) -> TimeSeries:
-    """Averaged transport solution c0(t, u) = φ(flow of vhat from u over t)."""
+             flow_table) -> TimeSeries:
+    """Averaged transport solution c0(t, u) = φ(flow of vhat from u over t);
+    flow_table is averaged_flow_table(kit, times)."""
     grid = kit.fld.grid
     n = kit.model.n_states
-    if flow_table is None:
-        flow_table = averaged_flow_table(kit, times)
     idx, wts = flow_table
     phi_vals = phi(grid.nodes)
-    vals = np.empty((len(times), n, grid.n_points))
-    for i in range(len(times)):
-        vals[i] = interp_apply(phi_vals, idx[i], wts[i])
+    vals = np.repeat(interp_apply(phi_vals, idx, wts)[:, None, :], n, axis=1)
     vals[0] = phi_vals[None, :]
     h_t = float(times[1] - times[0]) if len(times) > 1 else 1.0
     series = TimeSeries(vals, grid, h_t)
@@ -66,35 +62,31 @@ def solve_c0(kit: OperatorKit, phi: TestFunction, times: np.ndarray,
 
 
 def solve_ck(kit: OperatorKit, c_k0: np.ndarray, source: np.ndarray,
-             times: np.ndarray, flow_table=None) -> TimeSeries:
+             times: np.ndarray, flow_table) -> TimeSeries:
     """Inhomogeneous averaged transport with initial data c_k0.
 
     source has shape (n_times, n_points); the solution is
     c(t_i, u) = c_k0(pos_i(u)) + ∫_0^{t_i} source(s, pos_{i-s}(u)) ds
-    with composite Simpson over the shared time grid.
+    with composite Simpson over the shared time grid.  The integral is
+    gathered one lag l = i - j at a time: every source slice j is read at
+    the stencils of time t_l and weighted by the l-th subdiagonal of the
+    lower-triangular Simpson weight matrix.
     """
-    grid = kit.fld.grid
-    n = kit.model.n_states
     n_t = len(times)
     h_t = float(times[1] - times[0]) if n_t > 1 else 1.0
-    if flow_table is None:
-        flow_table = averaged_flow_table(kit, times)
     idx, wts = flow_table
     c_k0 = np.asarray(c_k0, dtype=float).reshape(-1)
-    out = np.empty((n_t, n, grid.n_points))
+    simpson = np.zeros((n_t, n_t))
     for i in range(n_t):
-        row = interp_apply(c_k0, idx[i], wts[i])
-        if i > 0:
-            w = cumulative_simpson_weights(i, h_t)
-            m = len(w)
-            # source slice j evaluated at the flow positions for time t_{i-j}
-            gathered = np.empty((m, grid.n_points))
-            for j in range(m):
-                gathered[j] = interp_apply(source[j], idx[i - j], wts[i - j])
-            row = row + w @ gathered
-        out[i] = row[None, :]
+        simpson[i, :i + 1] = cumulative_simpson_weights(i, h_t)
+    duhamel = np.zeros((n_t, c_k0.size))
+    for lag in range(n_t):
+        duhamel[lag:] += np.diagonal(simpson, -lag)[:, None] * interp_apply(
+            source[:n_t - lag], idx[lag], wts[lag])
+    out = np.repeat((interp_apply(c_k0, idx, wts) + duhamel)[:, None, :],
+                    kit.model.n_states, axis=1)
     out[0] = c_k0[None, :]
-    return TimeSeries(out, grid, h_t)
+    return TimeSeries(out, kit.fld.grid, h_t)
 
 
 def system_rhs_values(kit: OperatorKit, U_list: list, k: int) -> np.ndarray:

@@ -256,11 +256,16 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
 
 
 def layer_time_integral(series: TimeSeries, grid_tau: TauGrid):
-    """J = ∫_0^∞ W(θ) dθ over the window, plus a bound on the truncated tail.
+    """J = ∫_0^∞ W(θ) dθ over the window, a bound on the truncated tail, and
+    advice naming the layer setting that shrinks that bound.
 
     The decay rate is fitted over the clean decay decade of the sup-norm
     profile (between the initial transient and the quadrature-bias floor);
-    the truncated mass is bounded by the end level over that rate.
+    the truncated mass is bounded by the end level over that rate.  A profile
+    whose last decade above its end level lasts more than twice as long as
+    that rate needs ends on a flat floor, the quadrature bias, which a finer
+    'layer.h_tau' lowers; otherwise the layer is still decaying when the
+    window ends and 'layer.tau_max' is the setting to raise.
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
@@ -270,7 +275,7 @@ def layer_time_integral(series: TimeSeries, grid_tau: TauGrid):
     end = profile[-1]
     top = profile[0]
     if end <= 0 or top <= 0:
-        return J, 0.0
+        return J, 0.0, ""
     hi_level = 0.1 * top
     lo_level = max(10.0 * end, 1e-9 * top)
     above_hi = np.nonzero(profile >= hi_level)[0]
@@ -283,8 +288,11 @@ def layer_time_integral(series: TimeSeries, grid_tau: TauGrid):
     if rate <= 0:
         # no visible decay decade: assume ten e-folds over the window
         rate = 10.0 / float(tau[-1] - tau[0])
-    tail = end / rate
-    return J, float(tail)
+    if rate * float(tau[-1] - tau[i2]) > 2.0 * math.log(10.0):
+        advice = "the layer ends on its quadrature floor: decrease layer.h_tau"
+    else:
+        advice = "the layer is still decaying at the window's end: increase layer.tau_max"
+    return J, float(end / rate), advice
 
 
 # -- initial conditions ---------------------------------------------------------------
@@ -318,10 +326,11 @@ def initial_ck0(kit: OperatorKit, k: int, phi_values: np.ndarray, u_derivs0,
     total -= k * np.einsum("x,xu->u", rho * kit.mu(k + 1) * m1, vk_phi)
 
     # lower-layer contributions
-    tail_bound = 0.0
+    tail_bound, advice = 0.0, ""
     for r in range(1, k):
-        J, tail = layer_time_integral(W_lower[k - r], grid_tau)
-        tail_bound = max(tail_bound, tail)
+        J, tail, layer_advice = layer_time_integral(W_lower[k - r], grid_tau)
+        if tail > tail_bound:
+            tail_bound, advice = tail, layer_advice
         vrpj = velocity_power_values(kit.fld, state_mix(kit.P, J), r)
         total += np.einsum("x,xu->u", rho * kit.m(r) / math.factorial(r), vrpj)
         vrpw0 = velocity_power_values(kit.fld, state_mix(kit.P, W0_lower[k - r]), r)
@@ -334,8 +343,7 @@ def initial_ck0(kit: OperatorKit, k: int, phi_values: np.ndarray, u_derivs0,
             total -= np.einsum("x,xu->u", coef, vrpu)
     if tail_bound > tail_tol:
         raise LayerWindowError(
-            f"layer-window tail bound {tail_bound:.3e} exceeds {tail_tol:.1e}; "
-            "increase tau_max")
+            f"layer-window tail bound {tail_bound:.3e} exceeds {tail_tol:.1e}; {advice}")
     c_k0 = total / kit.m_hat
     info = {"tail_bound": float(tail_bound),
             "alt_extra_mhat_division_sup": float(np.abs(c_k0 / kit.m_hat).max())}

@@ -18,14 +18,16 @@ def test_layer_patches_resolve_to_callables():
 
 
 def test_traced_layers_are_called_through_module_attributes(monkeypatch):
-    """The traced spans of the fast-time layer wrap pipeline.solve_Wk and
-    singular.psi_k0; both must be looked up there at call time, or their
-    spans read zero."""
-    from fastswitch import pipeline, singular
+    """The traced spans of both layers wrap names looked up in pipeline,
+    singular and regular at call time, or their spans read zero.  The
+    transport solves gather one stencil per lag, so interp_apply is called
+    O(n_times) times per build, never once per (time, history node) pair."""
+    from fastswitch import pipeline, regular, singular
     from fastswitch.field import UGrid
     from conftest import PHI, make_model_a, make_pm_field
 
-    calls = {"solve_Wk": 0, "psi_k0": 0}
+    calls = dict.fromkeys(["solve_Wk", "psi_k0", "averaged_flow_table", "solve_c0",
+                           "solve_ck", "interp_apply"], 0)
 
     def counted(module, attr):
         original = getattr(module, attr)
@@ -35,8 +37,12 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapper)
 
-    counted(pipeline, "solve_Wk")
+    for attr in ("solve_Wk", "averaged_flow_table", "solve_c0", "solve_ck"):
+        counted(pipeline, attr)
     counted(singular, "psi_k0")
-    pipeline.build_expansion(make_model_a(), make_pm_field(UGrid(-6.0, 6.0, 65)), PHI,
-                             order=2, horizon=0.5, h_t=0.01, h_tau=0.01)
-    assert calls == {"solve_Wk": 2, "psi_k0": 1}
+    counted(regular, "interp_apply")
+    res = pipeline.build_expansion(make_model_a(), make_pm_field(UGrid(-6.0, 6.0, 65)), PHI,
+                                   order=2, horizon=0.5, h_t=0.01, h_tau=0.01)
+    assert 0 < calls.pop("interp_apply") <= 3 * len(res.times)
+    assert calls == {"solve_Wk": 2, "psi_k0": 1, "averaged_flow_table": 1,
+                     "solve_c0": 1, "solve_ck": 2}

@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 
 from fastswitch.field import StateVelocity, UGrid, VelocityField, sup_norm
 from fastswitch.model import SojournDistribution, SemiMarkovModel, generator, semi_markov_stationary
-from fastswitch.operators import (L_series, L_series_values, TimeSeries, build_kit,
-                                  frak_L_series, potential_build,
+from fastswitch.operators import (L_series, L_series_values, TimeSeries, _time_weights,
+                                  build_kit, frak_L_series, potential_build,
                                   projected_frak_L_series, state_mix)
-from fastswitch.regular import solve_c0
+from fastswitch.regular import averaged_flow_table, solve_c0
 
 from conftest import make_model_a, make_pm_field, random_model, PHI
 
@@ -129,18 +129,30 @@ class TestTimeSeries:
         d1 = series.derivative_values(1)
         assert np.abs(d1[:, 0, 0] - np.cos(t)).max() < 1e-7
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_fd_matches_per_row_stencils(self, order):
+        small = UGrid(-1.0, 1.0, 17)
+        vals = np.random.default_rng(order).normal(size=(40, 3, 17))
+        got = TimeSeries(vals, small, 0.05).derivative_values(order)
+        starts, weights = _time_weights(40, order, 0.05)
+        width = weights.shape[1]
+        expected = np.array([np.tensordot(weights[i], vals[starts[i]:starts[i] + width],
+                                          axes=(0, 0)) for i in range(40)])
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def test_derivative_cap(self):
         small = UGrid(-1.0, 1.0, 17)
-        series = TimeSeries(np.zeros((12, 1, 17)), small, 0.1, max_derivative=2)
-        with pytest.raises(ValueError):
-            series.derivative_values(3)
+        series = TimeSeries(np.zeros((16, 1, 17)), small, 0.1)
+        series.derivative_values(8)
+        with pytest.raises(ValueError, match="beyond cap 8"):
+            series.derivative_values(9)
 
 
 class TestLOperators:
     def test_k1_explicit_form(self, grid):
         kit = _constant_kit()
         times = np.linspace(0.0, 1.0, 201)
-        c0 = solve_c0(kit, PHI, times)
+        c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         got = L_series_values(1, kit, c0)[50]
         d1 = c0.derivative_values(1)[50]
         expected = state_mix(kit.P, d1) - kit.fld.values * np.gradient(
@@ -151,7 +163,7 @@ class TestLOperators:
     def test_k1_binomial_equals_literal(self):
         kit = _constant_kit()
         times = np.linspace(0.0, 1.0, 201)
-        c0 = solve_c0(kit, PHI, times)
+        c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         b = L_series_values(1, kit, c0, form="binomial")
         l = L_series_values(1, kit, c0, form="literal")
         assert np.abs(b - l).max() < 1e-13
@@ -169,7 +181,7 @@ class TestLOperators:
     def test_solvability_projection_zero(self):
         kit = _constant_kit()
         times = np.linspace(0.0, 1.0, 201)
-        c0 = solve_c0(kit, PHI, times)
+        c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         out = L_series_values(1, kit, c0)
         proj = kit.project_values(out)
         assert np.abs(proj).max() < 1e-12
@@ -178,7 +190,7 @@ class TestLOperators:
         from conftest import make_collapse_model, make_collapse_field
         kit = build_kit(make_collapse_model(), make_collapse_field())
         times = np.linspace(0.0, 1.0, 201)
-        c0 = solve_c0(kit, PHI, times)
+        c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         for k in (1, 2, 3):
             vals = L_series_values(k, kit, c0, form="binomial")
             assert np.abs(vals).max() < 1e-6, f"k={k}"
@@ -188,7 +200,7 @@ class TestLOperators:
         from conftest import make_collapse_model, make_collapse_field
         kit = build_kit(make_collapse_model(), make_collapse_field())
         times = np.linspace(0.0, 1.0, 201)
-        c0 = solve_c0(kit, PHI, times)
+        c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         vals = L_series_values(2, kit, c0, form="literal")
         assert np.abs(vals).max() > 1e-3
 
@@ -198,7 +210,7 @@ class TestFrakL:
         # Π script-L_1 = Π L_1 R0 L_1 + Π μ_2 L_2
         kit = _constant_kit()
         times = np.linspace(0.0, 1.0, 201)
-        c0 = solve_c0(kit, PHI, times)
+        c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         got = projected_frak_L_series(1, kit, c0).values[100]
         l1 = L_series(1, kit, c0)
         r0l1 = l1.map_values(lambda v: state_mix(kit.R0, v))
@@ -215,7 +227,7 @@ class TestFrakL:
         kit = build_kit(m, fld)
         assert np.abs(kit.R0).max() < 1e-14
         times = np.linspace(0.0, 1.0, 201)
-        c0 = solve_c0(kit, PHI, times)
+        c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         got = frak_L_series(2, kit, c0).values
         expected = kit.mu(3)[None, :, None] * L_series_values(3, kit, c0)
         assert np.abs(got - expected).max() < 1e-12
@@ -224,7 +236,7 @@ class TestFrakL:
         from conftest import make_collapse_model, make_collapse_field
         kit = build_kit(make_collapse_model(), make_collapse_field())
         times = np.linspace(0.0, 1.0, 201)
-        c0 = solve_c0(kit, PHI, times)
+        c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         for k in (1, 2):
             out = projected_frak_L_series(k, kit, c0)
             assert sup_norm(out.values) < 1e-6

@@ -2,16 +2,48 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastswitch.field import (StateVelocity, TestFunction, VelocityField,
-                              sup_norm, u_derivative_values)
+from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField,
+                              interp_apply, sup_norm, u_derivative_values)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import L_series_values, TimeSeries, build_kit
-from fastswitch.regular import solve_c0, solve_ck, system_rhs_values
+from fastswitch.regular import (averaged_flow_table, cumulative_simpson_weights,
+                               solve_c0, solve_ck, system_rhs_values)
 
 from conftest import GRID, PHI, make_model_a, make_pm_field
 
 
 TIMES = np.linspace(0.0, 1.0, 501)
+
+
+def reference_duhamel(c_k0, source, times, flow_table):
+    """The transport solve as a double loop: one stencil gather per
+    (time node, history node) pair, summed with the Simpson row of that time."""
+    idx, wts = flow_table
+    h_t = float(times[1] - times[0])
+    out = np.empty((len(times), c_k0.size))
+    for i in range(len(times)):
+        row = interp_apply(c_k0, idx[i], wts[i])
+        w = cumulative_simpson_weights(i, h_t)
+        gathered = np.array([interp_apply(source[j], idx[i - j], wts[i - j])
+                             for j in range(i + 1)])
+        out[i] = row + w @ gathered
+    out[0] = c_k0
+    return out
+
+
+def _duhamel_field(kind):
+    """Two-state fields with nonzero averaged drift under model A."""
+    if kind == "pm":
+        return make_pm_field(UGrid(-6.0, 6.0, 65))
+    if kind == "periodic":
+        return make_pm_field(UGrid(-np.pi, np.pi, 64, boundary_mode="periodic"))
+    grid = UGrid(-6.0, 6.0, 65)
+    if kind == "linear":
+        return VelocityField(grid, (StateVelocity("linear", slope=-0.2, intercept=0.5),
+                                    StateVelocity("linear", slope=0.1, intercept=-0.3)))
+    u = grid.nodes
+    return VelocityField(grid, (StateVelocity("tabulated", table=0.8 + 0.3 * np.sin(u)),
+                                StateVelocity("tabulated", table=-0.4 * np.cos(u))))
 
 
 @pytest.fixture(scope="module")
@@ -22,14 +54,14 @@ def kit_a():
 class TestSolveC0:
     def test_translation_closed_form(self, kit_a):
         # vhat = 1/3: c0(t, u) = phi(u + t/3)
-        c0 = solve_c0(kit_a, PHI, TIMES)
+        c0 = solve_c0(kit_a, PHI, TIMES, averaged_flow_table(kit_a, TIMES))
         i = 300
         t = TIMES[i]
         expected = np.exp(-0.5 * (GRID.nodes + t / 3.0) ** 2)
         assert np.abs(c0.values[i, 0] - expected).max() < 1e-6
 
     def test_initial_value_exact(self, kit_a):
-        c0 = solve_c0(kit_a, PHI, TIMES)
+        c0 = solve_c0(kit_a, PHI, TIMES, averaged_flow_table(kit_a, TIMES))
         assert_allclose(c0.values[0, 0], PHI(GRID.nodes), atol=1e-15)
 
     def test_zero_drift(self):
@@ -39,11 +71,11 @@ class TestSolveC0:
                                    StateVelocity("constant", value=-2.0)))
         kit = build_kit(m, fld)
         assert abs(kit.vhat.values[0, 0]) < 1e-14  # 2/3*1 + 1/3*(-2) = 0
-        c0 = solve_c0(kit, PHI, TIMES)
+        c0 = solve_c0(kit, PHI, TIMES, averaged_flow_table(kit, TIMES))
         assert sup_norm(c0.values - c0.values[0]) < 1e-13
 
     def test_analytic_derivative_hook(self, kit_a):
-        c0 = solve_c0(kit_a, PHI, TIMES)
+        c0 = solve_c0(kit_a, PHI, TIMES, averaged_flow_table(kit_a, TIMES))
         d1 = c0.derivative_values(1)
         expected = kit_a.vhat.values[0] * u_derivative_values(c0.values, GRID)[0, 0]
         # hook returns vhat * d/du applied to every slice
@@ -54,8 +86,8 @@ class TestSolveCk:
     def test_homogeneous_matches_c0_machinery(self, kit_a):
         psi = TestFunction("gaussian", center=0.5, width=0.8)
         source = np.zeros((len(TIMES), GRID.n_points))
-        ck = solve_ck(kit_a, psi(GRID.nodes), source, TIMES)
-        c0_like = solve_c0(kit_a, psi, TIMES)
+        ck = solve_ck(kit_a, psi(GRID.nodes), source, TIMES, averaged_flow_table(kit_a, TIMES))
+        c0_like = solve_c0(kit_a, psi, TIMES, averaged_flow_table(kit_a, TIMES))
         assert sup_norm(ck.values - c0_like.values) < 1e-14
 
     def test_zero_drift_constant_source(self):
@@ -65,7 +97,7 @@ class TestSolveCk:
         kit = build_kit(m, fld)
         g_of_u = np.sin(GRID.nodes)
         source = np.repeat(g_of_u[None, :], len(TIMES), axis=0)
-        ck = solve_ck(kit, PHI(GRID.nodes), source, TIMES)
+        ck = solve_ck(kit, PHI(GRID.nodes), source, TIMES, averaged_flow_table(kit, TIMES))
         for i in (100, 250, 500):
             expected = PHI(GRID.nodes) + TIMES[i] * g_of_u
             assert np.abs(ck.values[i, 0] - expected).max() < 1e-10
@@ -73,8 +105,22 @@ class TestSolveCk:
     def test_exact_initial_value(self, kit_a):
         init = np.cos(GRID.nodes) * np.exp(-0.1 * GRID.nodes**2)
         source = np.random.default_rng(0).normal(size=(len(TIMES), GRID.n_points))
-        ck = solve_ck(kit_a, init, source, TIMES)
+        ck = solve_ck(kit_a, init, source, TIMES, averaged_flow_table(kit_a, TIMES))
         assert_allclose(ck.values[0, 0], init, atol=1e-15)
+
+
+    @pytest.mark.parametrize("kind", ["pm", "linear", "tabulated", "periodic"])
+    def test_lag_gather_matches_double_loop(self, kind):
+        kit = build_kit(make_model_a(), _duhamel_field(kind))
+        assert abs(kit.vhat.values).max() > 0.1
+        times = np.linspace(0.0, 0.6, 61)
+        rng = np.random.default_rng(7)
+        npts = kit.fld.grid.n_points
+        init, source = rng.normal(size=npts), rng.normal(size=(len(times), npts))
+        table = averaged_flow_table(kit, times)
+        got = solve_ck(kit, init, source, times, table).values
+        expected = reference_duhamel(init, source, times, table)
+        assert np.abs(got - expected[:, None, :]).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestRegularTerm:
@@ -142,7 +188,7 @@ class TestDerivativesAtZero:
         # finite differences in t recover the true derivative almost exactly;
         # the hook applies the discrete advection operator, so they agree only
         # to the O(h_u^4) derivative truncation level
-        c0 = solve_c0(kit_a, PHI, TIMES)
+        c0 = solve_c0(kit_a, PHI, TIMES, averaged_flow_table(kit_a, TIMES))
         plain = TimeSeries(c0.values.copy(), GRID, c0.h_t)
         fd = plain.derivative_values(1)[0]
         analytic = c0.derivative_values(1)[0]

@@ -9,7 +9,7 @@ from fastswitch.field import (StateVelocity, UGrid, VelocityField, sup_norm,
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import TimeSeries, build_kit, state_mix, velocity_power_values
 from fastswitch.pipeline import build_expansion
-from fastswitch.singular import (TauGrid, default_tau_grid,
+from fastswitch.singular import (LayerWindowError, TauGrid, default_tau_grid,
                                  history_convolution, kernel_node_weights,
                                  layer_time_integral, negative_extension,
                                  psi_k, psi_k0, psi_k1, solve_Wk)
@@ -327,10 +327,23 @@ class TestTauGrid:
         grid_tau = TauGrid(3.0, 60)
         tau = grid_tau.nodes
         vals = np.broadcast_to((tau**3 - 2.0 * tau)[:, None, None], (len(tau), 2, 5))
-        J, _ = layer_time_integral(TimeSeries(vals, GRID, grid_tau.h_tau), grid_tau)
+        J, _, _ = layer_time_integral(TimeSeries(vals, GRID, grid_tau.h_tau), grid_tau)
         assert_allclose(J, 3.0**4 / 4 - 3.0**2, rtol=1e-14)
 
     def test_layer_integral_tail_bound(self, expansion_a):
-        J, tail = layer_time_integral(expansion_a.W[1], expansion_a.tau_grid)
+        J, tail, _ = layer_time_integral(expansion_a.W[1], expansion_a.tau_grid)
         assert tail < 1e-6
         assert np.isfinite(J).all()
+
+    def test_tail_on_quadrature_floor_names_h_tau(self):
+        # the order-1 layer settles on a flat O(h_tau^2) floor long before the
+        # window ends, so a longer window cannot lower the tail bound
+        for tau_max in (None, 30.0):
+            with pytest.raises(LayerWindowError, match="decrease layer.h_tau"):
+                build_expansion(make_mixed_model(), make_mixed_field(), PHI, order=2,
+                                horizon=0.5, h_t=0.005, h_tau=0.02, tau_max=tau_max)
+
+    def test_tail_still_decaying_names_tau_max(self):
+        with pytest.raises(LayerWindowError, match="increase layer.tau_max"):
+            build_expansion(make_mixed_model(), make_mixed_field(), PHI, order=2,
+                            horizon=0.5, h_t=0.005, h_tau=0.02, tau_max=4.0)
