@@ -13,8 +13,8 @@ from .operators import (L_series, OperatorKit, PotentialData, TimeSeries,
 from .oracle import OracleEstimate, direct_solve_phi, mc_expectation
 from .pipeline import ExpansionResult, build_expansion
 from .regular import solve_c0, solve_ck
-from .singular import (TauGrid, initial_ck0, negative_extension, psi_k, psi_k0,
-                       solve_Wk)
+from .singular import (TauGrid, forcing_terms, initial_ck0, negative_extension,
+                       psi_k0, solve_Wk)
 
 __all__ = [
     "RemainderReport", "remainder_compare",
@@ -28,6 +28,7 @@ __all__ = [
     "OracleEstimate", "direct_solve_phi", "mc_expectation",
     "ExpansionResult", "build_expansion",
     "solve_c0", "solve_ck",
-    "TauGrid", "initial_ck0", "negative_extension", "psi_k", "psi_k0", "solve_Wk",
+    "TauGrid", "forcing_terms", "initial_ck0", "negative_extension", "psi_k0",
+    "solve_Wk",
 ]
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ import numpy as np
 
 from .field import StateVelocity, TestFunction, UGrid, VelocityField
 from .model import SemiMarkovModel, SojournDistribution
+from .pipeline import MAX_ORDER
 
 
 class ConfigError(ValueError):
@@ -179,8 +180,8 @@ def config_from_document(doc: dict) -> RunConfig:
                                                   ("u_stride", 1))})
 
     order = _number(doc.get("order", 2), "order", int)
-    if not 0 <= order <= 3:
-        raise ConfigError(f"order {order} outside the supported range 0..3")
+    if not 0 <= order <= MAX_ORDER:
+        raise ConfigError(f"order {order} outside the supported range 0..{MAX_ORDER}")
 
     return RunConfig(model=model, grid=grid, field=fld, phi=phi, order=order,
                      horizon=horizon, h_t=h_t, h_tau=h_tau, tau_max=tau_max,

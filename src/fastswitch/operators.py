@@ -7,8 +7,8 @@ Sign convention: the order-k transport operator is
 
 which at k=1 reads L_1 U = P U' - V P U.  The binomial coefficients make the
 family telescope to zero on solutions of dU/dt = V U when the velocity does
-not depend on the state (the collapse tests pin this down; the "literal" form
-without C(k,j) is kept only for the documented discrepancy check).
+not depend on the state (the collapse tests pin this down; the printed form
+without C(k,j) does not telescope at k = 2).
 """
 from __future__ import annotations
 
@@ -183,13 +183,10 @@ def velocity_power_values(fld: VelocityField, values: np.ndarray, power: int) ->
     return out
 
 
-def L_series_values(k: int, kit: OperatorKit, series: TimeSeries,
-                    form: str = "binomial") -> np.ndarray:
+def L_series_values(k: int, kit: OperatorKit, series: TimeSeries) -> np.ndarray:
     """L_k applied to a whole series; returns (n_times, n_states, n_points)."""
     if k < 1:
         raise ValueError("L order must be >= 1")
-    if form not in ("binomial", "literal"):
-        raise ValueError(f"unknown L form {form!r}")
     n = kit.model.n_states
     out = 0.0
     for j in range(k + 1):
@@ -197,17 +194,13 @@ def L_series_values(k: int, kit: OperatorKit, series: TimeSeries,
         if dv.shape[1] != n:
             dv = np.repeat(dv, n, axis=1)
         pu = state_mix(kit.P, dv)
-        if form == "binomial":
-            coeff = (-1.0) ** (j + 1) * math.comb(k, j)
-        else:
-            # printed-order form lacks C(k,j); reindexed j = k - n
-            coeff = (-1.0) ** (k - j)
+        coeff = (-1.0) ** (j + 1) * math.comb(k, j)
         out = out + coeff * velocity_power_values(kit.fld, pu, k - j)
     return out
 
 
-def L_series(k: int, kit: OperatorKit, series: TimeSeries, form: str = "binomial") -> TimeSeries:
-    return TimeSeries(L_series_values(k, kit, series, form), series.grid, series.h_t)
+def L_series(k: int, kit: OperatorKit, series: TimeSeries) -> TimeSeries:
+    return TimeSeries(L_series_values(k, kit, series), series.grid, series.h_t)
 
 
 def frak_L_series(k: int, kit: OperatorKit, c_series: TimeSeries) -> TimeSeries:

@@ -16,7 +16,10 @@ from .operators import OperatorKit, TimeSeries, build_kit, state_mix
 from .regular import (averaged_flow_table, regular_term, solve_c0, solve_ck,
                       system_rhs_values, transport_sources)
 from .singular import (TauGrid, check_boundary_regularity, default_tau_grid,
-                       initial_ck0, solve_Wk)
+                       forcing_terms, initial_ck0, solve_Wk)
+
+# high-order time derivatives of the solved series get noisy beyond this
+MAX_ORDER = 3
 
 ADJUDICATIONS = {
     "transport_family_form": "binomial C(k,n) coefficients from the epsilon bookkeeping",
@@ -37,9 +40,7 @@ class ExpansionResult:
     U: list = dc_field(default_factory=list)
     U_R: list = dc_field(default_factory=list)
     W: list = dc_field(default_factory=list)      # W[0] unused placeholder
-    W0: list = dc_field(default_factory=list)
     ck0: list = dc_field(default_factory=list)
-    Uk0: list = dc_field(default_factory=list)
     diagnostics: dict = dc_field(default_factory=dict)
 
     @property
@@ -82,10 +83,9 @@ class ExpansionResult:
 
 def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunction,
                     order: int = 2, horizon: float = 1.0, h_t: float = 0.002,
-                    h_tau: float = 0.005, tau_max: float | None = None,
-                    max_order: int = 3) -> ExpansionResult:
-    if order < 0 or order > max_order:
-        raise ValueError(f"expansion order {order} outside [0, {max_order}]")
+                    h_tau: float = 0.005, tau_max: float | None = None) -> ExpansionResult:
+    if order < 0 or order > MAX_ORDER:
+        raise ValueError(f"expansion order {order} outside [0, {MAX_ORDER}]")
     diag = validate_model(model)
     if not diag.usable:
         raise ValueError("model failed validation: " + "; ".join(diag.messages))
@@ -104,41 +104,30 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
     result.U.append(c0)
     result.U_R.append(None)
     result.W.append(None)
-    result.W0.append(None)
     result.ck0.append(phi_values.copy())
-    result.Uk0.append(c0.values[0].copy())
-
-    # U_j^(n)(0) as an (n_states, n_points) array; TimeSeries caches each order
-    u_derivs0 = lambda j, n: result.U[j].derivative_values(n)[0]
 
     orders_diag: dict = {}
     for k in range(1, order + 1):
         rhs_vals = system_rhs_values(kit, result.U, k)
-        # c_k enters U_k only through the null-space part, so build the range
-        # component first from a zero-coefficient placeholder
-        placeholder = TimeSeries(np.zeros_like(rhs_vals), c0.grid, c0.h_t)
-        _, U_Rk, solv, defect = regular_term(kit, result.U, placeholder, k, rhs_vals)
+        U_Rk, solv, defect = regular_term(kit, rhs_vals, c0.h_t)
+        terms = forcing_terms(kit, k, phi_values, result.U, result.W)
 
         pi_w_r0 = -state_mix(kit.P - np.eye(kit.model.n_states), U_Rk.values[0])
-        ck0, ck0_info = initial_ck0(kit, k, phi_values, u_derivs0, pi_w_r0,
-                                    result.W, result.W0, grid_tau)
+        ck0, ck0_info = initial_ck0(kit, k, terms, pi_w_r0, result.W, grid_tau)
         source = transport_sources(kit, result.c, k)
         c_k = solve_ck(kit, ck0, source, times, flow_table)
         U_k = TimeSeries(c_k.values + U_Rk.values, c0.grid, c0.h_t)
         result.c.append(c_k)
         result.U.append(U_k)
         result.U_R.append(U_Rk)
+        result.ck0.append(ck0)
         Uk0 = U_k.values[0]
         Wk0 = -Uk0
-        result.Uk0.append(Uk0.copy())
-        result.W0.append(Wk0)
-        result.ck0.append(ck0)
 
-        W_series, w_info = solve_Wk(kit, k, grid_tau, Wk0, phi_values, u_derivs0,
-                                    result.W, result.W0)
+        W_series, w_info = solve_Wk(kit, k, grid_tau, Wk0, terms, result.W)
         result.W.append(W_series)
 
-        reg = check_boundary_regularity(kit, k, Uk0, Wk0, phi_values, u_derivs0,
+        reg = check_boundary_regularity(kit, k, Uk0, Wk0, phi_values, result.U,
                                         w_info["t0_residual"])
         orders_diag[k] = {
             "solvability_sup": solv,

@@ -97,19 +97,14 @@ def system_rhs_values(kit: OperatorKit, U_list: list, k: int) -> np.ndarray:
     return total
 
 
-def regular_term(kit: OperatorKit, U_list: list, c_k: TimeSeries, k: int,
-                 rhs_values: np.ndarray | None = None):
-    """U_k = c_k ⊗ 1 + R0 S_k, with the projected-defect and solvability
+def regular_term(kit: OperatorKit, rhs_values: np.ndarray, h_t: float):
+    """Range component U_k^R = R0 S_k of U_k = c_k ⊗ 1 + U_k^R from the
+    order-k right side S_k, with the solvability and projected-defect
     residuals of the order-k system equation."""
-    if rhs_values is None:
-        rhs_values = system_rhs_values(kit, U_list, k)
     u_r_vals = np.einsum("xy,tyu->txu", kit.R0, rhs_values)
-    proj = kit.project_values(u_r_vals)
-    defect = float(np.abs(proj).max())
+    defect = float(np.abs(kit.project_values(u_r_vals)).max())
     solv = float(np.abs(kit.project_values(rhs_values)).max())
-    U_R = TimeSeries(u_r_vals, c_k.grid, c_k.h_t)
-    U_k = TimeSeries(c_k.values + u_r_vals, c_k.grid, c_k.h_t)
-    return U_k, U_R, solv, defect
+    return TimeSeries(u_r_vals, kit.fld.grid, h_t), solv, defect
 
 
 def transport_sources(kit: OperatorKit, c_list: list, k: int) -> np.ndarray:

@@ -6,6 +6,11 @@ All integrals against the sojourn laws use product integration with exact
 cell moments (the smooth factor is interpolated linearly, the measure is
 integrated in closed form), which keeps uniform sojourns exact and makes the
 fast-time marching unconditionally stable.
+
+The closed-form part of each order's layer forcing is enumerated once, as
+(r, n, vector) terms (forcing_terms): the fast-time march sums their
+τ-profiles (term_profile) and the initial-condition algorithm their
+fast-time integrals (term_integral).
 """
 from __future__ import annotations
 
@@ -53,45 +58,59 @@ def default_tau_grid(kit: OperatorKit, h_tau: float = 0.005,
     return TauGrid(tau_max=float(n_tau * h_tau), n_tau=n_tau)
 
 
-# -- closed-form pieces -----------------------------------------------------------
+# -- the closed-form layer forcing --------------------------------------------------
 
 
-def psi_k(kit: OperatorKit, phi_values: np.ndarray, k: int, tau: np.ndarray) -> np.ndarray:
-    """ψ^k(τ) = F̄^(k)(τ) V^k P φ, shape (n_tau+1, n_states, n_points)."""
-    n = kit.model.n_states
-    phi = np.broadcast_to(np.asarray(phi_values).reshape(1, -1), (n, phi_values.size))
+def term_profile(sojourns, r: int, n: int, tau: np.ndarray) -> np.ndarray:
+    """∫_τ^∞ s^r (τ-s)^n / r! F(ds) for each law F, shape (len(tau), n_laws),
+    expanded into the laws' partial moments."""
+    return np.array([
+        sum(math.comb(n, i) * tau ** (n - i) * (-1.0) ** i * d.partial_moment(r + i, tau)
+            for i in range(n + 1))
+        for d in sojourns]).T / math.factorial(r)
+
+
+def term_integral(sojourns, r: int, n: int) -> np.ndarray:
+    """∫_0^∞ of term_profile for each law: (-1)^n m_{r+n+1} / ((n+1) r!)."""
+    return np.array([(-1.0) ** n * d.moment(r + n + 1) for d in sojourns]) \
+        / ((n + 1) * math.factorial(r))
+
+
+def forcing_terms(kit: OperatorKit, k: int, phi_values: np.ndarray, U: list,
+                  W: list) -> list:
+    """The closed-form part of the order-k layer forcing as (r, n, vector)
+    terms, each term_profile(r, n) times an (n_states, n_points) vector.
+
+    The forcing -(ψ^k - ψ^k_0 - ψ^k_1) meets the sojourn laws in closed form
+    wherever W_j(τ-s) reaches below zero, where it is the polynomial
+    extension W_j(0) - Σ_{n=1..j} (τ-s)^n/n! U^(n)_{j-n}(0):
+    (r, 0, V^r P W_{k-r}(0)) for 1 <= r < k and
+    (r, n, -V^r P U^(n)_{k-r-n}(0) / n!) for 0 <= r < k, 1 <= n <= k - r;
+    and -ψ^k = -F̄^(k) V^k P φ is (k-n, n, V^k P φ / n!) for 1 <= n <= k.
+    The (0, 0, P W_k(0)) term waits for c_k(0).  U and W hold the lower
+    orders' series.
+    """
+    terms = []
+    for r in range(k):
+        if r > 0:
+            terms.append((r, 0, W[k - r].values[0]))
+        terms += [(r, n, -U[k - r - n].derivative_values(n)[0] / math.factorial(n))
+                  for n in range(1, k - r + 1)]
+    terms = [(r, n, velocity_power_values(kit.fld, state_mix(kit.P, v), r))
+             for r, n, v in terms]
+    phi = np.broadcast_to(np.asarray(phi_values).reshape(1, -1),
+                          (kit.model.n_states, phi_values.size))
     vk_phi = velocity_power_values(kit.fld, state_mix(kit.P, phi), k)
-    fbar_k = np.array([d.integrated_survival(k, tau) for d in kit.model.sojourns]).T
-    return fbar_k[:, :, None] * vk_phi[None, :, :]
+    return terms + [(k - n, n, vk_phi / math.factorial(n)) for n in range(1, k + 1)]
 
 
-def _poly_tail_factor(dist, n: int, r: int, tau: np.ndarray) -> np.ndarray:
-    """∫_τ^∞ s^r (τ-s)^n F(ds) expanded into partial moments."""
-    return sum(math.comb(n, i) * tau ** (n - i) * (-1.0) ** i * dist.partial_moment(r + i, tau)
-               for i in range(n + 1))
-
-
-def psi_k1(kit: OperatorKit, W_k0: np.ndarray, u_derivs0, k: int,
-           tau: np.ndarray) -> np.ndarray:
-    """ψ^k_1(τ) = ∫_τ^∞ F(ds) P W_k(τ-s) with the polynomial extension of W_k
-    below zero; fully closed-form in the partial moments."""
-    p_w0 = state_mix(kit.P, W_k0)
-    fbar = np.array([d.survival(tau) for d in kit.model.sojourns]).T
-    out = fbar[:, :, None] * p_w0[None, :, :]
-    for n in range(1, k + 1):
-        pu = state_mix(kit.P, u_derivs0(k - n, n))
-        factor = np.array([_poly_tail_factor(d, n, 0, tau) for d in kit.model.sojourns]).T
-        out = out - (factor[:, :, None] * pu[None, :, :]) / math.factorial(n)
-    return out
-
-
-def negative_extension(W_k0: np.ndarray, u_derivs0, k: int, tau) -> np.ndarray:
+def negative_extension(W_k0: np.ndarray, U: list, k: int, tau) -> np.ndarray:
     """W_k(τ) for τ < 0: W_k(0) - Σ_{n=1..k} τ^n/n! U^(n)_{k-n}(0)."""
     tau = np.asarray(tau, dtype=float)
     out = np.broadcast_to(W_k0, tau.shape + W_k0.shape).copy()
     for n in range(1, k + 1):
         coeff = tau**n / math.factorial(n)
-        out = out - coeff.reshape(tau.shape + (1, 1)) * u_derivs0(k - n, n)[None, :, :]
+        out = out - coeff.reshape(tau.shape + (1, 1)) * U[k - n].derivative_values(n)[0][None]
     return out
 
 
@@ -139,12 +158,12 @@ def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def psi_k0(kit: OperatorKit, W_lower: list, W0_lower: list, u_derivs0, k: int,
-           grid_tau: TauGrid) -> np.ndarray:
-    """ψ^k_0(τ) = Σ_{r=1..k-1} ∫_0^∞ s^r/r! F(ds) V^r P W_{k-r}(τ-s).
+def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid) -> np.ndarray:
+    """The [0, τ] part of ψ^k_0(τ) = Σ_{r=1..k-1} ∫_0^∞ s^r/r! F(ds) V^r P W_{k-r}(τ-s).
 
-    The [0, τ] part is product integration over the shared fast-time grid; the
-    (τ, ∞) part hits the negative extension and collapses to partial moments.
+    Product integration over the shared fast-time grid, one FFT history
+    convolution per r; the (τ, ∞) part hits the negative extension and is
+    the r >= 1 terms of forcing_terms.
     """
     tau = grid_tau.nodes
     n = kit.model.n_states
@@ -154,16 +173,6 @@ def psi_k0(kit: OperatorKit, W_lower: list, W0_lower: list, u_derivs0, k: int,
         w, a = kernel_node_weights(kit.model.sojourns, r, tau)
         out += history_convolution(w.T[:, :, None] * np.eye(n), vrpw)
         out -= a.T[:, :, None] * vrpw[0]
-        # tail: negative extension in closed form
-        vr_pw0 = velocity_power_values(kit.fld, state_mix(kit.P, W0_lower[k - r]), r)
-        Mr = np.array([d.partial_moment(r, tau) for d in kit.model.sojourns]).T
-        out += (Mr[:, :, None] / math.factorial(r)) * vr_pw0[None, :, :]
-        for nn in range(1, k - r + 1):
-            vrpu = velocity_power_values(
-                kit.fld, state_mix(kit.P, u_derivs0(k - r - nn, nn)), r)
-            fac = np.array([_poly_tail_factor(d, nn, r, tau)
-                            for d in kit.model.sojourns]).T
-            out -= (fac[:, :, None] / (math.factorial(r) * math.factorial(nn))) * vrpu[None, :, :]
     return out
 
 
@@ -190,30 +199,31 @@ def renewal_resolvent(P: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
-             phi_values: np.ndarray, u_derivs0, W_lower: list, W0_lower: list):
+             terms: list, W_lower: list):
     """Solve the standard-form fast-time renewal equation
 
         ∫_0^τ F(ds) P W_k(τ-s) - W_k(τ) = ψ^k - ψ^k_0 - ψ^k_1
 
-    by product integration with an implicit diagonal correction.  The march
-    is linear with a convolution kernel, so it is applied as its discrete
-    resolvent convolved with the forcing.
+    by product integration with an implicit diagonal correction.  The
+    forcing is the τ-profiles of the order's forcing_terms and of
+    (0, 0, P W_k(0)), plus the history part psi_k0.  The march is linear with
+    a convolution kernel, so it is applied as its discrete resolvent
+    convolved with the forcing.
     Returns the series and (t0 residual, decay ratio, monotone-tail flag).
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
     # forcing f = -(ψ^k - ψ^k_0 - ψ^k_1)
-    f = psi_k1(kit, W_k0, u_derivs0, k, tau)
-    f -= psi_k(kit, phi_values, k, tau)
-    if k > 1:
-        f += psi_k0(kit, W_lower, W0_lower, u_derivs0, k, grid_tau)
+    pw0 = state_mix(kit.P, W_k0)
+    f = psi_k0(kit, W_lower, k, grid_tau) if k > 1 else np.zeros((n_nodes,) + W_k0.shape)
+    for r, n, vec in [(0, 0, pw0), *terms]:
+        f += term_profile(kit.model.sojourns, r, n, tau)[:, :, None] * vec
     t0_residual = sup_norm(f[0] - W_k0)
 
     # node i >= 1 of the march solves A W_i - Σ_{m=1..i} diag(w_m) P W_{i-m}
     # = f_i - diag(a_i) P W_0; with right side A W_0 at i = 0 this holds at
     # every node, so W is the march's resolvent convolved with the right side
     w, a = kernel_node_weights(kit.model.sojourns, 0, tau)
-    pw0 = state_mix(kit.P, W_k0)
     f -= a.T[:, :, None] * pw0
     f[0] = W_k0 - w[:, 0, None] * pw0
     W = history_convolution(renewal_resolvent(kit.P, w), f)
@@ -298,34 +308,25 @@ def layer_time_integral(series: TimeSeries, grid_tau: TauGrid):
 # -- initial conditions ---------------------------------------------------------------
 
 
-def initial_ck0(kit: OperatorKit, k: int, phi_values: np.ndarray, u_derivs0,
-                PI_W_R0: np.ndarray, W_lower: list, W0_lower: list,
-                grid_tau: TauGrid, tail_tol: float = 1e-6):
-    """c_k(0) from the renewal-theorem limit of the order-k layer equation.
+# largest truncated tail of a lower layer's time integral that c_k(0) accepts
+_TAIL_BOUND_MAX = 1e-6
+
+
+def initial_ck0(kit: OperatorKit, k: int, terms: list, PI_W_R0: np.ndarray,
+                W_lower: list, grid_tau: TauGrid):
+    """c_k(0) from the renewal-theorem limit of the order-k layer equation:
+    the ρ-weighted fast-time integrals of the order's forcing_terms and of
+    the lower layers' history part, plus the boundary mismatch.
 
     PI_W_R0 is (P - I) W_k(0) = -(P - I) U_k^R(0), which never involves
     c_k(0) itself.  Returns (c_k0 1-d array, info dict).
     """
-    n = kit.model.n_states
-    npts = kit.fld.grid.n_points
-    rho, m1 = kit.rho, kit.model.mean_sojourns()
-    total = np.zeros(npts)
+    rho = kit.rho
+    total = np.einsum("x,x,xu->u", rho, kit.model.mean_sojourns(), PI_W_R0)
+    for r, n, vec in terms:
+        total += np.einsum("x,xu->u", rho * term_integral(kit.model.sojourns, r, n), vec)
 
-    # ρ-averaged boundary mismatch
-    total += np.einsum("x,x,xu->u", rho, m1, PI_W_R0)
-
-    # moment terms from the tail of the order-k renewal operator
-    for nn in range(1, k + 1):
-        pu = state_mix(kit.P, u_derivs0(k - nn, nn))
-        coef = rho * kit.mu(nn + 1) * m1 * (-1.0) ** nn
-        total -= np.einsum("x,xu->u", coef, pu)
-
-    # forcing term ψ^k integrated over fast time
-    phi = np.broadcast_to(np.asarray(phi_values).reshape(1, -1), (n, npts))
-    vk_phi = velocity_power_values(kit.fld, state_mix(kit.P, phi), k)
-    total -= k * np.einsum("x,xu->u", rho * kit.mu(k + 1) * m1, vk_phi)
-
-    # lower-layer contributions
+    # ∫_0^∞ of psi_k0: the kernel's mass times each lower layer's integral J
     tail_bound, advice = 0.0, ""
     for r in range(1, k):
         J, tail, layer_advice = layer_time_integral(W_lower[k - r], grid_tau)
@@ -333,17 +334,9 @@ def initial_ck0(kit: OperatorKit, k: int, phi_values: np.ndarray, u_derivs0,
             tail_bound, advice = tail, layer_advice
         vrpj = velocity_power_values(kit.fld, state_mix(kit.P, J), r)
         total += np.einsum("x,xu->u", rho * kit.m(r) / math.factorial(r), vrpj)
-        vrpw0 = velocity_power_values(kit.fld, state_mix(kit.P, W0_lower[k - r]), r)
-        total += np.einsum("x,xu->u", rho * kit.m(r + 1) / math.factorial(r), vrpw0)
-        for nn in range(1, k - r + 1):
-            vrpu = velocity_power_values(
-                kit.fld, state_mix(kit.P, u_derivs0(k - r - nn, nn)), r)
-            coef = rho * kit.m(r + nn + 1) * ((-1.0) ** nn / (nn + 1.0)) \
-                / (math.factorial(r) * math.factorial(nn))
-            total -= np.einsum("x,xu->u", coef, vrpu)
-    if tail_bound > tail_tol:
+    if tail_bound > _TAIL_BOUND_MAX:
         raise LayerWindowError(
-            f"layer-window tail bound {tail_bound:.3e} exceeds {tail_tol:.1e}; {advice}")
+            f"layer-window tail bound {tail_bound:.3e} exceeds {_TAIL_BOUND_MAX:.1e}; {advice}")
     c_k0 = total / kit.m_hat
     info = {"tail_bound": float(tail_bound),
             "alt_extra_mhat_division_sup": float(np.abs(c_k0 / kit.m_hat).max())}
@@ -352,7 +345,7 @@ def initial_ck0(kit: OperatorKit, k: int, phi_values: np.ndarray, u_derivs0,
 
 def check_boundary_regularity(kit: OperatorKit, k: int, U_k0: np.ndarray,
                               W_k0: np.ndarray, phi_values: np.ndarray,
-                              u_derivs0, t0_residual: float) -> dict:
+                              U: list, t0_residual: float) -> dict:
     """Residual report for the boundary-condition identities at fast time 0."""
     n = kit.model.n_states
     P_minus_I = kit.P - np.eye(n)
@@ -366,7 +359,7 @@ def check_boundary_regularity(kit: OperatorKit, k: int, U_k0: np.ndarray,
         m1 = kit.model.mean_sojourns()
         phi = np.broadcast_to(np.asarray(phi_values).reshape(1, -1), (n, phi_values.size))
         vpphi = velocity_power_values(kit.fld, state_mix(kit.P, phi), 1)
-        pu0p = state_mix(kit.P, u_derivs0(0, 1))
+        pu0p = state_mix(kit.P, U[0].derivative_values(1)[0])
         rhs = m1[:, None] * (vpphi - pu0p)
         out["jump_identity_k1"] = float(sup_norm(state_mix(P_minus_I, W_k0) - rhs))
     return out

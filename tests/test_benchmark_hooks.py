@@ -27,7 +27,7 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
     from conftest import PHI, make_model_a, make_pm_field
 
     calls = dict.fromkeys(["solve_Wk", "psi_k0", "averaged_flow_table", "solve_c0",
-                           "solve_ck", "interp_apply"], 0)
+                           "solve_ck", "interp_apply", "initial_ck0"], 0)
 
     def counted(module, attr):
         original = getattr(module, attr)
@@ -37,12 +37,13 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapper)
 
-    for attr in ("solve_Wk", "averaged_flow_table", "solve_c0", "solve_ck"):
+    for attr in ("solve_Wk", "averaged_flow_table", "solve_c0", "solve_ck", "initial_ck0"):
         counted(pipeline, attr)
     counted(singular, "psi_k0")
     counted(regular, "interp_apply")
     res = pipeline.build_expansion(make_model_a(), make_pm_field(UGrid(-6.0, 6.0, 65)), PHI,
                                    order=2, horizon=0.5, h_t=0.01, h_tau=0.01)
     assert 0 < calls.pop("interp_apply") <= 3 * len(res.times)
+    assert calls.pop("initial_ck0") == 2
     assert calls == {"solve_Wk": 2, "psi_k0": 1, "averaged_flow_table": 1,
                      "solve_c0": 1, "solve_ck": 2}

@@ -66,7 +66,8 @@ class TestConfig:
         ("output", "tau_stride", 0), ("output", "u_stride", 0),
         ("oracle", "t_eval", [0.2525]), ("oracle", "t_eval", [0.75]),
         ("oracle", "t_eval", [0.0]),
-        ("oracle", "u_stride", 2.7), ("", "order", 1.9), ("grid", "n_points", 129.6),
+        ("oracle", "u_stride", 2.7), ("", "order", 1.9), ("", "order", 4),
+        ("grid", "n_points", 129.6),
         ("output", "t_stride", 2.5), ("model.sojourns[1]", "shape", 2.5),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, section, key, value):

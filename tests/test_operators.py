@@ -7,7 +7,8 @@ from fastswitch.field import StateVelocity, UGrid, VelocityField, sup_norm
 from fastswitch.model import SojournDistribution, SemiMarkovModel, generator, semi_markov_stationary
 from fastswitch.operators import (L_series, L_series_values, TimeSeries, _time_weights,
                                   build_kit, frak_L_series, potential_build,
-                                  projected_frak_L_series, state_mix)
+                                  projected_frak_L_series, state_mix,
+                                  velocity_power_values)
 from fastswitch.regular import averaged_flow_table, solve_c0
 
 from conftest import make_model_a, make_pm_field, random_model, PHI
@@ -16,6 +17,18 @@ from conftest import make_model_a, make_pm_field, random_model, PHI
 def project(pi, values):
     """(Π f)(x, u) = Σ_y π_y f(y, u), broadcast back over the states."""
     return np.broadcast_to(pi @ values, values.shape)
+
+
+def literal_L_values(k, kit, series):
+    """The printed-order L_k without the binomial C(k,j), reindexed j = k - n:
+    Σ_j (-1)^(k-j) V^(k-j) P U^(j)."""
+    out = 0.0
+    for j in range(k + 1):
+        dv = series.derivative_values(j)
+        if dv.shape[1] != kit.model.n_states:
+            dv = np.repeat(dv, kit.model.n_states, axis=1)
+        out = out + (-1.0) ** (k - j) * velocity_power_values(kit.fld, state_mix(kit.P, dv), k - j)
+    return out
 
 
 def state_independent(values_1d, n_states):
@@ -164,8 +177,8 @@ class TestLOperators:
         kit = _constant_kit()
         times = np.linspace(0.0, 1.0, 201)
         c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
-        b = L_series_values(1, kit, c0, form="binomial")
-        l = L_series_values(1, kit, c0, form="literal")
+        b = L_series_values(1, kit, c0)
+        l = literal_L_values(1, kit, c0)
         assert np.abs(b - l).max() < 1e-13
 
     def test_constant_in_time_state_constant(self, grid):
@@ -192,7 +205,7 @@ class TestLOperators:
         times = np.linspace(0.0, 1.0, 201)
         c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         for k in (1, 2, 3):
-            vals = L_series_values(k, kit, c0, form="binomial")
+            vals = L_series_values(k, kit, c0)
             assert np.abs(vals).max() < 1e-6, f"k={k}"
 
     def test_collapse_literal_form_fails_at_k2(self):
@@ -201,7 +214,7 @@ class TestLOperators:
         kit = build_kit(make_collapse_model(), make_collapse_field())
         times = np.linspace(0.0, 1.0, 201)
         c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
-        vals = L_series_values(2, kit, c0, form="literal")
+        vals = literal_L_values(2, kit, c0)
         assert np.abs(vals).max() > 1e-3
 
 

@@ -210,16 +210,16 @@ class TestSystem15:
 
 class TestViews:
     def test_regular_and_singular_views(self, expansion_a):
-        # the regular (c, U, U_R) and singular (W, W0, ck0, Uk0) parts are
-        # fields of the one result, indexed by order
+        # the regular (c, U, U_R) and singular (W, ck0) parts are fields of
+        # the one result, indexed by order
         res = expansion_a
         assert res.order == 2
         assert len(res.U) == 3 and len(res.W) == 3
-        assert len(res.c) == len(res.U_R) == len(res.W0) == len(res.ck0) == 3
+        assert len(res.c) == len(res.U_R) == len(res.ck0) == 3
         orders = res.diagnostics["orders"]
         assert orders[1]["solvability_sup"] < 1e-6
         assert orders[1]["w_decay_ratio"] < 1e-3
-        assert np.abs(res.W0[1] + res.Uk0[1]).max() < 1e-12
+        assert np.abs(res.W[1].values[0] + res.U[1].values[0]).max() < 1e-12
 
 
 class TestPermutationEquivariance:

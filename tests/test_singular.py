@@ -9,10 +9,12 @@ from fastswitch.field import (StateVelocity, UGrid, VelocityField, sup_norm,
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import TimeSeries, build_kit, state_mix, velocity_power_values
 from fastswitch.pipeline import build_expansion
+from fastswitch.regular import cumulative_simpson_weights
 from fastswitch.singular import (LayerWindowError, TauGrid, default_tau_grid,
-                                 history_convolution, kernel_node_weights,
-                                 layer_time_integral, negative_extension,
-                                 psi_k, psi_k0, psi_k1, solve_Wk)
+                                 forcing_terms, history_convolution,
+                                 kernel_node_weights, layer_time_integral,
+                                 negative_extension, psi_k0, solve_Wk,
+                                 term_integral, term_profile)
 
 from conftest import GRID, PHI, make_mixed_model, make_model_a, make_pm_field
 
@@ -23,6 +25,21 @@ def make_mixed_field() -> VelocityField:
                          (StateVelocity("constant", value=1.0),
                           StateVelocity("constant", value=-1.0),
                           StateVelocity("linear", slope=-0.2, intercept=0.3)))
+
+
+def profile_sum(kit, terms, tau):
+    """Σ over (r, n, vector) terms of the τ-profile times the vector."""
+    return sum(term_profile(kit.model.sojourns, r, n, tau)[:, :, None] * vec
+               for r, n, vec in terms)
+
+
+def psi_k_values(kit, k, tau):
+    """ψ^k from the order-k forcing terms alone: with every lower order zero,
+    the only nonzero terms are those of -ψ^k."""
+    zero = TimeSeries(np.zeros((8, kit.model.n_states, kit.fld.grid.n_points)),
+                      kit.fld.grid, 0.1)
+    terms = forcing_terms(kit, k, PHI(kit.fld.grid.nodes), [zero] * k, [None] + [zero] * k)
+    return -profile_sum(kit, terms, tau)
 
 
 def reference_march(kit, grid_tau, g, W_k0):
@@ -51,7 +68,7 @@ class TestPsiK:
     def test_exponential_integrated_survival(self, kit_a):
         # state 0 has rate 1: F̄^(1)(τ) = e^(-τ)/1
         tau = np.array([0.0, 0.5, 2.0])
-        out = psi_k(kit_a, PHI(GRID.nodes), 1, tau)
+        out = psi_k_values(kit_a, 1, tau)
         vphi = velocity_power_values(kit_a.fld, state_mix(kit_a.P, np.broadcast_to(
             PHI(GRID.nodes), (2, GRID.n_points))), 1)
         for i, t in enumerate(tau):
@@ -59,7 +76,7 @@ class TestPsiK:
             assert_allclose(out[i, 1], math.exp(-2 * t) / 2.0 * vphi[1], rtol=1e-12)
 
     def test_decays_at_infinity(self, kit_a):
-        out = psi_k(kit_a, PHI(GRID.nodes), 1, np.array([40.0]))
+        out = psi_k_values(kit_a, 1, np.array([40.0]))
         assert np.abs(out).max() < 1e-15
 
     def test_uniform_compact_support(self):
@@ -67,38 +84,67 @@ class TestPsiK:
                             sojourns=(SojournDistribution("uniform", a=0.0, b=1.0),))
         fld = VelocityField(GRID, (StateVelocity("constant", value=1.0),))
         kit = build_kit(m, fld)
-        out = psi_k(kit, PHI(GRID.nodes), 1, np.array([1.0, 1.5]))
+        out = psi_k_values(kit, 1, np.array([1.0, 1.5]))
         assert np.abs(out).max() == 0.0
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_matches_integrated_survival(self, k):
+        # exponential, erlang(2) and uniform(0.2, 1.2) laws, the last kinked
+        kit = build_kit(make_mixed_model(), make_mixed_field())
+        tau = default_tau_grid(kit, h_tau=0.01).nodes
+        phi = np.broadcast_to(PHI(kit.fld.grid.nodes), (3, kit.fld.grid.n_points))
+        vk_phi = velocity_power_values(kit.fld, state_mix(kit.P, phi), k)
+        fbar_k = np.array([d.integrated_survival(k, tau) for d in kit.model.sojourns]).T
+        expected = fbar_k[:, :, None] * vk_phi
+        assert np.abs(psi_k_values(kit, k, tau) - expected).max() \
+            <= 1e-14 * np.abs(expected).max()
+
+
+class TestTermEvaluators:
+    @pytest.mark.parametrize("r", range(4))
+    @pytest.mark.parametrize("n", range(4))
+    def test_integral_matches_simpson_of_profile(self, r, n):
+        # the uniform law's kinks at 0.2 and 1.2 fall on even nodes, so every
+        # Simpson panel sees a smooth profile
+        laws = make_mixed_model().sojourns
+        h = 0.005
+        end = 1.5 * max(d.decay_point() for d in laws)
+        n_tau = 2 * int(math.ceil(end / (2 * h)))
+        tau = h * np.arange(n_tau + 1)
+        numeric = cumulative_simpson_weights(n_tau, h) @ term_profile(laws, r, n, tau)
+        assert_allclose(numeric, term_integral(laws, r, n), rtol=1e-8)
 
 
 class TestNegativeExtension:
-    def _derivs(self, kit):
-        phi = np.broadcast_to(PHI(GRID.nodes), (2, GRID.n_points))
-        def u_derivs0(j, n):
-            out = phi
-            for _ in range(n):
-                out = kit.vhat.values * u_derivative_values(out, GRID)
-            return out
-        return u_derivs0
+    def _U(self, kit, k):
+        """k lower orders whose n-th time derivative at 0 is (vhat ∂_u)^n φ."""
+        phi = np.broadcast_to(PHI(GRID.nodes), (1, 2, GRID.n_points))
+        series = TimeSeries(phi, GRID, 1.0)
+        series.derivative_hook = lambda n: velocity_power_values(kit.vhat, phi, n)
+        return [series] * k
+
+    @staticmethod
+    def _d0(U, j, n):
+        return U[j].derivative_values(n)[0]
 
     def test_continuity_at_zero(self, kit_a):
         W0 = np.random.default_rng(3).normal(size=(2, GRID.n_points))
-        out = negative_extension(W0, self._derivs(kit_a), 1, np.array([0.0]))
+        out = negative_extension(W0, self._U(kit_a, 1), 1, np.array([0.0]))
         assert_allclose(out[0], W0)
 
     def test_k1_linear_form(self, kit_a):
         W0 = np.random.default_rng(4).normal(size=(2, GRID.n_points))
-        derivs = self._derivs(kit_a)
+        U = self._U(kit_a, 1)
         tau = np.array([-0.7])
-        out = negative_extension(W0, derivs, 1, tau)
-        assert_allclose(out[0], W0 - (-0.7) * derivs(0, 1), rtol=1e-13)
+        out = negative_extension(W0, U, 1, tau)
+        assert_allclose(out[0], W0 - (-0.7) * self._d0(U, 0, 1), rtol=1e-13)
 
     def test_k2_taylor_factorials(self, kit_a):
         W0 = np.random.default_rng(5).normal(size=(2, GRID.n_points))
-        derivs = self._derivs(kit_a)
+        U = self._U(kit_a, 2)
         tau = np.array([-1.2])
-        out = negative_extension(W0, derivs, 2, tau)
-        expected = W0 - (-1.2) * derivs(1, 1) - ((-1.2) ** 2 / 2.0) * derivs(0, 2)
+        out = negative_extension(W0, U, 2, tau)
+        expected = W0 - (-1.2) * self._d0(U, 1, 1) - ((-1.2) ** 2 / 2.0) * self._d0(U, 0, 2)
         assert_allclose(out[0], expected, rtol=1e-12)
 
 
@@ -160,20 +206,23 @@ class TestHistoryConvolution:
 class TestPsiK0:
     def test_k1_is_empty(self, kit_a):
         grid_tau = TauGrid(2.0, 400)
-        out = psi_k0(kit_a, [None], [None], lambda j, n: None, 1, grid_tau)
+        out = psi_k0(kit_a, [None], 1, grid_tau)
         assert np.abs(out).max() == 0.0
 
     def test_k2_against_brute_force(self, expansion_a):
-        """ψ^2_0 = Q^1 W_1: check the product-integration + closed tail against
-        direct fine quadrature of the s-integral using the solved W_1."""
+        """ψ^2_0 = Q^1 W_1: check the product-integration history part plus
+        the closed-form tail terms (1, 0, V P W_1(0)) and (1, 1, -V P U_0'(0))
+        against direct fine quadrature of the s-integral using the solved W_1."""
         res = expansion_a
         kit = res.kit
         grid_tau = res.tau_grid
         tau_idx = 400
         tau = grid_tau.nodes[tau_idx]
-        def u_derivs0(j, n):
-            return res.U[j].derivative_values(n)[0]
-        out = psi_k0(kit, res.W, res.W0, u_derivs0, 2, grid_tau)
+        W10 = res.W[1].values[0]
+        vp = lambda v: velocity_power_values(kit.fld, state_mix(kit.P, v), 1)
+        tail_terms = [(1, 0, vp(W10)), (1, 1, -vp(res.U[0].derivative_values(1)[0]))]
+        out = psi_k0(kit, res.W, 2, grid_tau)[tau_idx] \
+            + profile_sum(kit, tail_terms, grid_tau.nodes[tau_idx:tau_idx + 1])[0]
 
         # brute force: int_0^inf s F(ds) V P W1(tau - s), fine trapezoid with
         # grid interpolation on [0, tau] and the polynomial extension beyond
@@ -192,13 +241,13 @@ class TestPsiK0:
             vals = np.zeros((len(s_fine), GRID.n_points))
             vals[inside] = (1 - frac) * vpw[lo, xi] + frac * vpw[hi, xi]
             neg = ~inside
-            W1_neg = negative_extension(res.W0[1], u_derivs0, 1, pos[neg])
+            W1_neg = negative_extension(W10, res.U, 1, pos[neg])
             vals[neg] = velocity_power_values(
                 kit.fld, state_mix(kit.P, W1_neg.reshape(-1, 2, GRID.n_points)
                                    ).reshape(-1, 2, GRID.n_points), 1)[:, xi]
             integrand = s_fine[:, None] * dens[:, None] * vals
             expected[xi] = np.trapezoid(integrand, s_fine, axis=0)
-        assert np.abs(out[tau_idx] - expected).max() < 5e-5
+        assert np.abs(out - expected).max() < 5e-5
 
     def test_refinement_stability(self):
         """Halving h_tau changes the order-1 layer by little (grid oracle)."""
@@ -241,14 +290,14 @@ class TestSolveWk:
     def test_matches_step_by_step_march(self):
         res = build_expansion(make_mixed_model(), make_mixed_field(), PHI, order=2, horizon=0.5, h_t=0.005, h_tau=0.01)
         kit, grid_tau, tau = res.kit, res.tau_grid, res.tau_grid.nodes
-        u_derivs0 = lambda j, n: res.U[j].derivative_values(n)[0]
         for k in (1, 2):
-            W, _ = solve_Wk(kit, k, grid_tau, res.W0[k], res.phi_values, u_derivs0,
-                            res.W, res.W0)
-            g = psi_k(kit, res.phi_values, k, tau) - psi_k1(kit, res.W0[k], u_derivs0, k, tau)
+            W_k0 = res.W[k].values[0]
+            terms = forcing_terms(kit, k, res.phi_values, res.U, res.W)
+            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
+            g = -profile_sum(kit, [(0, 0, state_mix(kit.P, W_k0))] + terms, tau)
             if k > 1:
-                g -= psi_k0(kit, res.W, res.W0, u_derivs0, k, grid_tau)
-            expected = reference_march(kit, grid_tau, g, res.W0[k])
+                g -= psi_k0(kit, res.W, k, grid_tau)
+            expected = reference_march(kit, grid_tau, g, W_k0)
             assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_single_state_constant_velocity_zero_layer(self):
@@ -278,7 +327,7 @@ class TestSolveWk:
         """W_1 settling to zero validates c_1(0) = -ΠW_1(0) end to end."""
         res = expansion_a
         tail = np.abs(res.W[1].values[-1]).max()
-        pi_w0 = res.kit.project_values(res.W0[1])
+        pi_w0 = res.kit.project_values(res.W[1].values[0])
         assert np.abs(res.ck0[1] + pi_w0[0]).max() < 1e-4
         assert tail < 1e-4
 
