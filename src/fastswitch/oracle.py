@@ -20,7 +20,8 @@ from .model import SemiMarkovModel
 @dataclass
 class OracleEstimate:
     values: np.ndarray          # (n_states, n_selected)
-    stderr: np.ndarray          # same shape; zero for the direct solver
+    stderr: np.ndarray          # same shape; direct solver: zero, or the
+                                # Richardson error estimate
     method: str
     eps: float
     t: float
@@ -116,7 +117,13 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
            eps: float, h_s: float, n_steps: int, keep: dict,
            interp_order: int) -> dict:
     """Product-integration march of the first-jump identity; keep maps
-    step index -> slot for storing Φ."""
+    step index -> slot for storing Φ.
+
+    The history of P Φ is kept reversed (step m in row n_steps - m), so the
+    lags 1..jm of step i are one contiguous block.  Per state, the flowed
+    stencils of every lag carry their kernel weight and index that block
+    flattened: each step is one gather, one multiply and one sum per state.
+    """
     from .singular import kernel_node_weights
 
     grid = fld.grid
@@ -124,46 +131,60 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     npts = grid.n_points
     h_phys = eps * h_s
     s_nodes = h_s * np.arange(n_steps + 1)
-
     times_phys = h_phys * np.arange(n_steps + 1)
-    pos_idx, pos_w = zip(*(interp_weights(grid, flow_positions(fld, x, times_phys),
-                                          order=interp_order) for x in range(n)))
 
     weights, left_w = kernel_node_weights(model.sojourns, 0, s_nodes)
     surv = np.array([d.survival(s_nodes) for d in model.sojourns])
-    j_cut = np.array([min(n_steps, int(math.ceil(d.decay_point(1e-14) / h_s)) + 1)
-                      for d in model.sojourns])
+    j_cut = [min(n_steps, int(math.ceil(d.decay_point(1e-14) / h_s)) + 1)
+             for d in model.sojourns]
 
     A = np.eye(n) - weights[:, 0, None] * model.P
     A_inv = np.linalg.inv(A)
 
     phi_row = np.asarray(phi_values, dtype=float).reshape(-1)
-    p_sm = np.empty((n, n_steps + 1, npts))  # state-major history of P Φ
-    p_sm[:, 0] = np.einsum("xy,u->xu", model.P, phi_row)
+    p_phi = np.einsum("xy,u->xu", model.P, phi_row)
+    first = np.empty((n_steps + 1, n, npts))   # history-free part of each rhs
+    lag_idx, lag_w = [], []
+    for x in range(n):
+        idx, w = interp_weights(grid, flow_positions(fld, x, times_phys),
+                                order=interp_order)
+        first[:, x] = surv[x, :, None] * np.einsum("iuq,iuq->iu", phi_row[idx], w)
+        # cells i <= J start beyond the integration bound; their left-node
+        # part is already in the exact first-jump tail
+        jc = j_cut[x]
+        first[1:jc + 1, x] -= left_w[x, 1:jc + 1, None] * np.einsum(
+            "iuq,iuq->iu", p_phi[x][idx[1:jc + 1]], w[1:jc + 1])
+        # (lag, stencil, point) layout: a lag prefix is contiguous and the
+        # sum runs over rows; each raw stencil array is freed once folded
+        lag_w.append(np.multiply(weights[x, 1:jc + 1, None, None],
+                                 w[1:jc + 1].transpose(0, 2, 1),
+                                 out=np.empty((jc, interp_order, npts))))
+        del w
+        lag_idx.append(np.add(idx[1:jc + 1].transpose(0, 2, 1),
+                              npts * np.arange(jc)[:, None, None],
+                              out=np.empty((jc, interp_order, npts), dtype=np.intp)))
+        del idx
+    gathered = np.empty((max(j_cut), interp_order, npts))
+
+    hist = np.empty((n, n_steps + 1, npts))   # reversed history of P Φ
+    hist[:, n_steps] = p_phi
     out = {}
     if 0 in keep:
         out[0] = np.broadcast_to(phi_row, (n, npts)).copy()
     for i in range(1, n_steps + 1):
-        rhs = np.empty((n, npts))
+        row = n_steps - i + 1   # step i - 1; lag j sits j - 1 rows further
+        rhs = first[i]
         for x in range(n):
-            first = surv[x, i] * (phi_row[pos_idx[x][i]] * pos_w[x][i]).sum(-1)
             jm = min(i, j_cut[x])
-            # rows[j-1] = (PΦ)(t_{i-j}) in state x, evaluated at the state-x
-            # flow positions for fast time s_j
-            rows = p_sm[x, i - jm:i][::-1]
-            idx = pos_idx[x][1:jm + 1]
-            wts = pos_w[x][1:jm + 1]
-            vals = np.take_along_axis(rows, idx.reshape(jm, -1),
-                                      axis=1).reshape(jm, npts, interp_order)
-            rhs[x] = first + weights[x, 1:jm + 1] @ (vals * wts).sum(-1)
-            if jm == i:
-                # cell i starts beyond the integration bound; its left-node
-                # part is already in the exact first-jump tail
-                rhs[x] -= left_w[x, i] * (p_sm[x, 0][pos_idx[x][i]] * pos_w[x][i]).sum(-1)
+            buf = gathered[:jm]
+            np.take(hist[x, row:row + jm].reshape(-1), lag_idx[x][:jm], out=buf,
+                    mode="clip")
+            buf *= lag_w[x][:jm]
+            rhs[x] += buf.reshape(-1, npts).sum(axis=0)
         cur = np.tensordot(A_inv, rhs, axes=(1, 0))
-        p_sm[:, i] = np.einsum("xy,yu->xu", model.P, cur)
+        hist[:, row - 1] = np.einsum("xy,yu->xu", model.P, cur)
         if i in keep:
-            out[i] = cur.copy()
+            out[i] = cur
     return out
 
 
@@ -175,19 +196,25 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
     Returns one OracleEstimate per requested time.  The kernel uses exact cell
     moments of the sojourn law and interpolation of the flowed history, so the
     march is O(h_s^2) with a small constant; richardson=True removes the
-    leading error term with a second half-step march.
+    leading error term with a second half-step march and reports that term,
+    |res2 - res| / 3, as stderr.  Every time in t_eval must be a whole number
+    of steps eps*h_s.
     """
     t_eval = sorted(float(t) for t in np.atleast_1d(t_eval))
-    horizon = t_eval[-1]
     h_phys = eps * h_s
-    n_steps = int(round(horizon / h_phys))
-    if abs(n_steps * h_phys - horizon) > 1e-9 * max(1.0, horizon):
-        n_steps = int(math.ceil(horizon / h_phys))
+    keep = {}   # step index -> time
+    for t in t_eval:
+        i = round(t / h_phys)
+        if abs(i * h_phys - t) > 1e-9 * max(1.0, t):
+            raise ValueError(
+                f"t={t:g} is not a whole number of march steps eps*oracle.h_s = "
+                f"{eps:g}*{h_s:g}; choose oracle.h_s so that t / (eps*h_s) is an integer")
+        keep[i] = i * h_phys
+    n_steps = max(keep)
     if n_steps > max_steps:
         raise DirectSolverCost(
             f"march needs {n_steps} steps (> {max_steps}); increase h_s, "
             "shorten the horizon, or use the Monte Carlo oracle")
-    keep = {i: i * h_phys for i in (round(t / h_phys) for t in t_eval)}
     grid = fld.grid
     phi_values = phi(grid.nodes)
     if n_steps == 0:
@@ -196,14 +223,13 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
                                method="direct", eps=eps, t=0.0,
                                u_indices=np.arange(grid.n_points))]
     res = _march(model, fld, phi_values, eps, h_s, n_steps, keep, interp_order)
+    stderr = {i: np.zeros_like(v) for i, v in res.items()}
     if richardson:
         keep2 = {2 * i: t for i, t in keep.items()}
         res2 = _march(model, fld, phi_values, eps, h_s / 2, 2 * n_steps, keep2, interp_order)
+        # the h_s/2 march's error is (res2 - res)/3 to leading order
+        stderr = {i: np.abs(res2[2 * i] - res[i]) / 3.0 for i in keep}
         res = {i: (4.0 * res2[2 * i] - res[i]) / 3.0 for i in keep}
-    out = []
-    for i in sorted(keep):
-        vals = res[i]
-        out.append(OracleEstimate(values=vals, stderr=np.zeros_like(vals),
-                                  method="direct", eps=eps, t=keep[i],
-                                  u_indices=np.arange(grid.n_points)))
-    return out
+    return [OracleEstimate(values=res[i], stderr=stderr[i], method="direct", eps=eps,
+                           t=keep[i], u_indices=np.arange(grid.n_points))
+            for i in sorted(keep)]

@@ -2,6 +2,9 @@
 pruning the package API must never leave one of them dangling."""
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -47,3 +50,44 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
     assert calls.pop("initial_ck0") == 2
     assert calls == {"solve_Wk": 2, "psi_k0": 1, "averaged_flow_table": 1,
                      "solve_c0": 1, "solve_ck": 2}
+
+
+def test_direct_oracle_flows_each_state_once(monkeypatch):
+    """The march builds every state's flowed stencils once, through the oracle
+    module attributes that the traced run wraps."""
+    from fastswitch import oracle
+    from conftest import PHI, make_mixed_model
+    from fastswitch.field import StateVelocity, UGrid, VelocityField
+
+    calls = dict.fromkeys(["flow_positions", "interp_weights"], 0)
+    for attr in calls:
+        original = getattr(oracle, attr)
+
+        def wrapper(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(oracle, attr, wrapper)
+    model = make_mixed_model()
+    fld = VelocityField(UGrid(-6.0, 6.0, 65),
+                        (StateVelocity("constant", value=1.0),
+                         StateVelocity("constant", value=-1.0),
+                         StateVelocity("linear", slope=0.05, intercept=0.3)))
+    oracle.direct_solve_phi(model, fld, PHI, [0.5, 1.0], eps=0.2, h_s=0.05)
+    assert calls == {"flow_positions": model.n_states, "interp_weights": model.n_states}
+
+
+def test_package_runs_without_scipy():
+    """Importing scipy.sparse alone costs about 0.25 s and 22 MB of resident
+    memory; neither the package import nor a direct solve may pull it in."""
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "import fastswitch\n"
+            "from fastswitch.config import load_config\n"
+            "from fastswitch.oracle import direct_solve_phi\n"
+            f"cfg = load_config({str(root / 'configs' / 'model_a.json')!r})\n"
+            "direct_solve_phi(cfg.model, cfg.field, cfg.phi, [0.5], eps=0.2, h_s=0.05)\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

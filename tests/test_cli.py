@@ -184,6 +184,16 @@ class TestCompareCommand:
         orders = {s["order"] for s in doc["slopes"]}
         assert orders == {0, 1}
 
+    def test_off_grid_oracle_time_exits_one(self, tmp_path, capsys):
+        # eps 0.2 * h_s 0.03 = 0.006 does not divide t = 0.25
+        path = small_config(tmp_path, epsilons=[0.2])
+        doc = json.loads(path.read_text())
+        doc["oracle"]["h_s"] = 0.03
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "oracle.h_s" in err and "t=0.25 " in err
+
     def test_epsilon_override(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "out"

@@ -1,12 +1,103 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastswitch.field import StateVelocity, UGrid, VelocityField
+from fastswitch import oracle
+from fastswitch.field import StateVelocity, UGrid, VelocityField, flow_positions, interp_weights
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.oracle import DirectSolverCost, direct_solve_phi, mc_expectation
+from fastswitch.singular import kernel_node_weights
 
-from conftest import GRID, PHI, make_mixed_model, make_model_a, make_pm_field
+from conftest import (GRID, PHI, make_mixed_model, make_model_a, make_model_b,
+                      make_pm_field)
+
+
+def reference_march(model, fld, phi_values, eps, h_s, n_steps, keep, interp_order):
+    """The step-by-step march of the first-jump identity: per step and state,
+    gather the flowed history lag by lag, reduce each stencil, then apply the
+    lag weights."""
+    grid = fld.grid
+    n = model.n_states
+    npts = grid.n_points
+    h_phys = eps * h_s
+    s_nodes = h_s * np.arange(n_steps + 1)
+
+    times_phys = h_phys * np.arange(n_steps + 1)
+    pos_idx, pos_w = zip(*(interp_weights(grid, flow_positions(fld, x, times_phys),
+                                          order=interp_order) for x in range(n)))
+
+    weights, left_w = kernel_node_weights(model.sojourns, 0, s_nodes)
+    surv = np.array([d.survival(s_nodes) for d in model.sojourns])
+    j_cut = np.array([min(n_steps, int(math.ceil(d.decay_point(1e-14) / h_s)) + 1)
+                      for d in model.sojourns])
+
+    A = np.eye(n) - weights[:, 0, None] * model.P
+    A_inv = np.linalg.inv(A)
+
+    phi_row = np.asarray(phi_values, dtype=float).reshape(-1)
+    p_sm = np.empty((n, n_steps + 1, npts))  # state-major history of P Φ
+    p_sm[:, 0] = np.einsum("xy,u->xu", model.P, phi_row)
+    out = {}
+    if 0 in keep:
+        out[0] = np.broadcast_to(phi_row, (n, npts)).copy()
+    for i in range(1, n_steps + 1):
+        rhs = np.empty((n, npts))
+        for x in range(n):
+            first = surv[x, i] * (phi_row[pos_idx[x][i]] * pos_w[x][i]).sum(-1)
+            jm = min(i, j_cut[x])
+            # rows[j-1] = (PΦ)(t_{i-j}) in state x, evaluated at the state-x
+            # flow positions for fast time s_j
+            rows = p_sm[x, i - jm:i][::-1]
+            idx = pos_idx[x][1:jm + 1]
+            wts = pos_w[x][1:jm + 1]
+            vals = np.take_along_axis(rows, idx.reshape(jm, -1),
+                                      axis=1).reshape(jm, npts, interp_order)
+            rhs[x] = first + weights[x, 1:jm + 1] @ (vals * wts).sum(-1)
+            if jm == i:
+                # cell i starts beyond the integration bound; its left-node
+                # part is already in the exact first-jump tail
+                rhs[x] -= left_w[x, i] * (p_sm[x, 0][pos_idx[x][i]] * pos_w[x][i]).sum(-1)
+        cur = np.tensordot(A_inv, rhs, axes=(1, 0))
+        p_sm[:, i] = np.einsum("xy,yu->xu", model.P, cur)
+        if i in keep:
+            out[i] = cur.copy()
+    return out
+
+
+def _mixed_fields(grid):
+    closed = VelocityField(grid, (StateVelocity("linear", slope=-0.1, intercept=1.0),
+                                  StateVelocity("constant", value=-1.0),
+                                  StateVelocity("linear", slope=0.05, intercept=0.3)))
+    tabulated = VelocityField(grid, tuple(StateVelocity("tabulated", table=row)
+                                          for row in closed.values))
+    return closed, tabulated
+
+
+def _fast_model():
+    # decay points 3.2 and 1.6: J_x is well below n_steps at eps 0.2, t = 1
+    return SemiMarkovModel(states=("a", "b"), P=[[0.0, 1.0], [1.0, 0.0]],
+                           sojourns=(SojournDistribution("exponential", rate=10.0),
+                                     SojournDistribution("exponential", rate=20.0)))
+
+
+_SMALL = UGrid(-8.0, 8.0, 129)
+# name -> (model, field, t_eval, eps, direct_solve_phi keywords)
+REFERENCE_CASES = {
+    "model_a": lambda: (make_model_a(), make_pm_field(_SMALL), [0.5, 1.0], 0.1, {}),
+    "model_b": lambda: (make_model_b(), make_pm_field(_SMALL), [0.5, 1.0], 0.1, {}),
+    "mixed_linear": lambda: (make_mixed_model(), _mixed_fields(_SMALL)[0], [0.5, 1.0],
+                             0.2, {}),
+    "mixed_tabulated": lambda: (make_mixed_model(), _mixed_fields(_SMALL)[1], [0.5, 1.0],
+                                0.2, {}),
+    "periodic": lambda: (make_model_a(), make_pm_field(UGrid(-4.0, 4.0, 65, "periodic")),
+                         [1.0], 0.2, {}),
+    "richardson": lambda: (make_model_a(), make_pm_field(_SMALL), [0.5], 0.1,
+                           {"h_s": 0.04, "richardson": True}),
+    "lag_cutoff": lambda: (_fast_model(), make_pm_field(_SMALL), [0.5, 1.0], 0.2,
+                           {"h_s": 0.01}),
+}
 
 
 class TestSampleTrajectory:
@@ -151,6 +242,44 @@ class TestDirectSolver:
                                 richardson=True)[0]
         fine = direct_solve_phi(m, fld, PHI, [0.5], eps=0.1, h_s=0.01)[0]
         assert np.abs(rich.values - fine.values).max() < 2e-6
+
+    def test_richardson_error_bar_covers_fine_march(self):
+        """|res2 - res| / 3 bounds the error of the extrapolated value, node by
+        node, against a march eight times finer."""
+        m = make_model_a()
+        fld = make_pm_field()
+        rich = direct_solve_phi(m, fld, PHI, [0.5], eps=0.1, h_s=0.04,
+                                richardson=True)[0]
+        fine = direct_solve_phi(m, fld, PHI, [0.5], eps=0.1, h_s=0.005)[0]
+        assert rich.stderr.max() > 0.0
+        assert np.all(np.abs(rich.values - fine.values) <= rich.stderr)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_matches_reference_march(self, monkeypatch, case):
+        m, fld, t_eval, eps, kwargs = REFERENCE_CASES[case]()
+        if case == "lag_cutoff":
+            n_steps = round(max(t_eval) / (eps * kwargs["h_s"]))
+            assert all(d.decay_point(1e-14) / kwargs["h_s"] + 2 < n_steps
+                       for d in m.sojourns)
+        got = direct_solve_phi(m, fld, PHI, t_eval, eps, **kwargs)
+        monkeypatch.setattr(oracle, "_march", reference_march)
+        expected = direct_solve_phi(m, fld, PHI, t_eval, eps, **kwargs)
+        assert [e.t for e in got] == [e.t for e in expected]
+        for a, b in zip(got, expected):
+            scale = np.abs(b.values).max()
+            assert np.abs(a.values - b.values).max() <= 1e-12 * scale
+            assert np.abs(a.stderr - b.stderr).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("h_s,t_eval,bad", [(0.03, [0.5, 1.0], "t=0.5 "),
+                                                (0.02, [0.5, 0.51], "t=0.51 ")])
+    def test_off_grid_time_rejected_before_march(self, monkeypatch, h_s, t_eval, bad):
+        def no_march(*args):
+            raise AssertionError("march started")
+        monkeypatch.setattr(oracle, "_march", no_march)
+        with pytest.raises(ValueError) as info:
+            direct_solve_phi(make_model_a(), make_pm_field(), PHI, t_eval, eps=0.2, h_s=h_s)
+        msg = str(info.value)
+        assert bad in msg and "oracle.h_s" in msg and "0.2" in msg
 
     def test_cost_guardrail(self):
         m = make_model_a()
