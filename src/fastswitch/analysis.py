@@ -33,9 +33,8 @@ class RemainderReport:
         return self.slopes.get((order, float(t)))
 
 
-def _oracle_estimates(cfg: RunConfig, eps: float, method: str | None = None):
-    method = method or cfg.oracle.method
-    if method == "direct":
+def _oracle_estimates(cfg: RunConfig, eps: float):
+    if cfg.oracle.method == "direct":
         return direct_solve_phi(cfg.model, cfg.field, cfg.phi, cfg.oracle.t_eval,
                                 eps, h_s=cfg.oracle.h_s,
                                 richardson=cfg.oracle.richardson)
@@ -48,13 +47,12 @@ def _oracle_estimates(cfg: RunConfig, eps: float, method: str | None = None):
     return ests
 
 
-def remainder_compare(result: ExpansionResult, cfg: RunConfig,
-                      method: str | None = None) -> RemainderReport:
+def remainder_compare(result: ExpansionResult, cfg: RunConfig) -> RemainderReport:
     """Sup-norm remainder of every truncation order at the evaluation times,
     for each epsilon, plus fitted log-log slopes."""
     report = RemainderReport()
     for eps in cfg.epsilons:
-        for est in _oracle_estimates(cfg, eps, method):
+        for est in _oracle_estimates(cfg, eps):
             noise = float(4.0 * est.stderr.max()) if est.method == "monte_carlo" else 0.0
             for n_prime in range(result.order + 1):
                 approx = result.evaluate(eps, est.t, order=n_prime)

@@ -17,6 +17,7 @@ import numpy as np
 from .analysis import remainder_compare, report_to_dicts
 from .config import ConfigError, RunConfig, load_config
 from .model import ModelError, validate_model
+from .oracle import march_steps
 from .pipeline import ExpansionResult, build_expansion
 
 
@@ -114,6 +115,10 @@ def cmd_expand(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
+    if cfg.oracle.method == "direct":
+        # an off-grid oracle time needs only the config to reject
+        for eps in cfg.epsilons:
+            march_steps(cfg.oracle.t_eval, eps, cfg.oracle.h_s)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = _expand(cfg)

@@ -7,6 +7,7 @@ points.  Differentiation is 4th-order finite differences throughout.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -134,41 +135,68 @@ def interp_eval(grid: UGrid, values: np.ndarray, positions: np.ndarray,
 
 # -- differentiation -----------------------------------------------------------
 
-_DERIV_CACHE: dict = {}
+
+@functools.lru_cache(maxsize=None)
+def _stencil(offset: int, width: int, order: int) -> np.ndarray:
+    """Unit-spacing weights of the order-th derivative at node offset of
+    width consecutive nodes."""
+    w = fornberg_weights(float(offset), np.arange(width, dtype=float), order)
+    w.setflags(write=False)
+    return w
 
 
-def _deriv_stencils(n: int, h: float, periodic: bool):
-    key = (n, h, periodic)
-    if key in _DERIV_CACHE:
-        return _DERIV_CACHE[key]
+def fd_derivative(values: np.ndarray, h: float, order: int, axis: int,
+                  periodic: bool) -> np.ndarray:
+    """order-th derivative along one axis of data on a uniform grid of step h.
+
+    Node i takes the 4th-order Fornberg stencil on the order + 4 consecutive
+    nodes from clip(i - width//2, 0, n - width): one centred stencil in the
+    interior, applied as a weighted sum of shifted slices, and one-sided
+    stencils within half a width of an open end.  A periodic grid wraps
+    around, and its last node repeats the first.
+    """
+    values = np.asarray(values, dtype=float)
+    axis = axis % values.ndim
+    width = order + 4
+    lo = width // 2
+
+    def along(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    n = values.shape[axis] - int(periodic)
+    if width > n:
+        raise ValueError(f"grid of {n} nodes too short for derivative order {order}")
+    v = values
     if periodic:
-        stencils = None  # handled by np.roll
-    else:
-        offsets = np.arange(5, dtype=float)
-        stencils = [fornberg_weights(float(i), offsets, 1) / h for i in range(2)]
-    _DERIV_CACHE[key] = stencils
-    return stencils
+        core = values[along(0, n)]
+        v = np.concatenate([core[along(n - lo, n)], core,
+                            core[along(0, width - 1 - lo)]], axis=axis)
+
+    out = np.empty_like(values)
+    m = v.shape[axis] - width + 1   # rows of the centred stencil
+    first = 0 if periodic else lo
+    interior = out[along(first, first + m)]
+    w = _stencil(lo, width, order) / h**order
+    np.multiply(v[along(0, m)], w[0], out=interior)
+    for j in range(1, width):
+        if w[j] != 0.0:
+            interior += w[j] * v[along(j, j + m)]
+    if periodic:
+        out[along(n, n + 1)] = out[along(0, 1)]
+        return out
+    # each open end: its rows share the end's width nodes
+    for rows, start in ((range(lo), 0), (range(lo + m, n), n - width)):
+        w = np.array([_stencil(i - start, width, order) for i in rows]) / h**order
+        block = np.moveaxis(v[along(start, start + width)], axis, 0)
+        ends = np.einsum("rw,w...->r...", w, block)
+        out[along(rows.start, rows.stop)] = np.moveaxis(ends, 0, axis)
+    return out
 
 
 def u_derivative_values(values: np.ndarray, grid: UGrid) -> np.ndarray:
     """4th-order first derivative along the last axis."""
-    h = grid.spacing
-    v = values
-    out = np.empty_like(v)
-    if grid.boundary_mode == "periodic":
-        # unique nodes 0..n-2, node n-1 duplicates node 0
-        core = v[..., :-1]
-        d = (np.roll(core, 2, -1) - 8 * np.roll(core, 1, -1)
-             + 8 * np.roll(core, -1, -1) - np.roll(core, -2, -1)) / (12 * h)
-        out[..., :-1] = d
-        out[..., -1] = d[..., 0]
-        return out
-    out[..., 2:-2] = (v[..., :-4] - 8 * v[..., 1:-3] + 8 * v[..., 3:-1] - v[..., 4:]) / (12 * h)
-    left = _deriv_stencils(grid.n_points, h, False)
-    for i, wts in enumerate(left):
-        out[..., i] = np.tensordot(v[..., :5], wts, axes=(-1, 0))
-        out[..., -1 - i] = -np.tensordot(v[..., -5:][..., ::-1], wts, axes=(-1, 0))
-    return out
+    return fd_derivative(values, grid.spacing, 1, axis=-1,
+                         periodic=grid.boundary_mode == "periodic")
 
 
 # -- velocity fields -----------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import UGrid, VelocityField, fornberg_weights, u_derivative_values
+from .field import UGrid, VelocityField, fd_derivative, u_derivative_values
 from .model import SemiMarkovModel, embedded_stationary, generator, semi_markov_stationary
 
 
@@ -53,29 +53,6 @@ def state_mix(P: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 MAX_DERIVATIVE = 8  # highest time-derivative order a TimeSeries serves
-_WINDOW_CACHE: dict = {}
-
-
-def _time_weights(n_times: int, order: int, h: float):
-    """Per-row Fornberg stencils (window start, weights) for an order-th
-    t-derivative, 4th-order accurate, one-sided near the ends."""
-    key = (n_times, order)
-    if key not in _WINDOW_CACHE:
-        width = order + 4
-        if width > n_times:
-            raise ValueError(f"time grid too short for derivative order {order}")
-        starts = np.clip(np.arange(n_times) - width // 2, 0, n_times - width)
-        offsets = np.arange(width, dtype=float)
-        rows = {}
-        weights = np.empty((n_times, width))
-        for i in range(n_times):
-            x0 = i - starts[i]
-            if x0 not in rows:
-                rows[x0] = fornberg_weights(float(x0), offsets, order)
-            weights[i] = rows[x0]
-        _WINDOW_CACHE[key] = (starts, weights)
-    starts, weights = _WINDOW_CACHE[key]
-    return starts, weights / h**order
 
 
 @dataclass
@@ -111,9 +88,8 @@ class TimeSeries:
             if self.derivative_hook is not None:
                 self._deriv_cache[order] = self.derivative_hook(order)
             else:
-                starts, weights = _time_weights(self.n_times, order, self.h_t)
-                windows = self.values[starts[:, None] + np.arange(weights.shape[1])]
-                self._deriv_cache[order] = np.einsum("tw,twxu->txu", weights, windows)
+                self._deriv_cache[order] = fd_derivative(
+                    self.values, self.h_t, order, axis=0, periodic=False)
         return self._deriv_cache[order]
 
     def map_values(self, fn) -> "TimeSeries":

@@ -109,13 +109,31 @@ def mc_expectation(model: SemiMarkovModel, fld: VelocityField, phi, t: float,
 # -- deterministic renewal march -----------------------------------------------------
 
 
+INTERP_ORDER = 6      # stencil width of the flowed-history interpolation
+MAX_STEPS = 60000     # longest march direct_solve_phi accepts
+
+
 class DirectSolverCost(RuntimeError):
     """The requested march would be too fine; coarsen h_s or use Monte Carlo."""
 
 
+def march_steps(t_eval, eps: float, h_s: float) -> dict:
+    """Step index -> time of each requested time on the march grid of step
+    eps*h_s; raises ValueError when some time is not a whole number of steps."""
+    h_phys = eps * h_s
+    keep = {}
+    for t in sorted(float(t) for t in np.atleast_1d(t_eval)):
+        i = round(t / h_phys)
+        if abs(i * h_phys - t) > 1e-9 * max(1.0, t):
+            raise ValueError(
+                f"t={t:g} is not a whole number of march steps eps*oracle.h_s = "
+                f"{eps:g}*{h_s:g}; choose oracle.h_s so that t / (eps*h_s) is an integer")
+        keep[i] = i * h_phys
+    return keep
+
+
 def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
-           eps: float, h_s: float, n_steps: int, keep: dict,
-           interp_order: int) -> dict:
+           eps: float, h_s: float, n_steps: int, keep: dict) -> dict:
     """Product-integration march of the first-jump identity; keep maps
     step index -> slot for storing Φ.
 
@@ -147,7 +165,7 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     lag_idx, lag_w = [], []
     for x in range(n):
         idx, w = interp_weights(grid, flow_positions(fld, x, times_phys),
-                                order=interp_order)
+                                order=INTERP_ORDER)
         first[:, x] = surv[x, :, None] * np.einsum("iuq,iuq->iu", phi_row[idx], w)
         # cells i <= J start beyond the integration bound; their left-node
         # part is already in the exact first-jump tail
@@ -158,13 +176,13 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
         # sum runs over rows; each raw stencil array is freed once folded
         lag_w.append(np.multiply(weights[x, 1:jc + 1, None, None],
                                  w[1:jc + 1].transpose(0, 2, 1),
-                                 out=np.empty((jc, interp_order, npts))))
+                                 out=np.empty((jc, INTERP_ORDER, npts))))
         del w
         lag_idx.append(np.add(idx[1:jc + 1].transpose(0, 2, 1),
                               npts * np.arange(jc)[:, None, None],
-                              out=np.empty((jc, interp_order, npts), dtype=np.intp)))
+                              out=np.empty((jc, INTERP_ORDER, npts), dtype=np.intp)))
         del idx
-    gathered = np.empty((max(j_cut), interp_order, npts))
+    gathered = np.empty((max(j_cut), INTERP_ORDER, npts))
 
     hist = np.empty((n, n_steps + 1, npts))   # reversed history of P Φ
     hist[:, n_steps] = p_phi
@@ -189,8 +207,7 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
 
 
 def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
-                     eps: float, h_s: float = 0.02, interp_order: int = 6,
-                     richardson: bool = False, max_steps: int = 60000):
+                     eps: float, h_s: float = 0.02, richardson: bool = False):
     """Φ_t at the requested times by marching the renewal identity in t.
 
     Returns one OracleEstimate per requested time.  The kernel uses exact cell
@@ -198,22 +215,13 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
     march is O(h_s^2) with a small constant; richardson=True removes the
     leading error term with a second half-step march and reports that term,
     |res2 - res| / 3, as stderr.  Every time in t_eval must be a whole number
-    of steps eps*h_s.
+    of steps eps*h_s (see march_steps).
     """
-    t_eval = sorted(float(t) for t in np.atleast_1d(t_eval))
-    h_phys = eps * h_s
-    keep = {}   # step index -> time
-    for t in t_eval:
-        i = round(t / h_phys)
-        if abs(i * h_phys - t) > 1e-9 * max(1.0, t):
-            raise ValueError(
-                f"t={t:g} is not a whole number of march steps eps*oracle.h_s = "
-                f"{eps:g}*{h_s:g}; choose oracle.h_s so that t / (eps*h_s) is an integer")
-        keep[i] = i * h_phys
+    keep = march_steps(t_eval, eps, h_s)
     n_steps = max(keep)
-    if n_steps > max_steps:
+    if n_steps > MAX_STEPS:
         raise DirectSolverCost(
-            f"march needs {n_steps} steps (> {max_steps}); increase h_s, "
+            f"march needs {n_steps} steps (> {MAX_STEPS}); increase h_s, "
             "shorten the horizon, or use the Monte Carlo oracle")
     grid = fld.grid
     phi_values = phi(grid.nodes)
@@ -222,11 +230,11 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
         return [OracleEstimate(values=vals, stderr=np.zeros_like(vals),
                                method="direct", eps=eps, t=0.0,
                                u_indices=np.arange(grid.n_points))]
-    res = _march(model, fld, phi_values, eps, h_s, n_steps, keep, interp_order)
+    res = _march(model, fld, phi_values, eps, h_s, n_steps, keep)
     stderr = {i: np.zeros_like(v) for i, v in res.items()}
     if richardson:
         keep2 = {2 * i: t for i, t in keep.items()}
-        res2 = _march(model, fld, phi_values, eps, h_s / 2, 2 * n_steps, keep2, interp_order)
+        res2 = _march(model, fld, phi_values, eps, h_s / 2, 2 * n_steps, keep2)
         # the h_s/2 march's error is (res2 - res)/3 to leading order
         stderr = {i: np.abs(res2[2 * i] - res[i]) / 3.0 for i in keep}
         res = {i: (4.0 * res2[2 * i] - res[i]) / 3.0 for i in keep}

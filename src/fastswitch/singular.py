@@ -319,7 +319,8 @@ def initial_ck0(kit: OperatorKit, k: int, terms: list, PI_W_R0: np.ndarray,
     the lower layers' history part, plus the boundary mismatch.
 
     PI_W_R0 is (P - I) W_k(0) = -(P - I) U_k^R(0), which never involves
-    c_k(0) itself.  Returns (c_k0 1-d array, info dict).
+    c_k(0) itself.  Returns (c_k0 1-d array, tail bound of the truncated
+    lower-layer integrals).
     """
     rho = kit.rho
     total = np.einsum("x,x,xu->u", rho, kit.model.mean_sojourns(), PI_W_R0)
@@ -337,29 +338,14 @@ def initial_ck0(kit: OperatorKit, k: int, terms: list, PI_W_R0: np.ndarray,
     if tail_bound > _TAIL_BOUND_MAX:
         raise LayerWindowError(
             f"layer-window tail bound {tail_bound:.3e} exceeds {_TAIL_BOUND_MAX:.1e}; {advice}")
-    c_k0 = total / kit.m_hat
-    info = {"tail_bound": float(tail_bound),
-            "alt_extra_mhat_division_sup": float(np.abs(c_k0 / kit.m_hat).max())}
-    return c_k0, info
+    return total / kit.m_hat, float(tail_bound)
 
 
-def check_boundary_regularity(kit: OperatorKit, k: int, U_k0: np.ndarray,
-                              W_k0: np.ndarray, phi_values: np.ndarray,
-                              U: list, t0_residual: float) -> dict:
+def check_boundary_regularity(kit: OperatorKit, U_k0: np.ndarray, W_k0: np.ndarray,
+                              t0_residual: float) -> dict:
     """Residual report for the boundary-condition identities at fast time 0."""
-    n = kit.model.n_states
-    P_minus_I = kit.P - np.eye(n)
     combo = U_k0 + W_k0
-    res_pi = sup_norm(state_mix(P_minus_I, combo))
+    res_pi = sup_norm(state_mix(kit.P - np.eye(kit.model.n_states), combo))
     res_proj = sup_norm(combo - kit.project_values(combo))
-    out = {"regularity_PI": float(res_pi), "regularity_I_minus_Pi": float(res_proj),
-           "renewal_t0": float(t0_residual)}
-    if k == 1:
-        # first-order jump identity: (P - I) W_1(0) = m_1 [V P φ - P U_0'(0)]
-        m1 = kit.model.mean_sojourns()
-        phi = np.broadcast_to(np.asarray(phi_values).reshape(1, -1), (n, phi_values.size))
-        vpphi = velocity_power_values(kit.fld, state_mix(kit.P, phi), 1)
-        pu0p = state_mix(kit.P, U[0].derivative_values(1)[0])
-        rhs = m1[:, None] * (vpphi - pu0p)
-        out["jump_identity_k1"] = float(sup_norm(state_mix(P_minus_I, W_k0) - rhs))
-    return out
+    return {"regularity_PI": float(res_pi), "regularity_I_minus_Pi": float(res_proj),
+            "renewal_t0": float(t0_residual)}

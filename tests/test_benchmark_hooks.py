@@ -91,3 +91,23 @@ def test_package_runs_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_expand_passes_benchmark_output_check(tmp_path, monkeypatch):
+    """The benchmark counts an expand whose outputs fail its check as a failed
+    operation; a renamed diagnostics key or a broken c_0.csv fails here first."""
+    import json
+    from fastswitch.cli import main
+
+    monkeypatch.syspath_prepend(str(TRACING.parent))   # worker imports tracing
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  TRACING.parent / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    doc = worker.workload_document("expand-erlang", 1, tiny=True)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["expand", "--config", str(path), "--out", str(out)]) == 0
+    problems, _ = worker.check_expand(out, doc)
+    assert problems == []

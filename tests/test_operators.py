@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from fastswitch.field import StateVelocity, UGrid, VelocityField, sup_norm
+from fastswitch.field import (StateVelocity, UGrid, VelocityField, fd_derivative,
+                              fornberg_weights, sup_norm)
 from fastswitch.model import SojournDistribution, SemiMarkovModel, generator, semi_markov_stationary
-from fastswitch.operators import (L_series, L_series_values, TimeSeries, _time_weights,
-                                  build_kit, frak_L_series, potential_build,
+from fastswitch.operators import (L_series, L_series_values, TimeSeries, build_kit,
+                                  frak_L_series, potential_build,
                                   projected_frak_L_series, state_mix,
                                   velocity_power_values)
 from fastswitch.regular import averaged_flow_table, solve_c0
@@ -142,16 +143,55 @@ class TestTimeSeries:
         d1 = series.derivative_values(1)
         assert np.abs(d1[:, 0, 0] - np.cos(t)).max() < 1e-7
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 8])
     def test_fd_matches_per_row_stencils(self, order):
+        """fd_derivative against one Fornberg stencil per row: order + 4 nodes
+        starting at clip(i - width//2, 0, n - width) on an open grid, centred
+        and wrapped on a periodic one."""
+        width = order + 4
+        rng = np.random.default_rng(order)
+
+        def per_row(vals, h, n):
+            # rows along axis 0; row i reads vals[start(i) + j]
+            out = np.empty((n,) + vals.shape[1:])
+            for i in range(n):
+                start = min(max(i - width // 2, 0), n - width)
+                w = fornberg_weights(float(i - start), np.arange(width), order) / h**order
+                out[i] = np.tensordot(w, vals[start:start + width], axes=(0, 0))
+            return out
+
+        def close(got, expected):
+            return np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
         small = UGrid(-1.0, 1.0, 17)
-        vals = np.random.default_rng(order).normal(size=(40, 3, 17))
+        vals = rng.normal(size=(40, 3, 17))
         got = TimeSeries(vals, small, 0.05).derivative_values(order)
-        starts, weights = _time_weights(40, order, 0.05)
-        width = weights.shape[1]
-        expected = np.array([np.tensordot(weights[i], vals[starts[i]:starts[i] + width],
-                                          axes=(0, 0)) for i in range(40)])
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert close(got, per_row(vals, 0.05, 40))
+
+        # u-axis on an open grid: the same rule along the last axis
+        got = fd_derivative(vals, small.spacing, order, axis=-1, periodic=False)
+        expected = per_row(np.moveaxis(vals, -1, 0), small.spacing, 17)
+        assert close(got, np.moveaxis(expected, 0, -1))
+
+        # periodic u-axis: 16 distinct nodes, node 16 repeats node 0
+        periodic = vals.copy()
+        periodic[..., -1] = periodic[..., 0]
+        got = fd_derivative(periodic, small.spacing, order, axis=-1, periodic=True)
+        w = fornberg_weights(float(width // 2), np.arange(width), order) / small.spacing**order
+        expected = np.empty_like(periodic)
+        for i in range(16):
+            nodes = (i - width // 2 + np.arange(width)) % 16
+            expected[..., i] = periodic[..., nodes] @ w
+        expected[..., 16] = expected[..., 0]
+        assert close(got, expected)
+
+        # too short: fewer nodes (distinct nodes when periodic) than the width
+        with pytest.raises(ValueError, match="too short"):
+            TimeSeries(vals[:width - 1], small, 0.05).derivative_values(order)
+        with pytest.raises(ValueError, match="too short"):
+            fd_derivative(vals[..., :width], small.spacing, order, axis=-1, periodic=True)
+        # width distinct nodes are enough
+        fd_derivative(vals[..., :width + 1], small.spacing, order, axis=-1, periodic=True)
 
     def test_derivative_cap(self):
         small = UGrid(-1.0, 1.0, 17)

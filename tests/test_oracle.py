@@ -14,7 +14,7 @@ from conftest import (GRID, PHI, make_mixed_model, make_model_a, make_model_b,
                       make_pm_field)
 
 
-def reference_march(model, fld, phi_values, eps, h_s, n_steps, keep, interp_order):
+def reference_march(model, fld, phi_values, eps, h_s, n_steps, keep):
     """The step-by-step march of the first-jump identity: per step and state,
     gather the flowed history lag by lag, reduce each stencil, then apply the
     lag weights."""
@@ -26,7 +26,7 @@ def reference_march(model, fld, phi_values, eps, h_s, n_steps, keep, interp_orde
 
     times_phys = h_phys * np.arange(n_steps + 1)
     pos_idx, pos_w = zip(*(interp_weights(grid, flow_positions(fld, x, times_phys),
-                                          order=interp_order) for x in range(n)))
+                                          order=oracle.INTERP_ORDER) for x in range(n)))
 
     weights, left_w = kernel_node_weights(model.sojourns, 0, s_nodes)
     surv = np.array([d.survival(s_nodes) for d in model.sojourns])
@@ -53,7 +53,7 @@ def reference_march(model, fld, phi_values, eps, h_s, n_steps, keep, interp_orde
             idx = pos_idx[x][1:jm + 1]
             wts = pos_w[x][1:jm + 1]
             vals = np.take_along_axis(rows, idx.reshape(jm, -1),
-                                      axis=1).reshape(jm, npts, interp_order)
+                                      axis=1).reshape(jm, npts, oracle.INTERP_ORDER)
             rhs[x] = first + weights[x, 1:jm + 1] @ (vals * wts).sum(-1)
             if jm == i:
                 # cell i starts beyond the integration bound; its left-node

@@ -310,11 +310,11 @@ class TestSolveWk:
             assert sup_norm(res.W[k].values) < 1e-12
 
     def test_t0_reproduction_order1(self, expansion_a):
-        assert expansion_a.diagnostics["orders"][1]["w_t0_residual"] < 1e-10
+        assert expansion_a.diagnostics["orders"][1]["renewal_t0"] < 1e-10
 
     def test_t0_reproduction_order2(self, expansion_a):
         # order >= 2 inherits the transport-solve residual of c_1
-        assert expansion_a.diagnostics["orders"][2]["w_t0_residual"] < 1e-5
+        assert expansion_a.diagnostics["orders"][2]["renewal_t0"] < 1e-5
 
     def test_decay_both_models(self, expansion_a, expansion_b):
         for res in (expansion_a, expansion_b):
@@ -353,8 +353,14 @@ class TestBoundaryRegularity:
             d = expansion_a.diagnostics["orders"][k]
             assert d["regularity_PI"] < 1e-6
             assert d["regularity_I_minus_Pi"] < 1e-8
-            assert d["eq21_residual"] < 1e-8
-        assert expansion_a.diagnostics["orders"][1]["jump_identity_k1"] < 1e-6
+        # first-order jump identity: (P - I) W_1(0) = m_1 [V P φ - P U_0'(0)]
+        kit, n = expansion_a.kit, expansion_a.kit.model.n_states
+        phi = np.broadcast_to(expansion_a.phi_values, (n, expansion_a.phi_values.size))
+        rhs = kit.model.mean_sojourns()[:, None] * (
+            velocity_power_values(kit.fld, state_mix(kit.P, phi), 1)
+            - state_mix(kit.P, expansion_a.U[0].derivative_values(1)[0]))
+        jump = state_mix(kit.P - np.eye(n), expansion_a.W[1].values[0])
+        assert sup_norm(jump - rhs) < 1e-6
 
     def test_collapse_residuals(self, expansion_collapse):
         for k in (1, 2):
