@@ -10,6 +10,7 @@ import numpy as np
 
 from .field import StateVelocity, TestFunction, UGrid, VelocityField
 from .model import SemiMarkovModel, SojournDistribution
+from .oracle import MIN_SAMPLES
 from .pipeline import MAX_ORDER
 
 
@@ -160,11 +161,15 @@ def config_from_document(doc: dict) -> RunConfig:
     odoc = doc.get("oracle", {})
     oracle = OracleConfig(method=odoc.get("method", "direct"),
                           n_samples=_positive(odoc, "n_samples", 100000, "oracle", int),
-                          seed=int(odoc.get("seed", 20240811)),
+                          seed=_number(odoc.get("seed", 20240811), "oracle.seed", int),
                           h_s=_positive(odoc, "h_s", 0.02, "oracle"),
                           u_stride=_positive(odoc, "u_stride", 16, "oracle", int),
                           t_eval=tuple(float(t) for t in odoc.get("t_eval", (0.5, 1.0))),
                           richardson=bool(odoc.get("richardson", False)))
+    # checked whatever the method: --oracle mc can switch it after load
+    if oracle.n_samples < MIN_SAMPLES:
+        raise ConfigError(f"oracle.n_samples must be an integer >= {MIN_SAMPLES}, "
+                          f"got {oracle.n_samples!r}")
     if oracle.method not in ("direct", "mc"):
         raise ConfigError(f"oracle.method must be 'direct' or 'mc', got {oracle.method!r}")
     # the expansion's time step, as build_expansion derives it from h_t

@@ -3,8 +3,10 @@ switching trajectories, and deterministic time-stepping of the first-jump
 renewal identity.
 
 Monte Carlo randomness is counter-based (Philox keyed by seed and start
-point), so results are bit-identical for a given seed regardless of how the
-work is scheduled.
+state), so results are bit-identical for a given seed regardless of how the
+work is scheduled.  The switching process does not depend on u, so every
+requested node of a start state rides the same sampled paths; each jump
+draws uniforms (alive × channels) for the replicates still running only.
 """
 from __future__ import annotations
 
@@ -33,71 +35,60 @@ class OracleEstimate:
 # -- trajectory simulation ---------------------------------------------------------
 
 
-def _philox_stream(seed: int, x_idx: int, u_idx: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                    ((x_idx & 0xFFFFFFFF) << 32) | (u_idx & 0xFFFFFFFF)],
-                   dtype=np.uint64)
+MIN_SAMPLES = 1000    # fewest replicates mc_expectation accepts
+
+
+def _philox_stream(seed: int, x_idx: int) -> np.random.Generator:
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, x_idx], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _simulate_batch(model: SemiMarkovModel, fld: VelocityField, u0: float, x0: int,
-                    t: float, eps: float, rng: np.random.Generator,
-                    n_samples: int) -> np.ndarray:
-    """Vectorized replicates from one start point; per-replicate randomness is
-    one row of the start's counter-based stream."""
-    n = model.n_states
-    channels = 1 + max(d.n_uniforms for d in model.sojourns)
-    cum_p = np.cumsum(model.P, axis=1)
-    mean_j = t / eps / float(model.mean_sojourns().min())
-    block = max(16, int(mean_j * 1.5) + 8)
-
-    u = np.full(n_samples, float(u0))
-    state = np.full(n_samples, int(x0))
-    remaining = np.full(n_samples, float(t))
-    alive = np.arange(n_samples)
-    while alive.size:
-        draws = rng.random((n_samples, block, channels))
-        for r in range(block):
-            if not alive.size:
-                break
-            st = state[alive]
-            for s in range(n):
-                sel = alive[st == s]
-                if not sel.size:
-                    continue
-                # channel 0 drives the jump, channels 1.. the sojourn
-                theta = model.sojourns[s].from_uniforms(draws[sel, r, 1:])
-                dt = eps * theta
-                hit_end = dt >= remaining[sel]
-                step = np.where(hit_end, remaining[sel], dt)
-                u[sel] = flow(fld, s, u[sel], step, check=False)
-                remaining[sel] = np.where(hit_end, 0.0, remaining[sel] - dt)
-                jumpers = sel[~hit_end]
-                if jumpers.size:
-                    nxt = np.searchsorted(cum_p[s], draws[jumpers, r, 0], side="right")
-                    state[jumpers] = np.minimum(nxt, n - 1)
-            alive = alive[remaining[alive] > 0.0]
-    return u
 
 
 def mc_expectation(model: SemiMarkovModel, fld: VelocityField, phi, t: float,
                    eps: float, n_samples: int, seed: int,
                    u_indices: np.ndarray | None = None) -> OracleEstimate:
-    """Sample mean of φ(u(t)) with standard errors, per start (state, node)."""
-    if n_samples < 1000:
-        raise ValueError("Monte Carlo estimate needs at least 1000 samples")
+    """Sample mean of φ(u(t)) with standard errors, per start (state, node).
+
+    Per start state, each replicate's positions are a row of all requested
+    nodes, flowed along the replicate's one switching path.  A node's column
+    is reduced on its own, so its estimate reads the same whether the node is
+    requested alone or with others."""
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"Monte Carlo estimate needs at least {MIN_SAMPLES} samples")
     grid = fld.grid
     if u_indices is None:
         u_indices = np.arange(grid.n_points)
     u_indices = np.asarray(u_indices, dtype=int)
-    nodes = grid.nodes
     n = model.n_states
+    channels = 1 + max(d.n_uniforms for d in model.sojourns)
+    cum_p = np.cumsum(model.P, axis=1)
     values = np.empty((n, len(u_indices)))
     stderr = np.empty_like(values)
     for xi in range(n):
-        for col, ui in enumerate(u_indices):
-            rng = _philox_stream(seed, xi, int(ui))
-            finals = _simulate_batch(model, fld, nodes[ui], xi, t, eps, rng, n_samples)
+        rng = _philox_stream(seed, xi)
+        u = np.tile(grid.nodes[u_indices], (n_samples, 1))
+        state = np.full(n_samples, xi)
+        remaining = np.full(n_samples, float(t))
+        alive = np.flatnonzero(remaining > 0.0)
+        while alive.size:
+            # one row per running replicate: channel 0 drives the jump,
+            # channels 1.. the sojourn
+            draws = rng.random((alive.size, channels))
+            st = state[alive]
+            for s in range(n):
+                mine = st == s
+                sel, d = alive[mine], draws[mine]
+                if not sel.size:
+                    continue
+                dt = eps * model.sojourns[s].from_uniforms(d[:, 1:])
+                rem = remaining[sel]
+                hit_end = dt >= rem
+                step = np.where(hit_end, rem, dt)
+                u[sel] = flow(fld, s, u[sel], step[:, None], check=False)
+                remaining[sel] = np.where(hit_end, 0.0, rem - dt)
+                nxt = np.searchsorted(cum_p[s], d[~hit_end, 0], side="right")
+                state[sel[~hit_end]] = np.minimum(nxt, n - 1)
+            alive = alive[remaining[alive] > 0.0]
+        for col, finals in enumerate(np.ascontiguousarray(u.T)):
             vals = phi(finals)
             values[xi, col] = vals.mean()
             stderr[xi, col] = vals.std(ddof=1) / math.sqrt(n_samples)

@@ -76,6 +76,33 @@ def test_direct_oracle_flows_each_state_once(monkeypatch):
     assert calls == {"flow_positions": model.n_states, "interp_weights": model.n_states}
 
 
+def test_mc_oracle_draws_one_stream_per_start_state(monkeypatch):
+    """Every requested node of a start state rides that state's switching
+    paths: one counter-based stream per start state, not one per node."""
+    import numpy as np
+    from fastswitch import oracle
+    from conftest import PHI, make_mixed_model
+    from fastswitch.field import StateVelocity, UGrid, VelocityField
+
+    keys = []
+    original = oracle._philox_stream
+
+    def counted(*args):
+        keys.append(args)
+        return original(*args)
+    monkeypatch.setattr(oracle, "_philox_stream", counted)
+    model = make_mixed_model()
+    grid = UGrid(-6.0, 6.0, 65)
+    fld = VelocityField(grid, (StateVelocity("constant", value=1.0),
+                               StateVelocity("constant", value=-1.0),
+                               StateVelocity("linear", slope=0.05, intercept=0.3)))
+    est = oracle.mc_expectation(model, fld, PHI, 0.5, 0.2, oracle.MIN_SAMPLES, seed=3,
+                                u_indices=np.arange(0, grid.n_points, 8))
+    assert est.values.shape == (model.n_states, 9)
+    assert len(keys) == model.n_states
+    assert sorted(k[1] for k in keys) == list(range(model.n_states))
+
+
 def test_package_runs_without_scipy():
     """Importing scipy.sparse alone costs about 0.25 s and 22 MB of resident
     memory; neither the package import nor a direct solve may pull it in."""

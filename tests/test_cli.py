@@ -59,6 +59,14 @@ class TestConfig:
             load_config(path)
 
 
+    @pytest.mark.parametrize("seed", [0, -3])
+    def test_zero_and_negative_seeds_load(self, tmp_path, seed):
+        path = small_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["oracle"]["seed"] = seed
+        path.write_text(json.dumps(doc))
+        assert load_config(path).oracle.seed == seed
+
     @pytest.mark.parametrize("section,key,value", [
         ("layer", "tau_max", "30"), ("layer", "tau_max", 0), ("layer", "tau_max", -2.0),
         ("time", "horizon", 0), ("time", "h_t", 0), ("time", "h_t", -0.01),
@@ -70,6 +78,7 @@ class TestConfig:
         ("oracle", "u_stride", 2.7), ("", "order", 1.9), ("", "order", 4),
         ("grid", "n_points", 129.6),
         ("output", "t_stride", 2.5), ("model.sojourns[1]", "shape", 2.5),
+        ("oracle", "seed", 2.7), ("oracle", "seed", True), ("oracle", "n_samples", 500),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, section, key, value):
         # small_config: horizon 0.5, h_t 0.005

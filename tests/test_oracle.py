@@ -194,10 +194,24 @@ class TestMCExpectation:
         fld = make_pm_field()
         one = mc_expectation(m, fld, PHI, 0.5, 0.1, 2000, seed=1,
                              u_indices=np.array([100, 150]))
-        # computing a start alone reproduces its column from the joint run
+        # each start state has its own stream and each node's column is
+        # reduced alone, so a node requested alone reproduces its joint column
         alone = mc_expectation(m, fld, PHI, 0.5, 0.1, 2000, seed=1,
                                u_indices=np.array([150]))
         assert np.array_equal(one.values[:, 1], alone.values[:, 0])
+
+    def test_nodes_of_a_state_share_switching_paths(self):
+        # constant ±1 velocities: a replicate's displacement depends on its
+        # path alone, so nodes riding the same paths differ by their offset
+        m = make_model_a()
+        u_idx = np.array([90, 100, 128, 150, 170])
+        est = mc_expectation(m, make_pm_field(), lambda u: u, 1.0, 0.1, 2000, seed=8,
+                             u_indices=u_idx)
+        offsets = GRID.nodes[u_idx] - GRID.nodes[u_idx[0]]
+        for x in range(m.n_states):
+            assert np.abs(est.values[x] - est.values[x, 0] - offsets).max() < 1e-12
+            assert np.abs(est.stderr[x] - est.stderr[x, 0]).max() < 1e-12
+        assert est.stderr.min() > 0.0
 
     def test_minimum_samples_enforced(self):
         m = make_model_a()
