@@ -8,8 +8,7 @@ from .field import (DomainEscape, StateVelocity, TestFunction, UGrid,
 from .model import (ModelDiagnostics, ModelError, SemiMarkovModel,
                     SojournDistribution, embedded_stationary, generator,
                     semi_markov_stationary, validate_model)
-from .operators import (L_series, OperatorKit, PotentialData, TimeSeries,
-                        build_kit, frak_L_series, potential_build)
+from .operators import OperatorKit, PotentialData, TimeSeries, build_kit, potential_build
 from .oracle import OracleEstimate, direct_solve_phi, mc_expectation
 from .pipeline import ExpansionResult, build_expansion
 from .regular import solve_c0, solve_ck
@@ -23,8 +22,7 @@ __all__ = [
     "averaged_velocity", "flow", "sup_norm",
     "ModelDiagnostics", "ModelError", "SemiMarkovModel", "SojournDistribution",
     "embedded_stationary", "generator", "semi_markov_stationary", "validate_model",
-    "L_series", "OperatorKit", "PotentialData", "TimeSeries", "build_kit",
-    "frak_L_series", "potential_build",
+    "OperatorKit", "PotentialData", "TimeSeries", "build_kit", "potential_build",
     "OracleEstimate", "direct_solve_phi", "mc_expectation",
     "ExpansionResult", "build_expansion",
     "solve_c0", "solve_ck",

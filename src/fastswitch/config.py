@@ -78,6 +78,15 @@ def _positive(doc: dict, key: str, default, where: str, cast=float):
     return _number(doc.get(key, default), f"{where}.{key}", cast, positive=True)
 
 
+def _built(section: str, cls, **fields):
+    """cls(**fields), its ValueError (whose message starts with the field's
+    name) turned into a ConfigError naming section.field."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
 def _sojourn_from_doc(doc: dict, where: str) -> SojournDistribution:
     fam = _require(doc, "family", where)
     try:
@@ -128,10 +137,10 @@ def config_from_document(doc: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     gdoc = doc.get("grid", {})
-    grid = UGrid(u_min=float(gdoc.get("u_min", -8.0)),
-                 u_max=float(gdoc.get("u_max", 8.0)),
-                 n_points=_number(gdoc.get("n_points", 257), "grid.n_points", int),
-                 boundary_mode=gdoc.get("boundary_mode", "extrapolate"))
+    grid = _built("grid", UGrid, u_min=_number(gdoc.get("u_min", -8.0), "grid.u_min"),
+                  u_max=_number(gdoc.get("u_max", 8.0), "grid.u_max"),
+                  n_points=_number(gdoc.get("n_points", 257), "grid.n_points", int),
+                  boundary_mode=gdoc.get("boundary_mode", "extrapolate"))
 
     vdoc = _require(doc, "velocity", "document")
     if len(vdoc) != len(states):
@@ -140,10 +149,10 @@ def config_from_document(doc: dict) -> RunConfig:
                                     for i, v in enumerate(vdoc)))
 
     tdoc = doc.get("test_function", {})
-    phi = TestFunction(kind=tdoc.get("kind", "gaussian"),
-                       center=float(tdoc.get("center", 0.0)),
-                       width=float(tdoc.get("width", 1.0)),
-                       coeffs=tuple(tdoc.get("coeffs", (1.0,))))
+    phi = _built("test_function", TestFunction, kind=tdoc.get("kind", "gaussian"),
+                 center=_number(tdoc.get("center", 0.0), "test_function.center"),
+                 width=_number(tdoc.get("width", 1.0), "test_function.width"),
+                 coeffs=tuple(tdoc.get("coeffs", (1.0,))))
 
     time_doc = doc.get("time", {})
     horizon = _positive(time_doc, "horizon", 1.0, "time")
@@ -164,8 +173,11 @@ def config_from_document(doc: dict) -> RunConfig:
                           seed=_number(odoc.get("seed", 20240811), "oracle.seed", int),
                           h_s=_positive(odoc, "h_s", 0.02, "oracle"),
                           u_stride=_positive(odoc, "u_stride", 16, "oracle", int),
-                          t_eval=tuple(float(t) for t in odoc.get("t_eval", (0.5, 1.0))),
-                          richardson=bool(odoc.get("richardson", False)))
+                          t_eval=tuple(_number(t, "oracle.t_eval")
+                                       for t in odoc.get("t_eval", (0.5, 1.0))),
+                          richardson=odoc.get("richardson", False))
+    if not isinstance(oracle.richardson, bool):
+        raise ConfigError(f"oracle.richardson must be true or false, got {oracle.richardson!r}")
     # checked whatever the method: --oracle mc can switch it after load
     if oracle.n_samples < MIN_SAMPLES:
         raise ConfigError(f"oracle.n_samples must be an integer >= {MIN_SAMPLES}, "

@@ -56,12 +56,15 @@ class UGrid:
     escape_margin: float | None = None
 
     def __post_init__(self):
+        # each message starts with the offending field's name
         if self.n_points < 16:
-            raise ValueError("grid needs at least 16 points")
+            raise ValueError(f"n_points must be at least 16, got {self.n_points!r}")
         if not self.u_max > self.u_min:
-            raise ValueError("u_max must exceed u_min")
+            raise ValueError(f"u_max must exceed u_min, got u_min={self.u_min!r}, "
+                             f"u_max={self.u_max!r}")
         if self.boundary_mode not in ("extrapolate", "periodic"):
-            raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
+            raise ValueError("boundary_mode must be 'extrapolate' or 'periodic', "
+                             f"got {self.boundary_mode!r}")
         if self.escape_margin is None:
             object.__setattr__(self, "escape_margin", 0.25 * (self.u_max - self.u_min))
 
@@ -365,6 +368,14 @@ class TestFunction:
     width: float = 1.0
     coeffs: tuple = (1.0,)
 
+    def __post_init__(self):
+        # each message starts with the offending field's name
+        if self.kind not in ("gaussian", "cosine_bump", "poly_capped"):
+            raise ValueError("kind must be 'gaussian', 'cosine_bump' or 'poly_capped', "
+                             f"got {self.kind!r}")
+        if not self.width > 0:
+            raise ValueError(f"width must be > 0, got {self.width!r}")
+
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         z = (u - self.center) / self.width
@@ -374,9 +385,7 @@ class TestFunction:
             # cos^4 bump: three continuous derivatives at the support edge
             return np.where(np.abs(z) < 1.0,
                             0.25 * (1.0 + np.cos(np.pi * np.clip(z, -1, 1))) ** 2, 0.0)
-        if self.kind == "poly_capped":
-            p = np.zeros_like(u)
-            for c in reversed(self.coeffs):
-                p = p * u + c
-            return p * np.exp(-0.5 * z**2)
-        raise ValueError(f"unknown test function kind {self.kind!r}")
+        p = np.zeros_like(u)  # poly_capped
+        for c in reversed(self.coeffs):
+            p = p * u + c
+        return p * np.exp(-0.5 * z**2)

@@ -1,5 +1,5 @@
 """Operator algebra of the expansion: projector, potential operator, the
-time-derivative series, and the L / script-L operator families.
+time-derivative series, and the L operator family.
 
 Sign convention: the order-k transport operator is
 
@@ -9,6 +9,11 @@ which at k=1 reads L_1 U = P U' - V P U.  The binomial coefficients make the
 family telescope to zero on solutions of dU/dt = V U when the velocity does
 not depend on the state (the collapse tests pin this down; the printed form
 without C(k,j) does not telescope at k = 2).
+
+The order-k system Q U_k = S_k, S_k = sum_{n=1..k} mu_n L_n U_{k-n}, is the
+only right side the expansion forms: the script-L family of the coefficient
+equations is never built, because sum_{j=1..k} script-L_j c_{k-j} equals
+S_{k+1} - L_1 c_k (see regular.projected_frak_L_series).
 """
 from __future__ import annotations
 
@@ -71,14 +76,6 @@ class TimeSeries:
         if self.values.ndim != 3:
             raise ValueError("TimeSeries values must be (time, state, point)")
 
-    @property
-    def n_times(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.h_t * np.arange(self.n_times)
-
     def derivative_values(self, order: int) -> np.ndarray:
         if order == 0:
             return self.values
@@ -91,9 +88,6 @@ class TimeSeries:
                 self._deriv_cache[order] = fd_derivative(
                     self.values, self.h_t, order, axis=0, periodic=False)
         return self._deriv_cache[order]
-
-    def map_values(self, fn) -> "TimeSeries":
-        return TimeSeries(fn(self.values), self.grid, self.h_t)
 
 
 # -- operator kit ----------------------------------------------------------------
@@ -174,31 +168,3 @@ def L_series_values(k: int, kit: OperatorKit, series: TimeSeries) -> np.ndarray:
         out = out + coeff * velocity_power_values(kit.fld, pu, k - j)
     return out
 
-
-def L_series(k: int, kit: OperatorKit, series: TimeSeries) -> TimeSeries:
-    return TimeSeries(L_series_values(k, kit, series), series.grid, series.h_t)
-
-
-def frak_L_series(k: int, kit: OperatorKit, c_series: TimeSeries) -> TimeSeries:
-    """Unprojected recursion:  𝔏_k = Σ_{n=1..k} μ_n L_n R0 𝔏_{k-n} + μ_{k+1} L_{k+1},
-    with 𝔏_0 = L_1."""
-    if k < 0:
-        raise ValueError("order must be >= 0")
-    cache: list[TimeSeries] = [L_series(1, kit, c_series)]
-    for j in range(1, k + 1):
-        total = None
-        for n in range(1, j + 1):
-            inner = cache[j - n]
-            r0_inner = inner.map_values(lambda v: state_mix(kit.R0, v))
-            term = L_series_values(n, kit, r0_inner)
-            term = kit.mu(n)[None, :, None] * term
-            total = term if total is None else total + term
-        tail = kit.mu(j + 1)[None, :, None] * L_series_values(j + 1, kit, c_series)
-        total = tail if total is None else total + tail
-        cache.append(TimeSeries(total, c_series.grid, c_series.h_t))
-    return cache[k]
-
-
-def projected_frak_L_series(k: int, kit: OperatorKit, c_series: TimeSeries) -> TimeSeries:
-    series = frak_L_series(k, kit, c_series)
-    return series.map_values(kit.project_values)

@@ -49,7 +49,7 @@ class ExpansionResult:
 
     def t_index(self, t: float) -> int:
         idx = int(round(t / self.h_t))
-        if abs(idx * self.h_t - t) > 1e-9 * max(1.0, t) or idx >= len(self.times):
+        if t < 0 or abs(idx * self.h_t - t) > 1e-9 * max(1.0, t) or idx >= len(self.times):
             raise ValueError(f"t={t} is not on the expansion time grid")
         return idx
 
@@ -109,12 +109,12 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
     orders_diag: dict = {}
     for k in range(1, order + 1):
         rhs_vals = system_rhs_values(kit, result.U, k)
-        U_Rk, solv, defect = regular_term(kit, rhs_vals, c0.h_t)
+        U_Rk, defect = regular_term(kit, rhs_vals, c0.h_t)
         terms = forcing_terms(kit, k, phi_values, result.U, result.W)
 
         pi_w_r0 = -state_mix(kit.P - np.eye(kit.model.n_states), U_Rk.values[0])
         ck0, ck0_tail_bound = initial_ck0(kit, k, terms, pi_w_r0, result.W, grid_tau)
-        source = transport_sources(kit, result.c, k)
+        source = transport_sources(kit, result.U, U_Rk, k)
         c_k = solve_ck(kit, ck0, source, times, flow_table)
         U_k = TimeSeries(c_k.values + U_Rk.values, c0.grid, c0.h_t)
         result.c.append(c_k)
@@ -129,7 +129,6 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
 
         reg = check_boundary_regularity(kit, Uk0, Wk0, w_info["t0_residual"])
         orders_diag[k] = {
-            "solvability_sup": solv,
             "range_projection_defect": defect,
             "system15_residual": system15_residual(kit, result.U, k, rhs_vals),
             "ck0_sup": float(np.abs(ck0).max()),

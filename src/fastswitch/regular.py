@@ -1,6 +1,6 @@
 """Outer (slow-time) part of the expansion: the averaged transport solution,
 the inhomogeneous transport solves for the null-space coefficients, and the
-range-component recursion.
+order-k right side S_k with its range component and transport source.
 
 The transport equation d c/dt = vhat(u) d c/du + g(t, u) is solved exactly
 along the averaged characteristics (Duhamel), so there is no CFL restriction
@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import TestFunction, flow_positions, interp_apply, interp_weights
-from .operators import (L_series_values, OperatorKit, TimeSeries,
-                        projected_frak_L_series, velocity_power_values)
+from .operators import L_series_values, OperatorKit, TimeSeries, velocity_power_values
 
 
 def cumulative_simpson_weights(i: int, h: float) -> np.ndarray:
@@ -99,19 +98,28 @@ def system_rhs_values(kit: OperatorKit, U_list: list, k: int) -> np.ndarray:
 
 def regular_term(kit: OperatorKit, rhs_values: np.ndarray, h_t: float):
     """Range component U_k^R = R0 S_k of U_k = c_k ⊗ 1 + U_k^R from the
-    order-k right side S_k, with the solvability and projected-defect
-    residuals of the order-k system equation."""
+    order-k right side S_k, with its projected defect |Π U_k^R|."""
     u_r_vals = np.einsum("xy,tyu->txu", kit.R0, rhs_values)
     defect = float(np.abs(kit.project_values(u_r_vals)).max())
-    solv = float(np.abs(kit.project_values(rhs_values)).max())
-    return TimeSeries(u_r_vals, kit.fld.grid, h_t), solv, defect
+    return TimeSeries(u_r_vals, kit.fld.grid, h_t), defect
 
 
-def transport_sources(kit: OperatorKit, c_list: list, k: int) -> np.ndarray:
-    """Source of the order-k coefficient equation:
+def projected_frak_L_series(kit: OperatorKit, U_list: list, U_Rk: TimeSeries,
+                            k: int) -> np.ndarray:
+    """Σ_{j=1..k} (Π script-L_j c_{k-j})(t), shape (n_times, n_points).
+
+    With U_m = Σ_i A_i c_{m-i}, A_0 = I and A_i = R0 Σ_{n=1..i} μ_n L_n A_{i-n},
+    induction turns the recursion script-L_j = Σ_{n=1..j} μ_n L_n R0 script-L_{j-n}
+    + μ_{j+1} L_{j+1} (script-L_0 = L_1) into script-L_j = Σ_{n=1..j+1} μ_n L_n A_{j+1-n}.
+    Summed over j, that is S_{k+1} - L_1 c_k (μ_1 = 1): the order-(k+1)
+    right side with U_k^R in place of U_k."""
+    rhs = system_rhs_values(kit, U_list[:k] + [U_Rk], k + 1)
+    return kit.project_values(rhs)[:, 0, :]
+
+
+def transport_sources(kit: OperatorKit, U_list: list, U_Rk: TimeSeries,
+                      k: int) -> np.ndarray:
+    """Source of the order-k coefficient equation, the solvability condition
+    Π S_{k+1} = 0 of the next order:
     g_k(t) = - Σ_{j=1..k} (Π script-L_j c_{k-j})(t), shape (n_times, n_points)."""
-    total = 0.0
-    for j in range(1, k + 1):
-        proj = projected_frak_L_series(j, kit, c_list[k - j])
-        total = total + proj.values[:, 0, :]
-    return -total
+    return -projected_frak_L_series(kit, U_list, U_Rk, k)

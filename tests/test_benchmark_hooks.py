@@ -24,13 +24,15 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
     """The traced spans of both layers wrap names looked up in pipeline,
     singular and regular at call time, or their spans read zero.  The
     transport solves gather one stencil per lag, so interp_apply is called
-    O(n_times) times per build, never once per (time, history node) pair."""
+    O(n_times) times per build, never once per (time, history node) pair, and
+    each order forms its transport source in one closed-form call."""
     from fastswitch import pipeline, regular, singular
     from fastswitch.field import UGrid
     from conftest import PHI, make_model_a, make_pm_field
 
     calls = dict.fromkeys(["solve_Wk", "psi_k0", "averaged_flow_table", "solve_c0",
-                           "solve_ck", "interp_apply", "initial_ck0"], 0)
+                           "solve_ck", "interp_apply", "initial_ck0",
+                           "projected_frak_L_series"], 0)
 
     def counted(module, attr):
         original = getattr(module, attr)
@@ -44,12 +46,13 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
         counted(pipeline, attr)
     counted(singular, "psi_k0")
     counted(regular, "interp_apply")
+    counted(regular, "projected_frak_L_series")
     res = pipeline.build_expansion(make_model_a(), make_pm_field(UGrid(-6.0, 6.0, 65)), PHI,
                                    order=2, horizon=0.5, h_t=0.01, h_tau=0.01)
     assert 0 < calls.pop("interp_apply") <= 3 * len(res.times)
     assert calls.pop("initial_ck0") == 2
     assert calls == {"solve_Wk": 2, "psi_k0": 1, "averaged_flow_table": 1,
-                     "solve_c0": 1, "solve_ck": 2}
+                     "solve_c0": 1, "solve_ck": 2, "projected_frak_L_series": 2}
 
 
 def test_direct_oracle_flows_each_state_once(monkeypatch):

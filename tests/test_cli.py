@@ -79,6 +79,11 @@ class TestConfig:
         ("grid", "n_points", 129.6),
         ("output", "t_stride", 2.5), ("model.sojourns[1]", "shape", 2.5),
         ("oracle", "seed", 2.7), ("oracle", "seed", True), ("oracle", "n_samples", 500),
+        ("oracle", "richardson", "false"), ("test_function", "width", 0),
+        ("test_function", "kind", "bogus"), ("test_function", "center", True),
+        ("grid", "u_max", -6.0),
+        ("grid", "u_max", float("nan")), ("grid", "n_points", 8),
+        ("grid", "boundary_mode", "reflect"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, section, key, value):
         # small_config: horizon 0.5, h_t 0.005
@@ -93,6 +98,17 @@ class TestConfig:
         out = tmp_path / "out"
         assert main(["expand", "--config", str(path), "--out", str(out)]) == 2
         assert f"{section}.{key}".lstrip(".") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_t_eval_rejected_at_load(self, tmp_path, capsys):
+        # on a horizon of 1.0, true would load as the grid time 1.0
+        path = small_config(tmp_path, time={"horizon": 1.0, "h_t": 0.005})
+        doc = json.loads(path.read_text())
+        doc["oracle"]["t_eval"] = [0.5, True]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["expand", "--config", str(path), "--out", str(out)]) == 2
+        assert "oracle.t_eval" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -152,8 +168,7 @@ class TestExpandCommand:
         main(["expand", "--config", str(path), "--out", str(out)])
         with open(out / "diagnostics.json") as fh:
             diag = json.load(fh)
-        expected = {"solvability_sup", "range_projection_defect",
-                    "system15_residual", "ck0_sup", "ck0_tail_bound",
+        expected = {"range_projection_defect", "system15_residual", "ck0_sup", "ck0_tail_bound",
                     "w_decay_ratio", "w_monotone_tail", "w_sup", "u_sup",
                     "regularity_PI", "regularity_I_minus_Pi", "renewal_t0"}
         assert expected <= set(diag["orders"]["1"].keys())

@@ -6,11 +6,10 @@ from numpy.testing import assert_allclose
 from fastswitch.field import (StateVelocity, UGrid, VelocityField, fd_derivative,
                               fornberg_weights, sup_norm)
 from fastswitch.model import SojournDistribution, SemiMarkovModel, generator, semi_markov_stationary
-from fastswitch.operators import (L_series, L_series_values, TimeSeries, build_kit,
-                                  frak_L_series, potential_build,
-                                  projected_frak_L_series, state_mix,
-                                  velocity_power_values)
-from fastswitch.regular import averaged_flow_table, solve_c0
+from fastswitch.operators import (L_series_values, TimeSeries, build_kit, potential_build,
+                                  state_mix, velocity_power_values)
+from fastswitch.regular import (averaged_flow_table, projected_frak_L_series, regular_term,
+                                solve_c0, system_rhs_values)
 
 from conftest import make_model_a, make_pm_field, random_model, PHI
 
@@ -30,6 +29,38 @@ def literal_L_values(k, kit, series):
             dv = np.repeat(dv, kit.model.n_states, axis=1)
         out = out + (-1.0) ** (k - j) * velocity_power_values(kit.fld, state_mix(kit.P, dv), k - j)
     return out
+
+
+def reference_frak_L(k, kit, c_series):
+    """The unprojected script-L recursion on one coefficient series,
+    script-L_k = Σ_{n=1..k} μ_n L_n R0 script-L_{k-n} + μ_{k+1} L_{k+1} with
+    script-L_0 = L_1, as (n_times, n_states, n_points) values."""
+    cache = [L_series_values(1, kit, c_series)]
+    for j in range(1, k + 1):
+        total = None
+        for n in range(1, j + 1):
+            r0_inner = TimeSeries(state_mix(kit.R0, cache[j - n]), c_series.grid, c_series.h_t)
+            term = kit.mu(n)[None, :, None] * L_series_values(n, kit, r0_inner)
+            total = term if total is None else total + term
+        tail = kit.mu(j + 1)[None, :, None] * L_series_values(j + 1, kit, c_series)
+        total = tail if total is None else total + tail
+        cache.append(total)
+    return cache[k]
+
+
+def range_only_U(kit, c0, k):
+    """U_0 = c0 and U_m = R0 S_m for m = 1..k: every later coefficient c_m is
+    zero, so Σ_j Π script-L_j c_{k-j} keeps Π script-L_k c0 alone."""
+    U = [c0]
+    for m in range(1, k + 1):
+        U.append(regular_term(kit, system_rhs_values(kit, U, m), c0.h_t)[0])
+    return U
+
+
+def projected_frak_L_of_c0(k, kit, c0):
+    """Π script-L_k c0 from the closed form, as (n_times, n_points)."""
+    U = range_only_U(kit, c0, k)
+    return projected_frak_L_series(kit, U[:k], U[k], k)
 
 
 def state_independent(values_1d, n_states):
@@ -259,18 +290,23 @@ class TestLOperators:
 
 
 class TestFrakL:
+    """regular.projected_frak_L_series forms Σ_j Π script-L_j c_{k-j} in closed
+    form; reference_frak_L is the recursion it replaces."""
+
     def test_k1_matches_explicit_formula(self):
         # Π script-L_1 = Π L_1 R0 L_1 + Π μ_2 L_2
         kit = _constant_kit()
         times = np.linspace(0.0, 1.0, 201)
         c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
-        got = projected_frak_L_series(1, kit, c0).values[100]
-        l1 = L_series(1, kit, c0)
-        r0l1 = l1.map_values(lambda v: state_mix(kit.R0, v))
+        l1 = L_series_values(1, kit, c0)
+        r0l1 = TimeSeries(state_mix(kit.R0, l1), c0.grid, c0.h_t)
         term1 = L_series_values(1, kit, r0l1)[100]
         term2 = kit.mu(2)[:, None] * L_series_values(2, kit, c0)[100]
         expected = kit.project_values(term1 + term2)
-        assert np.abs(got - expected).max() < 1e-12
+        reference = kit.project_values(reference_frak_L(1, kit, c0)[100])
+        assert np.abs(reference - expected).max() < 1e-12
+        got = projected_frak_L_of_c0(1, kit, c0)[100]
+        assert np.abs(got - expected[0]).max() < 1e-12
 
     def test_single_state_reduces_to_tail_term(self):
         grid = UGrid(-8.0, 8.0, 257)
@@ -281,9 +317,10 @@ class TestFrakL:
         assert np.abs(kit.R0).max() < 1e-14
         times = np.linspace(0.0, 1.0, 201)
         c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
-        got = frak_L_series(2, kit, c0).values
         expected = kit.mu(3)[None, :, None] * L_series_values(3, kit, c0)
-        assert np.abs(got - expected).max() < 1e-12
+        assert np.abs(reference_frak_L(2, kit, c0) - expected).max() < 1e-12
+        got = projected_frak_L_of_c0(2, kit, c0)
+        assert np.abs(got - expected[:, 0, :]).max() < 1e-12
 
     def test_collapse_vanishes(self):
         from conftest import make_collapse_model, make_collapse_field
@@ -291,12 +328,13 @@ class TestFrakL:
         times = np.linspace(0.0, 1.0, 201)
         c0 = solve_c0(kit, PHI, times, averaged_flow_table(kit, times))
         for k in (1, 2):
-            out = projected_frak_L_series(k, kit, c0)
-            assert sup_norm(out.values) < 1e-6
+            assert sup_norm(kit.project_values(reference_frak_L(k, kit, c0))) < 1e-6
+            assert sup_norm(projected_frak_L_of_c0(k, kit, c0)) < 1e-6
 
     def test_direct_sum_identity(self):
-        """The recursion must reproduce the solvability source assembled
-        directly from the range components (orders 1 and 2)."""
+        """The closed form (the order-(k+1) right side with U_k^R in place of
+        U_k) must reproduce the recursion summed over the solved coefficients
+        (orders 1 and 2)."""
         from fastswitch.pipeline import build_expansion
         kit_model = make_model_a()
         fld = make_pm_field()
@@ -306,12 +344,8 @@ class TestFrakL:
         for k in (1, 2):
             total = 0.0
             for j in range(1, k + 1):
-                total = total + projected_frak_L_series(j, kit, res.c[k - j]).values
-            # direct form: Π [ L_1 U_k^R + Σ_{n=2..k+1} μ_n L_n U_{k+1-n} ]
-            direct = L_series_values(1, kit, res.U_R[k])
-            for n in range(2, k + 2):
-                direct = direct + kit.mu(n)[None, :, None] * L_series_values(n, kit, res.U[k + 1 - n])
-            direct = kit.project_values(direct)
+                total = total + kit.project_values(reference_frak_L(j, kit, res.c[k - j]))
+            closed = projected_frak_L_series(kit, res.U[:k], res.U_R[k], k)
             # FD differentiation of solved series is noisiest at the ends
             sl = slice(4, -4)
-            assert np.abs(total[sl] - direct[sl]).max() < 2e-5, f"k={k}"
+            assert np.abs(total[sl, 0] - closed[sl]).max() < 2e-5, f"k={k}"

@@ -142,9 +142,11 @@ class TestRegularTerm:
         assert np.abs(res.U[1].values - res.c[1].values).max() < 1e-13
 
     def test_solvability_residual_small(self, expansion_a):
+        # Q c_k = 0 and Q R0 = I - Π, so Q U_k - S_k = -Π S_k: the system
+        # residual is the solvability residual |Π S_k|
         d = expansion_a.diagnostics["orders"]
-        assert d[1]["solvability_sup"] < 1e-6
-        assert d[2]["solvability_sup"] < 1e-5
+        assert d[1]["system15_residual"] < 1e-6
+        assert d[2]["system15_residual"] < 1e-5
 
     def test_projection_defect(self, expansion_a):
         d = expansion_a.diagnostics["orders"]
@@ -217,9 +219,17 @@ class TestViews:
         assert len(res.U) == 3 and len(res.W) == 3
         assert len(res.c) == len(res.U_R) == len(res.ck0) == 3
         orders = res.diagnostics["orders"]
-        assert orders[1]["solvability_sup"] < 1e-6
+        assert orders[1]["system15_residual"] < 1e-6
         assert orders[1]["w_decay_ratio"] < 1e-3
         assert np.abs(res.W[1].values[0] + res.U[1].values[0]).max() < 1e-12
+
+    def test_negative_time_rejected(self, expansion_a):
+        # a negative index would silently read the series from its end
+        t = -10 * expansion_a.h_t
+        with pytest.raises(ValueError, match="time grid"):
+            expansion_a.t_index(t)
+        with pytest.raises(ValueError, match="time grid"):
+            expansion_a.evaluate(0.1, t)
 
 
 class TestPermutationEquivariance:
