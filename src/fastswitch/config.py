@@ -11,7 +11,7 @@ import numpy as np
 from .field import StateVelocity, TestFunction, UGrid, VelocityField
 from .model import SemiMarkovModel, SojournDistribution
 from .oracle import MIN_SAMPLES
-from .pipeline import MAX_ORDER
+from .pipeline import MAX_ORDER, time_steps
 
 
 class ConfigError(ValueError):
@@ -60,9 +60,10 @@ def _require(doc: dict, key: str, context: str):
 
 def _number(val, name: str, cast=float, positive: bool = False):
     """val as a finite number, integral for cast=int and > 0 if positive;
-    anything else (a fraction for an integer, a boolean) is a ConfigError."""
+    anything else (a fraction for an integer, a boolean, a string) is a
+    ConfigError."""
     try:
-        num = None if isinstance(val, bool) else float(val)
+        num = None if isinstance(val, (bool, str)) else float(val)
     except (TypeError, ValueError, OverflowError):
         num = None
     if (num is None or not math.isfinite(num) or (positive and not num > 0)
@@ -71,6 +72,13 @@ def _number(val, name: str, cast=float, positive: bool = False):
         need += (" >= 1" if cast is int else " > 0") if positive else ""
         raise ConfigError(f"{name} must be {need}, got {val!r}")
     return cast(num)
+
+
+def _numbers(vals, name: str) -> list:
+    """Each entry of the list vals as a finite number, entry i named name[i]."""
+    if not isinstance(vals, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {vals!r}")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(vals)]
 
 
 def _positive(doc: dict, key: str, default, where: str, cast=float):
@@ -87,52 +95,52 @@ def _built(section: str, cls, **fields):
         raise ConfigError(f"{section}.{exc}") from exc
 
 
+_SOJOURN_KEYS = {"exponential": ("rate",), "erlang": ("rate", "shape"),
+                 "uniform": ("a", "b")}
+_VELOCITY_KEYS = {"constant": ("value",), "linear": ("slope", "intercept")}
+
+
 def _sojourn_from_doc(doc: dict, where: str) -> SojournDistribution:
     fam = _require(doc, "family", where)
+    if fam not in _SOJOURN_KEYS:
+        raise ConfigError(f"unknown sojourn family {fam!r} in {where}")
+    params = {key: _number(_require(doc, key, where), f"{where}.{key}",
+                           int if key == "shape" else float)
+              for key in _SOJOURN_KEYS[fam]}
     try:
-        if fam == "exponential":
-            return SojournDistribution("exponential", rate=float(_require(doc, "rate", where)))
-        if fam == "erlang":
-            return SojournDistribution("erlang", rate=float(_require(doc, "rate", where)),
-                                       shape=_number(_require(doc, "shape", where),
-                                                     f"{where}.shape", int))
-        if fam == "uniform":
-            return SojournDistribution("uniform", a=float(_require(doc, "a", where)),
-                                       b=float(_require(doc, "b", where)))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        return SojournDistribution(fam, **params)
+    except ValueError as exc:
         raise ConfigError(f"bad sojourn parameters in {where}: {exc}") from exc
-    raise ConfigError(f"unknown sojourn family {fam!r} in {where}")
 
 
 def _velocity_from_doc(doc: dict, where: str, grid: UGrid) -> StateVelocity:
     kind = _require(doc, "kind", where)
-    if kind == "constant":
-        return StateVelocity("constant", value=float(_require(doc, "value", where)))
-    if kind == "linear":
-        return StateVelocity("linear", slope=float(_require(doc, "slope", where)),
-                             intercept=float(_require(doc, "intercept", where)))
     if kind == "tabulated":
-        vals = np.asarray(_require(doc, "values", where), dtype=float)
-        if vals.shape != (grid.n_points,):
+        vals = _numbers(_require(doc, "values", where), f"{where}.values")
+        if len(vals) != grid.n_points:
             raise ConfigError(f"tabulated velocity in {where} must have {grid.n_points} values")
-        return StateVelocity("tabulated", table=vals)
-    raise ConfigError(f"unknown velocity kind {kind!r} in {where}")
+        return StateVelocity("tabulated", table=np.array(vals))
+    if kind not in _VELOCITY_KEYS:
+        raise ConfigError(f"unknown velocity kind {kind!r} in {where}")
+    return StateVelocity(kind, **{key: _number(_require(doc, key, where), f"{where}.{key}")
+                                  for key in _VELOCITY_KEYS[kind]})
 
 
 def config_from_document(doc: dict) -> RunConfig:
     mdoc = _require(doc, "model", "document")
     states = tuple(_require(mdoc, "states", "model"))
-    P = np.asarray(_require(mdoc, "transitions", "model"), dtype=float)
+    n = len(states)
+    rows = _require(mdoc, "transitions", "model")
+    if isinstance(rows, list):
+        rows = [_numbers(r, f"model.transitions[{i}]") for i, r in enumerate(rows)]
+    if not isinstance(rows, list) or [len(r) for r in rows] != [n] * n:
+        raise ConfigError(f"transitions must be {n}x{n}")
     sojourns = [_sojourn_from_doc(s, f"model.sojourns[{i}]")
                 for i, s in enumerate(_require(mdoc, "sojourns", "model"))]
-    if len(sojourns) != len(states):
+    if len(sojourns) != n:
         raise ConfigError("model.sojourns must list one entry per state")
-    if P.shape != (len(states), len(states)):
-        raise ConfigError(f"transitions must be {len(states)}x{len(states)}")
     try:
-        model = SemiMarkovModel(states=states, P=P, sojourns=tuple(sojourns))
+        model = SemiMarkovModel(states=states, P=np.array(rows), sojourns=tuple(sojourns))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -143,7 +151,7 @@ def config_from_document(doc: dict) -> RunConfig:
                   boundary_mode=gdoc.get("boundary_mode", "extrapolate"))
 
     vdoc = _require(doc, "velocity", "document")
-    if len(vdoc) != len(states):
+    if len(vdoc) != n:
         raise ConfigError("velocity must list one entry per state")
     fld = VelocityField(grid, tuple(_velocity_from_doc(v, f"velocity[{i}]", grid)
                                     for i, v in enumerate(vdoc)))
@@ -152,7 +160,7 @@ def config_from_document(doc: dict) -> RunConfig:
     phi = _built("test_function", TestFunction, kind=tdoc.get("kind", "gaussian"),
                  center=_number(tdoc.get("center", 0.0), "test_function.center"),
                  width=_number(tdoc.get("width", 1.0), "test_function.width"),
-                 coeffs=tuple(tdoc.get("coeffs", (1.0,))))
+                 coeffs=tuple(_numbers(tdoc.get("coeffs", (1.0,)), "test_function.coeffs")))
 
     time_doc = doc.get("time", {})
     horizon = _positive(time_doc, "horizon", 1.0, "time")
@@ -162,7 +170,7 @@ def config_from_document(doc: dict) -> RunConfig:
     tau_max = layer_doc.get("tau_max")
     if tau_max is not None and (type(tau_max) not in (int, float) or not 0 < tau_max < math.inf):
         raise ConfigError(f"layer.tau_max must be null or a number > 0, got {tau_max!r}")
-    eps = tuple(float(e) for e in doc.get("epsilons", (0.2, 0.1, 0.05, 0.025)))
+    eps = tuple(_numbers(doc.get("epsilons", (0.2, 0.1, 0.05, 0.025)), "epsilons"))
     for e in eps:
         if not 0.0 < e < 1.0:
             raise ConfigError(f"epsilon {e} outside (0, 1)")
@@ -173,8 +181,8 @@ def config_from_document(doc: dict) -> RunConfig:
                           seed=_number(odoc.get("seed", 20240811), "oracle.seed", int),
                           h_s=_positive(odoc, "h_s", 0.02, "oracle"),
                           u_stride=_positive(odoc, "u_stride", 16, "oracle", int),
-                          t_eval=tuple(_number(t, "oracle.t_eval")
-                                       for t in odoc.get("t_eval", (0.5, 1.0))),
+                          t_eval=tuple(_numbers(odoc.get("t_eval", (0.5, 1.0)),
+                                                "oracle.t_eval")),
                           richardson=odoc.get("richardson", False))
     if not isinstance(oracle.richardson, bool):
         raise ConfigError(f"oracle.richardson must be true or false, got {oracle.richardson!r}")
@@ -184,8 +192,8 @@ def config_from_document(doc: dict) -> RunConfig:
                           f"got {oracle.n_samples!r}")
     if oracle.method not in ("direct", "mc"):
         raise ConfigError(f"oracle.method must be 'direct' or 'mc', got {oracle.method!r}")
-    # the expansion's time step, as build_expansion derives it from h_t
-    step = horizon / max(4, int(round(horizon / h_t)))
+    # the expansion's time step, by build_expansion's own rule
+    step = horizon / time_steps(horizon, h_t)
     for t in oracle.t_eval:
         if not (0.0 < t <= horizon and abs(round(t / step) * step - t) <= 1e-9 * max(1.0, t)):
             raise ConfigError(f"oracle.t_eval {t} must lie in (0, {horizon}] on the "

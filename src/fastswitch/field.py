@@ -1,7 +1,7 @@
 """Spatial discretization: u-grid, velocity fields and flows.
 
 The evolution semigroup is composition with the characteristic flow, so the
-module provides exact flows for constant/linear fields, RK4 for tabulated
+module provides exact flows for affine fields, RK4 for tabulated
 ones, and local Lagrange interpolation to evaluate grid data at flowed
 points.  Differentiation is 4th-order finite differences throughout.
 """
@@ -207,7 +207,11 @@ def u_derivative_values(values: np.ndarray, grid: UGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateVelocity:
-    """Velocity v(u) of a single state: constant, linear (a*u + b) or tabulated."""
+    """Velocity v(u) of a single state: constant, linear (a*u + b) or tabulated.
+
+    A constant velocity is stored as the affine law with slope 0 and
+    intercept value, so only affine and tabulated fields reach the flows.
+    """
 
     kind: str
     value: float = 0.0
@@ -220,6 +224,12 @@ class StateVelocity:
             raise ValueError(f"unknown velocity kind {self.kind!r}")
         if self.kind == "tabulated" and self.table is None:
             raise ValueError("tabulated velocity needs values")
+        if self.kind == "constant":
+            if self.slope != 0.0 or self.intercept != 0.0:
+                raise ValueError("constant velocity takes value only, got "
+                                 f"slope={self.slope!r}, intercept={self.intercept!r}")
+            object.__setattr__(self, "slope", 0.0)
+            object.__setattr__(self, "intercept", self.value)
 
 
 @dataclass
@@ -234,11 +244,8 @@ class VelocityField:
         self.specs = tuple(self.specs)
         rows = []
         for spec in self.specs:
-            u = self.grid.nodes
-            if spec.kind == "constant":
-                rows.append(np.full(self.grid.n_points, spec.value))
-            elif spec.kind == "linear":
-                rows.append(spec.slope * u + spec.intercept)
+            if spec.kind != "tabulated":
+                rows.append(spec.slope * self.grid.nodes + spec.intercept)
             else:
                 tab = np.asarray(spec.table, dtype=float)
                 if tab.shape != (self.grid.n_points,):
@@ -257,9 +264,7 @@ class VelocityField:
     def eval_state(self, x: int, positions: np.ndarray) -> np.ndarray:
         spec = self.specs[x]
         pos = np.asarray(positions, dtype=float)
-        if spec.kind == "constant":
-            return np.full_like(pos, spec.value)
-        if spec.kind == "linear":
+        if spec.kind != "tabulated":
             return spec.slope * pos + spec.intercept
         return interp_eval(self.grid, self.values[x], pos)
 
@@ -269,15 +274,13 @@ def flow(fld: VelocityField, x: int, u0, t, h_flow: float | None = None,
     """Characteristic position u_x(t) started from u0.
 
     t is a scalar or an array that broadcasts against u0 (one duration per
-    element).  Closed form for constant and linear fields; for tabulated ones
+    element).  Closed form for affine fields; for tabulated ones
     RK4 with one step count taken from max|t|, so each element advances by
     t/n per step with t/n <= h_flow.
     """
     u0 = np.asarray(u0, dtype=float)
     spec = fld.specs[x]
-    if spec.kind == "constant":
-        out = u0 + spec.value * t
-    elif spec.kind == "linear":
+    if spec.kind != "tabulated":
         a, b = spec.slope, spec.intercept
         if abs(a) < 1e-300:
             out = u0 + b * t
@@ -309,12 +312,12 @@ def flow_positions(fld: VelocityField, x: int, times: np.ndarray,
                    h_flow: float | None = None, check: bool = True) -> np.ndarray:
     """u_x(t) from every grid node, for each t in an increasing time array.
 
-    Closed-form fields evaluate every time in one call; tabulated fields
+    Affine fields evaluate every time in one call; tabulated fields
     advance incrementally so the cost stays linear in len(times).
     """
     times = np.asarray(times, dtype=float)
     nodes = fld.grid.nodes
-    if fld.specs[x].kind in ("constant", "linear"):
+    if fld.specs[x].kind != "tabulated":
         out = flow(fld, x, nodes, times[:, None], check=False)
     else:
         out = np.empty((len(times), len(nodes)))
@@ -334,18 +337,12 @@ def flow_positions(fld: VelocityField, x: int, times: np.ndarray,
 def averaged_velocity(pi: np.ndarray, fld: VelocityField) -> VelocityField:
     """v̂(u) = Σ_x π_x v(u; x) as a single-state field.
 
-    Keeps constant/linear structure when every state shares it, so averaged
-    flows stay closed-form.
+    Keeps affine structure when every state is affine, so averaged flows
+    stay closed-form.
     """
-    kinds = {s.kind for s in fld.specs}
-    if kinds == {"constant"}:
-        v = float(sum(p * s.value for p, s in zip(pi, fld.specs)))
-        spec = StateVelocity("constant", value=v)
-    elif kinds <= {"constant", "linear"}:
-        a = float(sum(p * (s.slope if s.kind == "linear" else 0.0)
-                      for p, s in zip(pi, fld.specs)))
-        b = float(sum(p * (s.intercept if s.kind == "linear" else s.value)
-                      for p, s in zip(pi, fld.specs)))
+    if all(s.kind != "tabulated" for s in fld.specs):
+        a = float(sum(p * s.slope for p, s in zip(pi, fld.specs)))
+        b = float(sum(p * s.intercept for p, s in zip(pi, fld.specs)))
         spec = StateVelocity("linear", slope=a, intercept=b)
     else:
         tab = np.tensordot(pi, fld.values, axes=(0, 0))

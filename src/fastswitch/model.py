@@ -28,7 +28,8 @@ class SojournDistribution:
     """Sojourn-time law of one state.
 
     family is one of "exponential" (rate), "erlang" (shape, rate) or
-    "uniform" (a, b).  All three have every moment finite and an exponential
+    "uniform" (a, b).  An exponential law is the erlang law of shape 1 and is
+    computed as one.  All three have every moment finite and an exponential
     moment in a neighbourhood of zero, which is what the layer solves rely on.
     """
 
@@ -41,50 +42,47 @@ class SojournDistribution:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ModelError(f"unknown sojourn family {self.family!r}")
-        if self.family in ("exponential", "erlang"):
-            if not self.rate > 0:
-                raise ModelError(f"{self.family} rate must be positive, got {self.rate}")
-            if self.family == "erlang" and (self.shape < 1 or self.shape != int(self.shape)):
-                raise ModelError(f"erlang shape must be a positive integer, got {self.shape}")
-        else:
+        if self.family == "uniform":
             if self.a < 0 or self.b <= self.a:
                 raise ModelError(f"uniform needs 0 <= a < b, got a={self.a}, b={self.b}")
+            return
+        if not self.rate > 0:
+            raise ModelError(f"{self.family} rate must be positive, got {self.rate}")
+        if self.family == "exponential" and self.shape != 1:
+            raise ModelError(f"exponential shape must be 1 (use erlang), got {self.shape}")
+        if self.shape < 1 or self.shape != int(self.shape):
+            raise ModelError(f"erlang shape must be a positive integer, got {self.shape}")
 
     # -- distribution functions ------------------------------------------------
 
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return 1.0 - self.survival(t)
+    def _gamma_tail(self, terms: int, tp: np.ndarray) -> np.ndarray:
+        """e^(-λτ) Σ_{i<terms} (λτ)^i / i! at τ = tp >= 0, the survival of the
+        erlang law of shape terms and this rate."""
+        lam_t = self.rate * tp
+        acc = term = 1.0
+        for i in range(1, terms):
+            term = term * lam_t / i
+            acc = acc + term
+        return np.exp(-lam_t) * acc
 
     def survival(self, t):
         """F̄(t) = P(θ > t), vectorized, with F̄(t) = 1 for t < 0."""
         t = np.asarray(t, dtype=float)
         tp = np.maximum(t, 0.0)
-        if self.family == "exponential":
-            out = np.exp(-self.rate * tp)
-        elif self.family == "erlang":
-            lam_t = self.rate * tp
-            acc = np.zeros_like(tp)
-            term = np.ones_like(tp)
-            for i in range(self.shape):
-                if i > 0:
-                    term = term * lam_t / i
-                acc = acc + term
-            out = np.exp(-lam_t) * acc
-        else:
+        if self.family == "uniform":
             out = np.clip((self.b - tp) / (self.b - self.a), 0.0, 1.0)
+        else:
+            out = self._gamma_tail(self.shape, tp)
         return np.where(t < 0, 1.0, out)
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
-        if self.family == "exponential":
-            out = self.rate * np.exp(-self.rate * np.maximum(t, 0.0))
-        elif self.family == "erlang":
+        if self.family == "uniform":
+            out = np.where((t >= self.a) & (t <= self.b), 1.0 / (self.b - self.a), 0.0)
+        else:
             m, lam = self.shape, self.rate
             tp = np.maximum(t, 0.0)
             out = lam**m * tp ** (m - 1) * np.exp(-lam * tp) / math.factorial(m - 1)
-        else:
-            out = np.where((t >= self.a) & (t <= self.b), 1.0 / (self.b - self.a), 0.0)
         return np.where(t < 0, 0.0, out)
 
     # -- moments ---------------------------------------------------------------
@@ -95,15 +93,12 @@ class SojournDistribution:
             raise ValueError("moment order must be >= 0")
         if k == 0:
             return 1.0
-        if self.family == "exponential":
-            return math.factorial(k) / self.rate**k
-        if self.family == "erlang":
-            m = self.shape
-            num = 1.0
-            for i in range(m, m + k):
-                num *= i
-            return num / self.rate**k
-        return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
+        if self.family == "uniform":
+            return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
+        num = 1.0
+        for i in range(self.shape, self.shape + k):
+            num *= i
+        return num / self.rate**k
 
     def reduced_moment(self, k: int) -> float:
         """μ_k = m_k / (k! m_1); μ_1 = 1 identically."""
@@ -116,25 +111,24 @@ class SojournDistribution:
     def nu_coefficient(self, k: int) -> float:
         """ν_k = (-1)^(k+1) (μ_(k+1) - m_k).
 
-        For the gamma-type families the rational prefactor is evaluated
-        exactly, so ν_1 of an exponential is a true zero, not a rounding
-        residue.
+        For the erlang family the rational prefactor is evaluated exactly, so
+        ν_1 of an exponential is a true zero, not a rounding residue.
         """
         if k < 1:
             raise ValueError("nu order must be >= 1")
-        if self.family in ("exponential", "erlang"):
-            from fractions import Fraction
+        if self.family == "uniform":
+            return (-1) ** (k + 1) * (self.reduced_moment(k + 1) - self.moment(k))
+        from fractions import Fraction
 
-            m = self.shape if self.family == "erlang" else 1
-            rising = 1
-            for i in range(m + 1, m + k + 1):
-                rising *= i
-            falling = 1
-            for i in range(m, m + k):
-                falling *= i
-            coeff = Fraction(rising, math.factorial(k + 1)) - falling
-            return (-1) ** (k + 1) * float(coeff) / self.rate**k
-        return (-1) ** (k + 1) * (self.reduced_moment(k + 1) - self.moment(k))
+        m = self.shape
+        rising = 1
+        for i in range(m + 1, m + k + 1):
+            rising *= i
+        falling = 1
+        for i in range(m, m + k):
+            falling *= i
+        coeff = Fraction(rising, math.factorial(k + 1)) - falling
+        return (-1) ** (k + 1) * float(coeff) / self.rate**k
 
     def partial_moment(self, n: int, tau) -> np.ndarray:
         """M_n(τ) = ∫_τ^∞ s^n F(ds), exact per family, vectorized in τ.
@@ -142,21 +136,11 @@ class SojournDistribution:
         Negative τ is treated as τ = 0 (the law has no mass below zero).
         """
         tau = np.maximum(np.asarray(tau, dtype=float), 0.0)
-        if self.family == "exponential":
-            lam = self.rate
-            out = np.exp(-lam * tau)  # M_0
-            for j in range(1, n + 1):
-                out = tau**j * np.exp(-lam * tau) + (j / lam) * out
-            return out
-        if self.family == "erlang":
-            m, lam = self.shape, self.rate
-            coef = 1.0
-            for i in range(m, m + n):
-                coef *= i
-            coef /= lam**n
-            return coef * SojournDistribution("erlang", rate=lam, shape=m + n).survival(tau)
-        c = np.clip(tau, self.a, self.b)
-        return (self.b ** (n + 1) - c ** (n + 1)) / ((n + 1) * (self.b - self.a))
+        if self.family == "uniform":
+            c = np.clip(tau, self.a, self.b)
+            return (self.b ** (n + 1) - c ** (n + 1)) / ((n + 1) * (self.b - self.a))
+        # s^n F(ds) is m_n times the erlang(shape + n) law
+        return self.moment(n) * self._gamma_tail(self.shape + n, tau)
 
     def integrated_survival(self, k: int, tau) -> np.ndarray:
         """F̄^(k)(τ) = ∫_τ^∞ s^(k-1)/(k-1)! F̄(s) ds = [M_k(τ) - τ^k F̄(τ)] / k!."""
@@ -170,19 +154,20 @@ class SojournDistribution:
     def cramer_margin(self) -> float:
         """Largest h with a verified finite exponential moment ∫ e^{ht} F(dt).
 
-        Exponential and erlang admit any h below the rate; uniform laws are
-        compactly supported, reported as a large capped value.
+        Erlang laws admit any h below the rate; uniform laws are compactly
+        supported, reported as a large capped value.
         """
-        if self.family in ("exponential", "erlang"):
-            return (1.0 - 1e-6) * self.rate
-        return 1e6
+        if self.family == "uniform":
+            return 1e6
+        return (1.0 - 1e-6) * self.rate
 
     def decay_point(self, tol: float = _DECAY_TOL) -> float:
-        """Smallest τ with F̄(τ) <= tol."""
-        if self.family == "exponential":
-            return -math.log(tol) / self.rate
+        """Smallest τ with F̄(τ) <= tol: exact for uniform and shape-1 laws,
+        by bisection otherwise."""
         if self.family == "uniform":
             return self.b
+        if self.shape == 1:
+            return -math.log(tol) / self.rate
         lo, hi = 0.0, 1.0
         while self.survival(hi) > tol:
             hi *= 2.0
@@ -197,14 +182,12 @@ class SojournDistribution:
     @property
     def n_uniforms(self) -> int:
         """Uniform variates one sojourn draw consumes."""
-        return self.shape if self.family == "erlang" else 1
+        return 1 if self.family == "uniform" else self.shape
 
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms on the last axis (at least n_uniforms of them) to
-        sojourns: inverse CDF for exponential/uniform, a sum of shape
-        exponentials for erlang."""
-        if self.family == "exponential":
-            return -np.log1p(-u[..., 0]) / self.rate
+        sojourns: inverse CDF for uniform, a sum of shape exponentials for
+        erlang."""
         if self.family == "uniform":
             return self.a + (self.b - self.a) * u[..., 0]
         return -np.log1p(-u[..., :self.shape]).sum(axis=-1) / self.rate
@@ -274,47 +257,17 @@ class ModelDiagnostics:
         )
 
 
-def _adjacency(P: np.ndarray) -> np.ndarray:
-    return P > 1e-15
-
-
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return seen
-
-
-def _is_irreducible(P: np.ndarray) -> bool:
-    adj = _adjacency(P)
-    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
-
-
-def _period(P: np.ndarray) -> int:
-    """gcd of cycle lengths of an irreducible chain, via BFS level differences."""
-    adj = _adjacency(P)
-    n = adj.shape[0]
-    dist = np.full(n, -1)
-    dist[0] = 0
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        for j in np.nonzero(adj[i])[0]:
-            if dist[j] < 0:
-                dist[j] = dist[i] + 1
-                queue.append(j)
-    g = 0
-    for i in range(n):
-        for j in np.nonzero(adj[i])[0]:
-            g = math.gcd(g, dist[i] + 1 - dist[j])
-    return max(g, 1)
+def _power_positive(A: np.ndarray, power: int) -> bool:
+    """Whether every entry of A^power is positive, for a nonnegative (or
+    boolean) square A, by repeated squaring of the 0/1 pattern."""
+    out = np.eye(A.shape[0])
+    base = (A > 0).astype(float)
+    while power:
+        if power & 1:
+            out = (out @ base > 0).astype(float)
+        base = (base @ base > 0).astype(float)
+        power >>= 1
+    return bool(out.all())
 
 
 def validate_model(model: SemiMarkovModel) -> ModelDiagnostics:
@@ -329,12 +282,16 @@ def validate_model(model: SemiMarkovModel) -> ModelDiagnostics:
     if not diag.nonnegative:
         bad = np.argwhere(P < -1e-15)
         diag.messages.append(f"negative transition probabilities at {bad.tolist()}")
-    diag.irreducible = _is_irreducible(P)
+    # a nonnegative n x n pattern A is irreducible iff (I + A)^(n-1) > 0, and
+    # an irreducible A is aperiodic iff A^((n-1)^2+1) > 0 (Wielandt 1950)
+    adj = P > 1e-15
+    n = model.n_states
+    diag.irreducible = _power_positive(adj | np.eye(n, dtype=bool), n - 1)
     if not diag.irreducible:
         diag.messages.append("embedded chain is not irreducible")
         diag.aperiodic = False
     else:
-        diag.aperiodic = _period(P) == 1
+        diag.aperiodic = _power_positive(adj, (n - 1) ** 2 + 1)
         if not diag.aperiodic:
             diag.messages.append("embedded chain is periodic (flagged, not fatal)")
     means = model.mean_sojourns()

@@ -157,13 +157,9 @@ def L_series_values(k: int, kit: OperatorKit, series: TimeSeries) -> np.ndarray:
     """L_k applied to a whole series; returns (n_times, n_states, n_points)."""
     if k < 1:
         raise ValueError("L order must be >= 1")
-    n = kit.model.n_states
     out = 0.0
     for j in range(k + 1):
-        dv = series.derivative_values(j)
-        if dv.shape[1] != n:
-            dv = np.repeat(dv, n, axis=1)
-        pu = state_mix(kit.P, dv)
+        pu = state_mix(kit.P, series.derivative_values(j))
         coeff = (-1.0) ** (j + 1) * math.comb(k, j)
         out = out + coeff * velocity_power_values(kit.fld, pu, k - j)
     return out

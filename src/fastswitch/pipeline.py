@@ -81,6 +81,12 @@ class ExpansionResult:
         return total
 
 
+def time_steps(horizon: float, h_t: float) -> int:
+    """Number of equal steps of the expansion's time grid on [0, horizon]:
+    the nearest to horizon / h_t, and at least 4."""
+    return max(4, int(round(horizon / h_t)))
+
+
 def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunction,
                     order: int = 2, horizon: float = 1.0, h_t: float = 0.002,
                     h_tau: float = 0.005, tau_max: float | None = None) -> ExpansionResult:
@@ -90,8 +96,7 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
     if not diag.usable:
         raise ValueError("model failed validation: " + "; ".join(diag.messages))
     kit = build_kit(model, fld)
-    n_t = max(4, int(round(horizon / h_t)))
-    times = np.linspace(0.0, horizon, n_t + 1)
+    times = np.linspace(0.0, horizon, time_steps(horizon, h_t) + 1)
     grid_tau = default_tau_grid(kit, h_tau=h_tau, tau_max=tau_max)
 
     flow_table = averaged_flow_table(kit, times)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from fastswitch import cli
 from fastswitch.cli import main
-from fastswitch.config import ConfigError, load_config
+from fastswitch.config import ConfigError, config_from_document, load_config
 
 REPO = Path(__file__).resolve().parent.parent
 MODEL_A = REPO / "configs" / "model_a.json"
@@ -84,6 +85,9 @@ class TestConfig:
         ("grid", "u_max", -6.0),
         ("grid", "u_max", float("nan")), ("grid", "n_points", 8),
         ("grid", "boundary_mode", "reflect"),
+        ("velocity[0]", "value", float("inf")), ("model.sojourns[0]", "rate", True),
+        ("model.sojourns[0]", "rate", "2"), ("grid", "n_points", "129"),
+        ("time", "horizon", "1"), ("", "epsilons", ["0.2"]),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, section, key, value):
         # small_config: horizon 0.5, h_t 0.005
@@ -91,6 +95,10 @@ class TestConfig:
         doc = json.loads(path.read_text())
         if section == "model.sojourns[1]":
             target = doc["model"]["sojourns"][1] = {"family": "erlang", "rate": 2.0}
+        elif section == "model.sojourns[0]":
+            target = doc["model"]["sojourns"][0]
+        elif section == "velocity[0]":
+            target = doc["velocity"][0]
         else:
             target = doc[section] if section else doc
         target[key] = value
@@ -99,6 +107,30 @@ class TestConfig:
         assert main(["expand", "--config", str(path), "--out", str(out)]) == 2
         assert f"{section}.{key}".lstrip(".") in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("path,entry,name", [
+        (("model", "sojourns", 0), {"family": "uniform", "a": True, "b": 1.0},
+         "model.sojourns[0].a"),
+        (("model", "sojourns", 0), {"family": "uniform", "a": 0.0, "b": "1"},
+         "model.sojourns[0].b"),
+        (("velocity", 1), {"kind": "linear", "slope": "0", "intercept": -1.0},
+         "velocity[1].slope"),
+        (("velocity", 1), {"kind": "linear", "slope": 0.0, "intercept": None},
+         "velocity[1].intercept"),
+        (("velocity", 1), {"kind": "tabulated", "values": [-1.0] * 64 + ["-1"]},
+         "velocity[1].values[64]"),
+        (("model", "transitions", 0), [0.0, "1"], "model.transitions[0][1]"),
+        (("test_function", "coeffs"), [1.0, True], "test_function.coeffs[1]"),
+    ])
+    def test_numeric_leaf_rejected(self, tmp_path, path, entry, name):
+        # small_config: 65 grid points
+        doc = json.loads(small_config(tmp_path).read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = entry
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            config_from_document(doc)
 
     def test_boolean_t_eval_rejected_at_load(self, tmp_path, capsys):
         # on a horizon of 1.0, true would load as the grid time 1.0

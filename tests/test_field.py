@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 
 from fastswitch.field import (DomainEscape, StateVelocity, TestFunction,
                               UGrid, VelocityField, averaged_velocity, flow,
-                              interp_eval, sup_norm, u_derivative_values)
+                              flow_positions, interp_eval, sup_norm,
+                              u_derivative_values)
 from fastswitch.operators import velocity_power_values
 
 
@@ -144,7 +145,9 @@ class TestAveragedVelocity:
                                          StateVelocity("constant", value=-1.0)))
         vhat = averaged_velocity(np.array([2.0 / 3.0, 1.0 / 3.0]), fld)
         assert_allclose(vhat.values[0], 1.0 / 3.0, atol=1e-14)
-        assert vhat.specs[0].kind == "constant"
+        # all-constant fields average to a closed-form affine law
+        assert vhat.specs[0].slope == 0.0
+        assert vhat.specs[0].intercept == 1.0 / 3.0
 
     def test_identical_fields(self, small_grid):
         fld = VelocityField(small_grid, (StateVelocity("linear", slope=0.2, intercept=0.5),) * 3)
@@ -162,6 +165,43 @@ class TestAveragedVelocity:
                                          StateVelocity("constant", value=1.0)))
         vhat = averaged_velocity(np.array([0.25, 0.75]), fld)
         assert_allclose(vhat.values[0], 0.25 * np.sin(u) + 0.75, atol=1e-14)
+
+
+class TestConstantIsAffine:
+    """A constant velocity is the affine law with slope 0: every field
+    operation gives the same bits for either spelling."""
+
+    @pytest.mark.parametrize("value", [0.7, -1.0, 0.0])
+    def test_bit_identical_to_linear(self, small_grid, value):
+        const = VelocityField(small_grid, (StateVelocity("constant", value=value),
+                                           StateVelocity("constant", value=0.25)))
+        lin = VelocityField(small_grid, (StateVelocity("linear", slope=0.0, intercept=value),
+                                         StateVelocity("linear", slope=0.0, intercept=0.25)))
+        u0 = np.linspace(-3.0, 3.0, 11)
+        t = np.linspace(0.0, 1.3, 11)
+        times = np.array([0.0, 0.2, 0.5, 1.0])
+        pi = np.array([0.4, 0.6])
+        np.testing.assert_array_equal(const.values, lin.values)
+        for x in range(2):
+            np.testing.assert_array_equal(const.eval_state(x, u0), lin.eval_state(x, u0))
+            np.testing.assert_array_equal(flow(const, x, u0, t), flow(lin, x, u0, t))
+            np.testing.assert_array_equal(flow(const, x, u0, 0.6), flow(lin, x, u0, 0.6))
+            np.testing.assert_array_equal(flow_positions(const, x, times),
+                                          flow_positions(lin, x, times))
+        v_const, v_lin = averaged_velocity(pi, const), averaged_velocity(pi, lin)
+        np.testing.assert_array_equal(v_const.values, v_lin.values)
+        assert (v_const.specs[0].slope, v_const.specs[0].intercept) == \
+            (v_lin.specs[0].slope, v_lin.specs[0].intercept)
+
+    def test_stored_as_slope_zero(self):
+        spec = StateVelocity("constant", value=-0.5)
+        assert spec.kind == "constant"
+        assert (spec.slope, spec.intercept) == (0.0, -0.5)
+
+    @pytest.mark.parametrize("extra", [{"slope": 0.1}, {"intercept": 2.0}])
+    def test_constant_with_affine_parameters_rejected(self, extra):
+        with pytest.raises(ValueError, match="constant velocity"):
+            StateVelocity("constant", value=2.0, **extra)
 
 
 class TestSupNorm:

@@ -25,6 +25,56 @@ def quadrature_moment(dist: SojournDistribution, k: int) -> float:
     return float(w @ (s**k * dist.density(s)))
 
 
+# -- references for the special cases the general paths now cover ------------------
+
+
+def reference_structure(P: np.ndarray) -> tuple:
+    """(irreducible, aperiodic) by graph search: reachability from state 0
+    forward and backward, then the period as the gcd of BFS level
+    differences over all edges."""
+    adj = P > 1e-15
+    n = adj.shape[0]
+
+    def reachable(a):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in np.nonzero(a[i])[0]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        return seen
+
+    if not (reachable(adj).all() and reachable(adj.T).all()):
+        return False, False
+    dist = np.full(n, -1)
+    dist[0] = 0
+    queue = [0]
+    while queue:
+        i = queue.pop(0)
+        for j in np.nonzero(adj[i])[0]:
+            if dist[j] < 0:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    g = 0
+    for i in range(n):
+        for j in np.nonzero(adj[i])[0]:
+            g = math.gcd(g, int(dist[i] + 1 - dist[j]))
+    return True, max(g, 1) == 1
+
+
+def reference_exponential_partial_moment(lam: float, n: int, tau) -> np.ndarray:
+    """M_n(τ) of an exponential(λ) law by the recursion
+    M_j = τ^j e^(-λτ) + (j/λ) M_(j-1), M_0 = e^(-λτ)."""
+    tau = np.maximum(np.asarray(tau, dtype=float), 0.0)
+    out = np.exp(-lam * tau)
+    for j in range(1, n + 1):
+        out = tau**j * np.exp(-lam * tau) + (j / lam) * out
+    return out
+
+
 DISTS = [
     SojournDistribution("exponential", rate=2.0),
     SojournDistribution("exponential", rate=0.7),
@@ -113,6 +163,41 @@ class TestPartialMoments:
         dist = SojournDistribution("uniform", a=0.0, b=1.0)
         assert dist.integrated_survival(1, 1.0) == 0.0
         assert dist.integrated_survival(1, 2.5) == 0.0
+
+
+class TestExponentialIsErlangOne:
+    """Exponential laws run through the erlang formulas with shape 1; the
+    closed forms of the exponential family are the reference."""
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 1.5, 2.0, 20.0])
+    def test_partial_moments_match_recursion(self, lam):
+        dist = SojournDistribution("exponential", rate=lam)
+        tau = np.linspace(0.0, dist.decay_point(1e-15), 2001)
+        for n in range(7):
+            assert_allclose(dist.partial_moment(n, tau),
+                            reference_exponential_partial_moment(lam, n, tau),
+                            rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0, 20.0])
+    def test_closed_forms_bit_identical(self, lam):
+        dist = SojournDistribution("exponential", rate=lam)
+        t = np.linspace(-1.0, 40.0 / lam, 501)
+        tp = np.maximum(t, 0.0)
+        u = np.random.default_rng(3).random((1000, 4))
+        np.testing.assert_array_equal(dist.from_uniforms(u), -np.log1p(-u[:, 0]) / lam)
+        np.testing.assert_array_equal(dist.survival(t), np.where(t < 0, 1.0, np.exp(-lam * tp)))
+        np.testing.assert_array_equal(dist.density(t),
+                                      np.where(t < 0, 0.0, lam * np.exp(-lam * tp)))
+        for k in range(8):
+            assert dist.moment(k) == math.factorial(k) / lam**k
+        assert dist.nu_coefficient(1) == 0.0
+        assert dist.n_uniforms == 1
+        assert dist.cramer_margin() == (1.0 - 1e-6) * lam
+        assert dist.decay_point(1e-10) == -math.log(1e-10) / lam
+
+    def test_exponential_shape_other_than_one_rejected(self):
+        with pytest.raises(ModelError, match="exponential shape"):
+            SojournDistribution("exponential", rate=1.0, shape=2)
 
 
 class TestStationary:
@@ -206,6 +291,24 @@ class TestValidate:
         diag = validate_model(m)
         assert not diag.usable
         assert any("row" in msg for msg in diag.messages)
+
+    def test_structure_matches_graph_search(self):
+        # random patterns with an edge in every row, from single-edge rows
+        # (permutation-like, often periodic or reducible) to dense ones
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(1500):
+            n = int(rng.integers(1, 9))
+            adj = rng.random((n, n)) < rng.uniform(0.05, 0.7)
+            adj[np.arange(n), rng.integers(0, n, n)] = True
+            P = adj / adj.sum(axis=1, keepdims=True)
+            m = SemiMarkovModel(states=tuple(range(n)), P=P,
+                                sojourns=(SojournDistribution("exponential", rate=1.0),) * n)
+            diag = validate_model(m)
+            got = (diag.irreducible, diag.aperiodic)
+            assert got == reference_structure(P), P
+            seen.add(got)
+        assert seen == {(False, False), (True, False), (True, True)}
 
     def test_cramer_margin_uniform_unbounded(self):
         m = SemiMarkovModel(states=("a",), P=[[1.0]],
