@@ -58,6 +58,18 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _known(doc, keys, where: str) -> dict:
+    """doc as a JSON object whose keys are all among keys: a key nothing
+    reads is a ConfigError naming it, never a setting silently dropped."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}; "
+                              f"expected one of {', '.join(keys)}")
+    return doc
+
+
 def _number(val, name: str, cast=float, positive: bool = False):
     """val as a finite number, integral for cast=int and > 0 if positive;
     anything else (a fraction for an integer, a boolean, a string) is a
@@ -104,6 +116,7 @@ def _sojourn_from_doc(doc: dict, where: str) -> SojournDistribution:
     fam = _require(doc, "family", where)
     if fam not in _SOJOURN_KEYS:
         raise ConfigError(f"unknown sojourn family {fam!r} in {where}")
+    _known(doc, ("family",) + _SOJOURN_KEYS[fam], where)
     params = {key: _number(_require(doc, key, where), f"{where}.{key}",
                            int if key == "shape" else float)
               for key in _SOJOURN_KEYS[fam]}
@@ -116,18 +129,23 @@ def _sojourn_from_doc(doc: dict, where: str) -> SojournDistribution:
 def _velocity_from_doc(doc: dict, where: str, grid: UGrid) -> StateVelocity:
     kind = _require(doc, "kind", where)
     if kind == "tabulated":
+        _known(doc, ("kind", "values"), where)
         vals = _numbers(_require(doc, "values", where), f"{where}.values")
         if len(vals) != grid.n_points:
             raise ConfigError(f"tabulated velocity in {where} must have {grid.n_points} values")
         return StateVelocity("tabulated", table=np.array(vals))
     if kind not in _VELOCITY_KEYS:
         raise ConfigError(f"unknown velocity kind {kind!r} in {where}")
+    _known(doc, ("kind",) + _VELOCITY_KEYS[kind], where)
     return StateVelocity(kind, **{key: _number(_require(doc, key, where), f"{where}.{key}")
                                   for key in _VELOCITY_KEYS[kind]})
 
 
 def config_from_document(doc: dict) -> RunConfig:
-    mdoc = _require(doc, "model", "document")
+    _known(doc, ("model", "velocity", "test_function", "grid", "time", "layer", "order",
+                 "epsilons", "oracle", "output"), "document")
+    mdoc = _known(_require(doc, "model", "document"), ("states", "transitions", "sojourns"),
+                  "model")
     states = tuple(_require(mdoc, "states", "model"))
     n = len(states)
     rows = _require(mdoc, "transitions", "model")
@@ -144,7 +162,8 @@ def config_from_document(doc: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    gdoc = doc.get("grid", {})
+    gdoc = _known(doc.get("grid", {}), ("u_min", "u_max", "n_points", "boundary_mode"),
+                  "grid")
     grid = _built("grid", UGrid, u_min=_number(gdoc.get("u_min", -8.0), "grid.u_min"),
                   u_max=_number(gdoc.get("u_max", 8.0), "grid.u_max"),
                   n_points=_number(gdoc.get("n_points", 257), "grid.n_points", int),
@@ -156,16 +175,17 @@ def config_from_document(doc: dict) -> RunConfig:
     fld = VelocityField(grid, tuple(_velocity_from_doc(v, f"velocity[{i}]", grid)
                                     for i, v in enumerate(vdoc)))
 
-    tdoc = doc.get("test_function", {})
+    tdoc = _known(doc.get("test_function", {}), ("kind", "center", "width", "coeffs"),
+                  "test_function")
     phi = _built("test_function", TestFunction, kind=tdoc.get("kind", "gaussian"),
                  center=_number(tdoc.get("center", 0.0), "test_function.center"),
                  width=_number(tdoc.get("width", 1.0), "test_function.width"),
                  coeffs=tuple(_numbers(tdoc.get("coeffs", (1.0,)), "test_function.coeffs")))
 
-    time_doc = doc.get("time", {})
+    time_doc = _known(doc.get("time", {}), ("horizon", "h_t"), "time")
     horizon = _positive(time_doc, "horizon", 1.0, "time")
     h_t = _positive(time_doc, "h_t", 0.002, "time")
-    layer_doc = doc.get("layer", {})
+    layer_doc = _known(doc.get("layer", {}), ("h_tau", "tau_max"), "layer")
     h_tau = _positive(layer_doc, "h_tau", 0.005, "layer")
     tau_max = layer_doc.get("tau_max")
     if tau_max is not None and (type(tau_max) not in (int, float) or not 0 < tau_max < math.inf):
@@ -175,7 +195,8 @@ def config_from_document(doc: dict) -> RunConfig:
         if not 0.0 < e < 1.0:
             raise ConfigError(f"epsilon {e} outside (0, 1)")
 
-    odoc = doc.get("oracle", {})
+    odoc = _known(doc.get("oracle", {}), ("method", "n_samples", "seed", "h_s", "u_stride",
+                                          "t_eval", "richardson"), "oracle")
     oracle = OracleConfig(method=odoc.get("method", "direct"),
                           n_samples=_positive(odoc, "n_samples", 100000, "oracle", int),
                           seed=_number(odoc.get("seed", 20240811), "oracle.seed", int),
@@ -199,7 +220,7 @@ def config_from_document(doc: dict) -> RunConfig:
             raise ConfigError(f"oracle.t_eval {t} must lie in (0, {horizon}] on the "
                               f"time grid of step {step:.6g}")
 
-    outdoc = doc.get("output", {})
+    outdoc = _known(doc.get("output", {}), ("t_stride", "tau_stride", "u_stride"), "output")
     output = OutputConfig(**{key: _positive(outdoc, key, default, "output", int)
                              for key, default in (("t_stride", 25), ("tau_stride", 40),
                                                   ("u_stride", 1))})

@@ -126,8 +126,13 @@ def interp_weights(grid: UGrid, positions: np.ndarray, order: int = 4):
 
 
 def interp_apply(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Evaluate 1-d grid data (last axis) at precomputed stencils."""
-    return (values[..., idx] * w).sum(axis=-1)
+    """Evaluate 1-d grid data (last axis) at precomputed stencils, summing
+    one stencil column at a time (the order of (values[..., idx] * w).sum(-1),
+    without its width-fold temporary)."""
+    out = values[..., idx[..., 0]] * w[..., 0]
+    for j in range(1, idx.shape[-1]):
+        out += values[..., idx[..., j]] * w[..., j]
+    return out
 
 
 def interp_eval(grid: UGrid, values: np.ndarray, positions: np.ndarray,

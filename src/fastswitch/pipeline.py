@@ -16,7 +16,8 @@ from .operators import OperatorKit, TimeSeries, build_kit, state_mix
 from .regular import (averaged_flow_table, regular_term, solve_c0, solve_ck,
                       system_rhs_values, transport_sources)
 from .singular import (TauGrid, check_boundary_regularity, default_tau_grid,
-                       forcing_terms, initial_ck0, solve_Wk)
+                       forcing_terms, initial_ck0, kernel_node_weights,
+                       renewal_resolvent, solve_Wk)
 
 # high-order time derivatives of the solved series get noisy beyond this
 MAX_ORDER = 3
@@ -112,6 +113,10 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
     result.ck0.append(phi_values.copy())
 
     orders_diag: dict = {}
+    if order > 0:
+        # the layer march's resolvent is the same at every order
+        resolvent = renewal_resolvent(
+            kit.P, kernel_node_weights(model.sojourns, 0, grid_tau.nodes)[0])
     for k in range(1, order + 1):
         rhs_vals = system_rhs_values(kit, result.U, k)
         U_Rk, defect = regular_term(kit, rhs_vals, c0.h_t)
@@ -129,7 +134,7 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
         Uk0 = U_k.values[0]
         Wk0 = -Uk0
 
-        W_series, w_info = solve_Wk(kit, k, grid_tau, Wk0, terms, result.W)
+        W_series, w_info = solve_Wk(kit, k, grid_tau, Wk0, terms, result.W, resolvent)
         result.W.append(W_series)
 
         reg = check_boundary_regularity(kit, Uk0, Wk0, w_info["t0_residual"])
@@ -139,7 +144,8 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
             "ck0_sup": float(np.abs(ck0).max()),
             "ck0_tail_bound": ck0_tail_bound,
             "w_decay_ratio": w_info["decay_ratio"],
-            "w_decay_worst_state": str(w_info["decay_worst_state"]),
+            "w_decay_worst_state": (None if w_info["decay_worst_state"] is None
+                                    else str(w_info["decay_worst_state"])),
             "w_monotone_tail": w_info["monotone_tail"],
             "w_sup": float(sup_norm(W_series.values)),
             "u_sup": float(sup_norm(U_k.values)),

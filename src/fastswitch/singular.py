@@ -138,23 +138,44 @@ def kernel_node_weights(sojourns, r: int, tau_nodes: np.ndarray):
     return w, a
 
 
-# u-columns per FFT pass: bounds the complex temporaries of a long window
+# columns per FFT pass: bounds the complex temporaries of a long window
 _COLUMN_BLOCK = 32
+
+
+def fft_length(n: int) -> int:
+    """Smallest 5-smooth number 2^a 3^b 5^c >= n, which the FFT factors into
+    radix-2, -3 and -5 passes; the next power of two bounds the search."""
+    length = n
+    while True:
+        rest = length
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return length
+        length += 1
 
 
 def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Causal sums out[i] = Σ_{m<=i} kernel[m] @ values[i-m] over fast time.
 
-    kernel is (N, n, n) and values (N, n, n_points); the sums are one
-    zero-padded real-FFT convolution, taken over blocks of u-columns.
+    kernel is (N, n, n) and values (N, n, n_cols); the sums are one
+    zero-padded real-FFT convolution, taken over blocks of columns with fast
+    time as the contiguous transform axis, and the frequency product summed
+    over the n source states.
     """
-    n_nodes = kernel.shape[0]
-    length = 1 << (2 * n_nodes - 2).bit_length()  # >= 2N - 1: no wrap-around
-    k_hat = np.fft.rfft(kernel, length, axis=0)
+    n_nodes, n = kernel.shape[:2]
+    length = fft_length(2 * n_nodes - 1)  # no wrap-around
+    k_hat = np.fft.rfft(np.ascontiguousarray(kernel.transpose(1, 2, 0)), length)
     out = np.empty(values.shape)
     for c in range(0, values.shape[2], _COLUMN_BLOCK):
-        v_hat = np.fft.rfft(values[:, :, c:c + _COLUMN_BLOCK], length, axis=0)
-        out[:, :, c:c + _COLUMN_BLOCK] = np.fft.irfft(k_hat @ v_hat, length, axis=0)[:n_nodes]
+        block = np.ascontiguousarray(values[:, :, c:c + _COLUMN_BLOCK].transpose(1, 2, 0))
+        v_hat = np.fft.rfft(block, length)              # (n, cols, freq)
+        prod = k_hat[:, 0, None] * v_hat[0]
+        for y in range(1, n):
+            prod += k_hat[:, y, None] * v_hat[y]
+        sums = np.fft.irfft(prod, length)[..., :n_nodes]
+        out[:, :, c:c + _COLUMN_BLOCK] = sums.transpose(2, 0, 1)
     return out
 
 
@@ -167,13 +188,19 @@ def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid) -> np.nda
     """
     tau = grid_tau.nodes
     n = kit.model.n_states
-    out = np.zeros((len(tau), n, kit.fld.grid.n_points))
+    out = None
     for r in range(1, k):
         vrpw = velocity_power_values(kit.fld, state_mix(kit.P, W_lower[k - r].values), r)
         w, a = kernel_node_weights(kit.model.sojourns, r, tau)
-        out += history_convolution(w.T[:, :, None] * np.eye(n), vrpw)
-        out -= a.T[:, :, None] * vrpw[0]
-    return out
+        conv = history_convolution(w.T[:, :, None] * np.eye(n), vrpw)
+        if out is None:
+            out = conv
+        else:
+            out += conv
+        # the left-cell term, one state at a time: no full-width temporary
+        for x in range(n):
+            out[:, x] -= np.outer(a[x], vrpw[0, x])
+    return np.zeros((len(tau), n, kit.fld.grid.n_points)) if out is None else out
 
 
 # -- the renewal solve --------------------------------------------------------------
@@ -199,7 +226,7 @@ def renewal_resolvent(P: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
-             terms: list, W_lower: list):
+             terms: list, W_lower: list, resolvent: np.ndarray):
     """Solve the standard-form fast-time renewal equation
 
         ∫_0^τ F(ds) P W_k(τ-s) - W_k(τ) = ψ^k - ψ^k_0 - ψ^k_1
@@ -207,37 +234,62 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     by product integration with an implicit diagonal correction.  The
     forcing is the τ-profiles of the order's forcing_terms and of
     (0, 0, P W_k(0)), plus the history part psi_k0.  The march is linear with
-    a convolution kernel, so it is applied as its discrete resolvent
-    convolved with the forcing.
-    Returns the series and (t0 residual, decay ratio, monotone-tail flag).
+    a convolution kernel, so it is applied as its discrete resolvent (from
+    renewal_resolvent on the r = 0 node weights) convolved with the forcing:
+    each separable term's τ-profile, diagonal-embedded, is convolved once and
+    contracted with its vector; only the history part is convolved at full
+    width.
+    Returns the series and (t0 residual, decay ratio, worst state, monotone-tail flag).
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
-    # forcing f = -(ψ^k - ψ^k_0 - ψ^k_1)
+    n = kit.model.n_states
+    # forcing f = -(ψ^k - ψ^k_0 - ψ^k_1), as the history part plus
+    # separable τ-profiles (N, n) times (n, n_points) vectors
     pw0 = state_mix(kit.P, W_k0)
-    f = psi_k0(kit, W_lower, k, grid_tau) if k > 1 else np.zeros((n_nodes,) + W_k0.shape)
-    for r, n, vec in [(0, 0, pw0), *terms]:
-        f += term_profile(kit.model.sojourns, r, n, tau)[:, :, None] * vec
-    t0_residual = sup_norm(f[0] - W_k0)
+    terms = [(0, 0, pw0), *terms]
+    profiles = [term_profile(kit.model.sojourns, r, m, tau) for r, m, _ in terms]
+    vectors = [vec for _, _, vec in terms]
+    W = psi_k0(kit, W_lower, k, grid_tau) if k > 1 else None
+    f0 = np.zeros_like(W_k0) if W is None else W[0].copy()
+    for prof, vec in zip(profiles, vectors):
+        f0 += prof[0, :, None] * vec
+    t0_residual = sup_norm(f0 - W_k0)
 
     # node i >= 1 of the march solves A W_i - Σ_{m=1..i} diag(w_m) P W_{i-m}
     # = f_i - diag(a_i) P W_0; with right side A W_0 at i = 0 this holds at
-    # every node, so W is the march's resolvent convolved with the right side
+    # every node, so W is the march's resolvent convolved with the right side:
+    # f at i >= 1 less the left-cell correction, and at node 0 a δ whose
+    # convolution is the resolvent itself
     w, a = kernel_node_weights(kit.model.sojourns, 0, tau)
-    f -= a.T[:, :, None] * pw0
-    f[0] = W_k0 - w[:, 0, None] * pw0
-    W = history_convolution(renewal_resolvent(kit.P, w), f)
+    profiles[0] = profiles[0] - a.T
+    diag = np.zeros((n_nodes, n, n * len(profiles)))
+    for t, prof in enumerate(profiles):
+        diag[1:, np.arange(n), t * n + np.arange(n)] = prof[1:]
+    kernel = np.concatenate((history_convolution(resolvent, diag), resolvent), axis=2)
+    kernel = kernel.reshape(n_nodes * n, -1)
+    vectors = np.concatenate(vectors + [W_k0 - w[:, 0, None] * pw0])
+    # one full-width buffer: the history part's convolution, then the
+    # separable part added into it
+    if W is None:
+        W = (kernel @ vectors).reshape(n_nodes, n, -1)
+    else:
+        W[0] = 0.0  # node 0 is the δ's
+        W = history_convolution(resolvent, W)
+        W += (kernel @ vectors).reshape(W.shape)
     W[0] = W_k0
 
     series = TimeSeries(W, kit.fld.grid, grid_tau.h_tau)
     norm0 = sup_norm(W_k0)
-    # a numerically vanishing layer has no meaningful decay ratio
-    decay_ratio = sup_norm(W[-1]) / norm0 if norm0 > 1e-13 else 0.0
-    # a settled layer ends on a state-independent level, so states level with
-    # the worst to rounding of the solve report the first of them
-    terminal_by_state = np.abs(W[-1]).max(axis=1)
-    level = terminal_by_state >= terminal_by_state.max() - 1e-12 * norm0
-    worst_state = kit.model.states[int(np.argmax(level))]
+    # a numerically vanishing layer has no meaningful decay ratio or worst state
+    decay_ratio, worst_state = 0.0, None
+    if norm0 > 1e-13:
+        decay_ratio = sup_norm(W[-1]) / norm0
+        # a settled layer ends on a state-independent level, so states level
+        # with the worst to rounding of the solve report the first of them
+        terminal_by_state = np.abs(W[-1]).max(axis=1)
+        level = terminal_by_state >= terminal_by_state.max() - 1e-12 * norm0
+        worst_state = kit.model.states[int(np.argmax(level))]
     if decay_ratio > 0.1:
         # a layer that retains 10% of its initial size signals an
         # inconsistent initial coefficient, a sign error, or a short window

@@ -25,14 +25,15 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
     singular and regular at call time, or their spans read zero.  The
     transport solves gather one stencil per lag, so interp_apply is called
     O(n_times) times per build, never once per (time, history node) pair, and
-    each order forms its transport source in one closed-form call."""
+    each order forms its transport source in one closed-form call.  The layer
+    march's resolvent is the same at every order and is built once."""
     from fastswitch import pipeline, regular, singular
     from fastswitch.field import UGrid
     from conftest import PHI, make_model_a, make_pm_field
 
     calls = dict.fromkeys(["solve_Wk", "psi_k0", "averaged_flow_table", "solve_c0",
                            "solve_ck", "interp_apply", "initial_ck0",
-                           "projected_frak_L_series"], 0)
+                           "projected_frak_L_series", "renewal_resolvent"], 0)
 
     def counted(module, attr):
         original = getattr(module, attr)
@@ -42,7 +43,8 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapper)
 
-    for attr in ("solve_Wk", "averaged_flow_table", "solve_c0", "solve_ck", "initial_ck0"):
+    for attr in ("solve_Wk", "averaged_flow_table", "solve_c0", "solve_ck", "initial_ck0",
+                 "renewal_resolvent"):
         counted(pipeline, attr)
     counted(singular, "psi_k0")
     counted(regular, "interp_apply")
@@ -52,7 +54,8 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
     assert 0 < calls.pop("interp_apply") <= 3 * len(res.times)
     assert calls.pop("initial_ck0") == 2
     assert calls == {"solve_Wk": 2, "psi_k0": 1, "averaged_flow_table": 1,
-                     "solve_c0": 1, "solve_ck": 2, "projected_frak_L_series": 2}
+                     "solve_c0": 1, "solve_ck": 2, "projected_frak_L_series": 2,
+                     "renewal_resolvent": 1}
 
 
 def test_direct_oracle_flows_each_state_once(monkeypatch):
@@ -123,6 +126,27 @@ def test_package_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def load_worker():
+    """perfbench/worker.py as a module (it imports tracing from its folder)."""
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  TRACING.parent / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
+def test_workload_documents_load(monkeypatch):
+    """Every benchmark workload's config, full size and tiny, passes the
+    loader's key checks."""
+    from fastswitch.config import config_from_document
+
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    worker = load_worker()
+    for name in worker.WORKLOADS:
+        for tiny in (False, True):
+            config_from_document(worker.workload_document(name, 1, tiny=tiny))
+
+
 def test_expand_passes_benchmark_output_check(tmp_path, monkeypatch):
     """The benchmark counts an expand whose outputs fail its check as a failed
     operation; a renamed diagnostics key or a broken c_0.csv fails here first."""
@@ -130,10 +154,7 @@ def test_expand_passes_benchmark_output_check(tmp_path, monkeypatch):
     from fastswitch.cli import main
 
     monkeypatch.syspath_prepend(str(TRACING.parent))   # worker imports tracing
-    spec = importlib.util.spec_from_file_location("perfbench_worker",
-                                                  TRACING.parent / "worker.py")
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    worker = load_worker()
     doc = worker.workload_document("expand-erlang", 1, tiny=True)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))

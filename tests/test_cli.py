@@ -132,6 +132,36 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(name)):
             config_from_document(doc)
 
+    @pytest.mark.parametrize("path,entry,key", [
+        (("model", "sojourns", 0), {"family": "exponential", "rate": 1.0, "shape": 2},
+         "shape"),
+        (("velocity", 1), {"kind": "constant", "value": -1.0, "slope": 0.5}, "slope"),
+        (("velocity", 1), {"kind": "tabulated", "values": [-1.0] * 65, "value": -1.0},
+         "value"),
+        (("horizon",), 1.0, "horizon"),
+        (("model", "initial"), "a", "initial"),
+        (("grid", "spacing"), 0.1, "spacing"),
+        (("test_function", "centre"), 0.5, "centre"),
+        (("time", "h_tau"), 0.01, "h_tau"),
+        (("layer", "n_tau"), 800, "n_tau"),
+        (("oracle", "samples"), 5000, "samples"),
+        (("output", "stride"), 2, "stride"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, path, entry, key):
+        # the loader reads every key it accepts, so a misspelt or misplaced
+        # one fails instead of leaving its setting at the default
+        doc = json.loads(small_config(tmp_path).read_text())
+        parent = doc
+        for part in path[:-1]:
+            parent = parent[part]
+        parent[path[-1]] = entry
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            config_from_document(doc)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.json")))
+    def test_shipped_configs_load(self, name):
+        load_config(REPO / "configs" / name)
+
     def test_boolean_t_eval_rejected_at_load(self, tmp_path, capsys):
         # on a horizon of 1.0, true would load as the grid time 1.0
         path = small_config(tmp_path, time={"horizon": 1.0, "h_t": 0.005})

@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 
 from fastswitch.field import (DomainEscape, StateVelocity, TestFunction,
                               UGrid, VelocityField, averaged_velocity, flow,
-                              flow_positions, interp_eval, sup_norm,
-                              u_derivative_values)
+                              flow_positions, interp_apply, interp_eval,
+                              interp_weights, sup_norm, u_derivative_values)
 from fastswitch.operators import velocity_power_values
 
 
@@ -202,6 +202,24 @@ class TestConstantIsAffine:
     def test_constant_with_affine_parameters_rejected(self, extra):
         with pytest.raises(ValueError, match="constant velocity"):
             StateVelocity("constant", value=2.0, **extra)
+
+
+class TestInterpApply:
+    @pytest.mark.parametrize("width", [4, 6])
+    @pytest.mark.parametrize("value_shape", [(65,), (7, 65), (5, 3, 65)])
+    @pytest.mark.parametrize("stencil_shape", [(65,), (5, 65)])
+    def test_bit_identical_to_gathered_sum(self, width, value_shape, stencil_shape):
+        """Column-at-a-time accumulation adds the stencil products in the
+        order of the gathered sum; the FD time derivatives of the transport
+        solves amplify any rounding change, so the two must agree exactly."""
+        rng = np.random.default_rng(width * 100 + len(value_shape) * 10 + len(stencil_shape))
+        grid = UGrid(-6.0, 6.0, 65)
+        idx, w = interp_weights(grid, rng.uniform(-7.0, 7.0, stencil_shape), width)
+        values = rng.normal(size=value_shape)
+        expected = (values[..., idx] * w).sum(axis=-1)
+        out = interp_apply(values, idx, w)
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
 
 
 class TestSupNorm:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,17 @@ from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import TimeSeries, build_kit, state_mix, velocity_power_values
 from fastswitch.pipeline import build_expansion
 from fastswitch.regular import cumulative_simpson_weights
+from fastswitch import singular
+from fastswitch.config import load_config
 from fastswitch.singular import (LayerWindowError, TauGrid, default_tau_grid,
-                                 forcing_terms, history_convolution,
+                                 fft_length, forcing_terms, history_convolution,
                                  kernel_node_weights, layer_time_integral,
-                                 negative_extension, psi_k0, solve_Wk,
-                                 term_integral, term_profile)
+                                 negative_extension, psi_k0, renewal_resolvent,
+                                 solve_Wk, term_integral, term_profile)
 
-from conftest import GRID, PHI, make_mixed_model, make_model_a, make_pm_field
+from conftest import GRID, PHI, make_mixed_model, make_model_a, make_model_b, make_pm_field
+
+DETERMINISTIC = Path(__file__).resolve().parent.parent / "configs" / "deterministic.json"
 
 
 def make_mixed_field() -> VelocityField:
@@ -57,6 +62,28 @@ def reference_march(kit, grid_tau, g, W_k0):
         W[i] = A_inv @ rhs
         pw[i] = state_mix(kit.P, W[i])
     return W
+
+
+def reference_solve_Wk(kit, k, grid_tau, W_k0, terms, W_lower):
+    """The layer from the full-width forcing: every term's τ-profile times its
+    vector summed into one (N, n_states, n_points) right side, corrected at
+    node 0 and in the left cell, then convolved with the march's resolvent."""
+    tau = grid_tau.nodes
+    pw0 = state_mix(kit.P, W_k0)
+    f = profile_sum(kit, [(0, 0, pw0)] + terms, tau)
+    if k > 1:
+        f += psi_k0(kit, W_lower, k, grid_tau)
+    w, a = kernel_node_weights(kit.model.sojourns, 0, tau)
+    f -= a.T[:, :, None] * pw0
+    f[0] = W_k0 - w[:, 0, None] * pw0
+    W = history_convolution(renewal_resolvent(kit.P, w), f)
+    W[0] = W_k0
+    return W
+
+
+def layer_resolvent(kit, grid_tau):
+    return renewal_resolvent(kit.P, kernel_node_weights(kit.model.sojourns, 0,
+                                                        grid_tau.nodes)[0])
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +216,11 @@ class TestKernelWeights:
 
 
 class TestHistoryConvolution:
+    # 2 n_nodes - 1 = 65, 199 and 513 pad to 72, 200 and 540, well short of
+    # the powers of two 128, 256 and 1024
     @pytest.mark.parametrize("n,n_nodes,n_points", [
-        (1, 17, 65), (1, 24, 257), (3, 17, 257), (3, 24, 65)])
+        (1, 17, 65), (1, 24, 257), (3, 17, 257), (3, 24, 65),
+        (2, 33, 40), (3, 100, 33), (1, 257, 65)])
     def test_matches_causal_double_loop(self, n, n_nodes, n_points):
         rng = np.random.default_rng(n * 1000 + n_nodes + n_points)
         kernel = rng.normal(size=(n_nodes, n, n))
@@ -201,6 +231,15 @@ class TestHistoryConvolution:
                 expected[i] += kernel[m] @ values[i - m]
         out = history_convolution(kernel, values)
         assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_fft_length_is_smallest_5_smooth(self):
+        smooth = sorted({2**a * 3**b * 5**c for a in range(14) for b in range(9)
+                         for c in range(6)})
+        for n in range(1, 5000):
+            length = fft_length(n)
+            assert length == next(m for m in smooth if m >= n)
+            assert length <= 1 << (n - 1).bit_length()
+        assert fft_length(2 * 2635 - 1) == 5400
 
 
 class TestPsiK0:
@@ -293,12 +332,44 @@ class TestSolveWk:
         for k in (1, 2):
             W_k0 = res.W[k].values[0]
             terms = forcing_terms(kit, k, res.phi_values, res.U, res.W)
-            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
+            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W,
+                            layer_resolvent(kit, grid_tau))
             g = -profile_sum(kit, [(0, 0, state_mix(kit.P, W_k0))] + terms, tau)
             if k > 1:
                 g -= psi_k0(kit, res.W, k, grid_tau)
             expected = reference_march(kit, grid_tau, g, W_k0)
             assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("make_model,field", [
+        (make_model_a, None), (make_model_b, None), (make_mixed_model, make_mixed_field)])
+    def test_matches_full_width_assembly(self, monkeypatch, make_model, field):
+        """Orders 1-3 against the full-width forcing assembly.  The comparison
+        needs the order-3 inputs, not their accuracy, so the layer-window tail
+        bound that h_tau = 0.01 misses at order 3 is lifted for this build."""
+        monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+        fld = field() if field else make_pm_field(UGrid(-6.0, 6.0, 65))
+        res = build_expansion(make_model(), fld, PHI, order=3, horizon=0.5, h_t=0.005,
+                              h_tau=0.01)
+        kit, grid_tau = res.kit, res.tau_grid
+        resolvent = layer_resolvent(kit, grid_tau)
+        for k in (1, 2, 3):
+            W_k0 = res.W[k].values[0]
+            terms = forcing_terms(kit, k, res.phi_values, res.U, res.W)
+            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, resolvent)
+            expected = reference_solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
+            assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_vanishing_layer_has_no_worst_state(self):
+        """configs/deterministic.json: every layer is rounding noise, whose
+        argmax state would flip with the last bits of the inputs."""
+        cfg = load_config(DETERMINISTIC)
+        res = build_expansion(cfg.model, cfg.field, cfg.phi, order=2, horizon=0.5,
+                              h_t=0.01, h_tau=0.01)
+        for k in (1, 2):
+            diag = res.diagnostics["orders"][k]
+            assert diag["w_sup"] < 1e-13
+            assert diag["w_decay_worst_state"] is None
+            assert diag["w_decay_ratio"] == 0.0
 
     def test_single_state_constant_velocity_zero_layer(self):
         m = SemiMarkovModel(states=("s",), P=[[1.0]],
@@ -322,6 +393,7 @@ class TestSolveWk:
                 d = res.diagnostics["orders"][k]
                 assert d["w_decay_ratio"] < 1e-3
                 assert d["w_monotone_tail"]
+                assert d["w_decay_worst_state"] in res.kit.model.states
 
     def test_renewal_limit_closes_loop(self, expansion_a):
         """W_1 settling to zero validates c_1(0) = -ΠW_1(0) end to end."""
