@@ -6,7 +6,7 @@ Usage: python scripts/convergence_study.py [--config configs/model_a.json]
 """
 import argparse
 
-from fastswitch.analysis import remainder_compare, report_to_dicts
+from fastswitch.analysis import remainder_compare
 from fastswitch.config import load_config
 from fastswitch.pipeline import build_expansion
 
@@ -22,8 +22,7 @@ def main():
     res = build_expansion(cfg.model, cfg.field, cfg.phi, order=order,
                           horizon=cfg.horizon, h_t=cfg.h_t,
                           h_tau=cfg.h_tau, tau_max=cfg.tau_max)
-    report = remainder_compare(res, cfg)
-    doc = report_to_dicts(report)
+    doc = remainder_compare(res, cfg)
 
     print(f"{'eps':>8} {'t':>5} {'N':>2} {'error':>12}")
     for row in doc["rows"]:

@@ -1,7 +1,7 @@
 """Two-scale asymptotic expansion of averaged functionals of fast-switching
 semi-Markov evolutions, with Monte Carlo and deterministic oracles."""
 
-from .analysis import RemainderReport, remainder_compare
+from .analysis import remainder_compare
 from .config import RunConfig, config_from_document, load_config
 from .field import (DomainEscape, StateVelocity, TestFunction, UGrid,
                     VelocityField, averaged_velocity, flow, sup_norm)
@@ -16,7 +16,7 @@ from .singular import (TauGrid, forcing_terms, initial_ck0, negative_extension,
                        psi_k0, solve_Wk)
 
 __all__ = [
-    "RemainderReport", "remainder_compare",
+    "remainder_compare",
     "RunConfig", "config_from_document", "load_config",
     "DomainEscape", "StateVelocity", "TestFunction", "UGrid", "VelocityField",
     "averaged_velocity", "flow", "sup_norm",

@@ -2,8 +2,6 @@
 over an epsilon ladder and fit the observed convergence order."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .config import RunConfig
@@ -11,26 +9,6 @@ from .oracle import direct_solve_phi, mc_expectation
 from .pipeline import ExpansionResult
 
 FLOOR_LEVEL = 1e-5
-
-
-@dataclass
-class RemainderRow:
-    eps: float
-    t: float
-    order: int
-    error: float
-    noise_floor: float
-    noise_limited: bool
-
-
-@dataclass
-class RemainderReport:
-    rows: list = dc_field(default_factory=list)
-    slopes: dict = dc_field(default_factory=dict)   # (order, t) -> slope or None
-    floor_flags: dict = dc_field(default_factory=dict)
-
-    def slope(self, order: int, t: float):
-        return self.slopes.get((order, float(t)))
 
 
 def _oracle_estimates(cfg: RunConfig, eps: float):
@@ -47,10 +25,11 @@ def _oracle_estimates(cfg: RunConfig, eps: float):
     return ests
 
 
-def remainder_compare(result: ExpansionResult, cfg: RunConfig) -> RemainderReport:
+def remainder_compare(result: ExpansionResult, cfg: RunConfig) -> dict:
     """Sup-norm remainder of every truncation order at the evaluation times,
-    for each epsilon, plus fitted log-log slopes."""
-    report = RemainderReport()
+    for each epsilon, plus fitted log-log slopes, as the document
+    {"rows": [...], "slopes": [...]} that compare writes."""
+    rows = []
     for eps in cfg.epsilons:
         for est in _oracle_estimates(cfg, eps):
             noise = float(4.0 * est.stderr.max()) if est.method == "monte_carlo" else 0.0
@@ -58,34 +37,22 @@ def remainder_compare(result: ExpansionResult, cfg: RunConfig) -> RemainderRepor
                 approx = result.evaluate(eps, est.t, order=n_prime)
                 diff = est.values - approx[:, est.u_indices]
                 err = float(np.abs(diff).max())
-                report.rows.append(RemainderRow(
-                    eps=eps, t=float(est.t), order=n_prime, error=err,
-                    noise_floor=noise,
-                    noise_limited=bool(noise > 0 and err < noise)))
-    t_values = sorted({row.t for row in report.rows})
+                rows.append({"eps": eps, "t": float(est.t), "order": n_prime, "error": err,
+                             "noise_floor": noise,
+                             "noise_limited": bool(noise > 0 and err < noise)})
+    slopes = []
     for n_prime in range(result.order + 1):
-        for t in t_values:
-            pts = [(row.eps, row.error) for row in report.rows
-                   if row.order == n_prime and row.t == t and not row.noise_limited
-                   and row.error > 0]
+        for t in sorted({row["t"] for row in rows}):
+            cell = [row for row in rows if row["order"] == n_prime and row["t"] == t]
+            pts = [(row["eps"], row["error"]) for row in cell
+                   if not row["noise_limited"] and row["error"] > 0]
+            slope = None
             if len(pts) >= 2:
                 x = np.log([p[0] for p in pts])
                 y = np.log([p[1] for p in pts])
-                report.slopes[(n_prime, t)] = float(np.polyfit(x, y, 1)[0])
-            else:
-                report.slopes[(n_prime, t)] = None
-            errs = [row.error for row in report.rows
-                    if row.order == n_prime and row.t == t]
-            report.floor_flags[(n_prime, t)] = bool(errs and max(errs) < FLOOR_LEVEL)
-    return report
-
-
-def report_to_dicts(report: RemainderReport) -> dict:
-    rows = [{"eps": r.eps, "t": r.t, "order": r.order, "error": r.error,
-             "noise_floor": r.noise_floor, "noise_limited": r.noise_limited}
-            for r in report.rows]
-    slopes = [{"order": k[0], "t": k[1],
-               "slope": v, "status": "ok" if v is not None else "MC-noise-limited",
-               "discretization_floor": report.floor_flags.get(k, False)}
-              for k, v in sorted(report.slopes.items())]
+                slope = float(np.polyfit(x, y, 1)[0])
+            errs = [row["error"] for row in cell]
+            slopes.append({"order": n_prime, "t": t, "slope": slope,
+                           "status": "ok" if slope is not None else "MC-noise-limited",
+                           "discretization_floor": bool(errs and max(errs) < FLOOR_LEVEL)})
     return {"rows": rows, "slopes": slopes}

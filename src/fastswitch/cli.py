@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import remainder_compare, report_to_dicts
+from .analysis import remainder_compare
 from .config import ConfigError, RunConfig, load_config
 from .model import ModelError, validate_model
 from .oracle import march_steps
@@ -122,8 +122,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = _expand(cfg)
-    report = remainder_compare(result, cfg)
-    doc = report_to_dicts(report)
+    doc = remainder_compare(result, cfg)
     with open(out / "remainder.csv", "w") as fh:
         fh.write("eps,t,order,error,noise_floor,noise_limited\n")
         for r in doc["rows"]:

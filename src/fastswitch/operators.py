@@ -149,7 +149,8 @@ def velocity_power_values(fld: VelocityField, values: np.ndarray, power: int) ->
     """(v(u;x) ∂_u)^power along the last two axes of (..., n_states, n_points)."""
     out = values
     for _ in range(power):
-        out = fld.values * u_derivative_values(out, fld.grid)
+        out = u_derivative_values(out, fld.grid)
+        out *= fld.values
     return out
 
 

@@ -53,7 +53,7 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
                                    order=2, horizon=0.5, h_t=0.01, h_tau=0.01)
     assert 0 < calls.pop("interp_apply") <= 3 * len(res.times)
     assert calls.pop("initial_ck0") == 2
-    assert calls == {"solve_Wk": 2, "psi_k0": 1, "averaged_flow_table": 1,
+    assert calls == {"solve_Wk": 2, "psi_k0": 2, "averaged_flow_table": 1,
                      "solve_c0": 1, "solve_ck": 2, "projected_frak_L_series": 2,
                      "renewal_resolvent": 1}
 

@@ -247,6 +247,17 @@ class TestExpandCommand:
             diag = json.load(fh)
         assert "error" in diag
 
+    def test_coarse_tau_grid_names_layer_settings(self, tmp_path, capsys):
+        # 16 / 5.0 rounds up to 4 fast-time panels, short of the 8 the layer needs
+        with open(MODEL_A) as fh:
+            doc = json.load(fh)
+        doc["layer"] = {"h_tau": 5.0, "tau_max": 16}
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(doc))
+        assert main(["expand", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "layer.h_tau 5" in err and "layer.tau_max 16" in err and "4 panels" in err
+
     def test_exponential_ck0_reported_zero(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "out"

@@ -64,15 +64,28 @@ def reference_march(kit, grid_tau, g, W_k0):
     return W
 
 
+def reference_psi_k0(kit, W_lower, k, grid_tau):
+    """The [0, τ] part of ψ^k_0(τ) = Σ_{r=1..k-1} ∫_0^∞ s^r/r! F(ds) V^r P W_{k-r}(τ-s)
+    as a forcing: the full-assembly history sum of each r less its left-cell
+    term -a_r ⊗ V^r P W_{k-r}(0)."""
+    tau = grid_tau.nodes
+    n = kit.model.n_states
+    out = np.zeros((len(tau), n, kit.fld.grid.n_points))
+    for r in range(1, k):
+        vrpw = velocity_power_values(kit.fld, state_mix(kit.P, W_lower[k - r].values), r)
+        w, a = kernel_node_weights(kit.model.sojourns, r, tau)
+        out += history_convolution(w.T[:, :, None] * np.eye(n), vrpw)
+        out -= a.T[:, :, None] * vrpw[0]
+    return out
+
+
 def reference_solve_Wk(kit, k, grid_tau, W_k0, terms, W_lower):
     """The layer from the full-width forcing: every term's τ-profile times its
     vector summed into one (N, n_states, n_points) right side, corrected at
     node 0 and in the left cell, then convolved with the march's resolvent."""
     tau = grid_tau.nodes
     pw0 = state_mix(kit.P, W_k0)
-    f = profile_sum(kit, [(0, 0, pw0)] + terms, tau)
-    if k > 1:
-        f += psi_k0(kit, W_lower, k, grid_tau)
+    f = profile_sum(kit, [(0, 0, pw0)] + terms, tau) + reference_psi_k0(kit, W_lower, k, grid_tau)
     w, a = kernel_node_weights(kit.model.sojourns, 0, tau)
     f -= a.T[:, :, None] * pw0
     f[0] = W_k0 - w[:, 0, None] * pw0
@@ -245,8 +258,9 @@ class TestHistoryConvolution:
 class TestPsiK0:
     def test_k1_is_empty(self, kit_a):
         grid_tau = TauGrid(2.0, 400)
-        out = psi_k0(kit_a, [None], 1, grid_tau)
-        assert np.abs(out).max() == 0.0
+        assert np.abs(reference_psi_k0(kit_a, [None], 1, grid_tau)).max() == 0.0
+        out = psi_k0(kit_a, [None], 1, grid_tau, layer_resolvent(kit_a, grid_tau))
+        assert out.shape == (401, 2, GRID.n_points) and np.abs(out).max() == 0.0
 
     def test_k2_against_brute_force(self, expansion_a):
         """ψ^2_0 = Q^1 W_1: check the product-integration history part plus
@@ -260,7 +274,7 @@ class TestPsiK0:
         W10 = res.W[1].values[0]
         vp = lambda v: velocity_power_values(kit.fld, state_mix(kit.P, v), 1)
         tail_terms = [(1, 0, vp(W10)), (1, 1, -vp(res.U[0].derivative_values(1)[0]))]
-        out = psi_k0(kit, res.W, 2, grid_tau)[tau_idx] \
+        out = reference_psi_k0(kit, res.W, 2, grid_tau)[tau_idx] \
             + profile_sum(kit, tail_terms, grid_tau.nodes[tau_idx:tau_idx + 1])[0]
 
         # brute force: int_0^inf s F(ds) V P W1(tau - s), fine trapezoid with
@@ -287,6 +301,25 @@ class TestPsiK0:
             integrand = s_fine[:, None] * dens[:, None] * vals
             expected[xi] = np.trapezoid(integrand, s_fine, axis=0)
         assert np.abs(out - expected).max() < 5e-5
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_composite_kernel_is_resolvent_of_history_sums(self, k):
+        """psi_k0 is R ⋆ Σ_r K_r ⋆ V^r P W_{k-r}: the reference forcing with its
+        left-cell terms added back, convolved with the march's resolvent."""
+        kit = build_kit(make_mixed_model(), make_mixed_field())
+        grid_tau = TauGrid(4.0, 200)
+        rng = np.random.default_rng(k)
+        W = [None] + [TimeSeries(rng.normal(size=(201, 3, 65)), kit.fld.grid, grid_tau.h_tau)
+                      for _ in range(k - 1)]
+        resolvent = layer_resolvent(kit, grid_tau)
+        history = reference_psi_k0(kit, W, k, grid_tau)
+        for r in range(1, k):
+            a = kernel_node_weights(kit.model.sojourns, r, grid_tau.nodes)[1]
+            history += a.T[:, :, None] * velocity_power_values(
+                kit.fld, state_mix(kit.P, W[k - r].values[0]), r)
+        expected = history_convolution(resolvent, history)
+        out = psi_k0(kit, W, k, grid_tau, resolvent)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_refinement_stability(self):
         """Halving h_tau changes the order-1 layer by little (grid oracle)."""
@@ -334,9 +367,8 @@ class TestSolveWk:
             terms = forcing_terms(kit, k, res.phi_values, res.U, res.W)
             W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W,
                             layer_resolvent(kit, grid_tau))
-            g = -profile_sum(kit, [(0, 0, state_mix(kit.P, W_k0))] + terms, tau)
-            if k > 1:
-                g -= psi_k0(kit, res.W, k, grid_tau)
+            g = -profile_sum(kit, [(0, 0, state_mix(kit.P, W_k0))] + terms, tau) \
+                - reference_psi_k0(kit, res.W, k, grid_tau)
             expected = reference_march(kit, grid_tau, g, W_k0)
             assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -358,6 +390,22 @@ class TestSolveWk:
             W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, resolvent)
             expected = reference_solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
             assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_one_full_width_convolution_per_lower_layer(self, monkeypatch):
+        """Order k convolves at full width once per lower layer, through the
+        composite kernel R ⋆ K_r: Σ_k (k - 1) = 3 sums for an order-3 build,
+        and never the resolvent with a full-width history sum."""
+        monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+        fld = make_pm_field(UGrid(-6.0, 6.0, 65))
+        original = singular.history_convolution
+        widths = []
+
+        def counted(kernel, values):
+            widths.append(values.shape[2])
+            return original(kernel, values)
+        monkeypatch.setattr(singular, "history_convolution", counted)
+        build_expansion(make_model_a(), fld, PHI, order=3, horizon=0.5, h_t=0.01, h_tau=0.01)
+        assert widths.count(fld.grid.n_points) == 3
 
     def test_vanishing_layer_has_no_worst_state(self):
         """configs/deterministic.json: every layer is rounding noise, whose
