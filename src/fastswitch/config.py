@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field import StateVelocity, TestFunction, UGrid, VelocityField
+from .field import StateVelocity, TestFunction, UGrid, VelocityField, grid_index
 from .model import SemiMarkovModel, SojournDistribution
 from .oracle import MIN_SAMPLES
 from .pipeline import MAX_ORDER, time_steps
@@ -20,20 +20,20 @@ class ConfigError(ValueError):
 
 @dataclass
 class OracleConfig:
-    method: str = "direct"
-    n_samples: int = 100000
-    seed: int = 20240811
-    h_s: float = 0.02
-    u_stride: int = 16
-    t_eval: tuple = (0.5, 1.0)
-    richardson: bool = False
+    method: str
+    n_samples: int
+    seed: int
+    h_s: float
+    u_stride: int
+    t_eval: tuple
+    richardson: bool
 
 
 @dataclass
 class OutputConfig:
-    t_stride: int = 25
-    tau_stride: int = 40
-    u_stride: int = 1
+    t_stride: int
+    tau_stride: int
+    u_stride: int
 
 
 @dataclass
@@ -42,14 +42,14 @@ class RunConfig:
     grid: UGrid
     field: VelocityField
     phi: TestFunction
-    order: int = 2
-    horizon: float = 1.0
-    h_t: float = 0.002
-    h_tau: float = 0.005
-    tau_max: float | None = None
-    epsilons: tuple = (0.2, 0.1, 0.05, 0.025)
-    oracle: OracleConfig = dc_field(default_factory=OracleConfig)
-    output: OutputConfig = dc_field(default_factory=OutputConfig)
+    order: int
+    horizon: float
+    h_t: float
+    h_tau: float
+    tau_max: float | None
+    epsilons: tuple
+    oracle: OracleConfig
+    output: OutputConfig
 
 
 def _require(doc: dict, key: str, context: str):
@@ -216,7 +216,7 @@ def config_from_document(doc: dict) -> RunConfig:
     # the expansion's time step, by build_expansion's own rule
     step = horizon / time_steps(horizon, h_t)
     for t in oracle.t_eval:
-        if not (0.0 < t <= horizon and abs(round(t / step) * step - t) <= 1e-9 * max(1.0, t)):
+        if not (0.0 < t <= horizon and grid_index(t, step) is not None):
             raise ConfigError(f"oracle.t_eval {t} must lie in (0, {horizon}] on the "
                               f"time grid of step {step:.6g}")
 

@@ -8,7 +8,6 @@ points.  Differentiation is 4th-order finite differences throughout.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -86,6 +85,13 @@ class UGrid:
             worst = pos.flat[np.abs(pos - 0.5 * (lo + hi)).argmax()]
             raise DomainEscape(f"characteristic reached u={worst:.4g} outside "
                                f"[{lo:.4g}, {hi:.4g}] ({context})")
+
+
+def grid_index(t: float, h: float) -> int | None:
+    """Step index of t on the grid h·i, or None when t is off that grid by
+    more than 1e-9·max(1, t)."""
+    i = int(round(t / h))
+    return i if abs(i * h - t) <= 1e-9 * max(1.0, t) else None
 
 
 def sup_norm(values: np.ndarray) -> float:
@@ -279,9 +285,9 @@ def flow(fld: VelocityField, x: int, u0, t, h_flow: float | None = None,
     """Characteristic position u_x(t) started from u0.
 
     t is a scalar or an array that broadcasts against u0 (one duration per
-    element).  Closed form for affine fields; for tabulated ones
-    RK4 with one step count taken from max|t|, so each element advances by
-    t/n per step with t/n <= h_flow.
+    element).  Closed form for affine fields; for tabulated ones RK4, each
+    element taking its own n = max(1, ceil(|t|/h_flow)) steps of t/n, so a
+    short duration never pays for the longest one.
     """
     u0 = np.asarray(u0, dtype=float)
     spec = fld.specs[x]
@@ -295,11 +301,14 @@ def flow(fld: VelocityField, x: int, u0, t, h_flow: float | None = None,
     else:
         if h_flow is None:
             h_flow = fld.grid.spacing / 4.0
-        n_steps = max(1, int(math.ceil(float(np.max(np.abs(t))) / h_flow)))
-        dt = t / n_steps
-        out = u0
-        for _ in range(n_steps):
+        n_steps = np.maximum(1, np.ceil(np.abs(t) / h_flow)).astype(np.int64)
+        out, dt, n_steps = np.broadcast_arrays(u0, t / n_steps, n_steps)
+        shortest = n_steps.min()  # >= 1, so out is a fresh array after these
+        for _ in range(shortest):
             out = _rk4_step(fld, x, out, dt)
+        for step in range(shortest, n_steps.max()):
+            live = n_steps > step
+            out[live] = _rk4_step(fld, x, out[live], dt[live])
     if check:
         fld.grid.check_inside(out, context=f"state {x}, t={np.max(t):.4g}")
     return out

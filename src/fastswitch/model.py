@@ -55,25 +55,9 @@ class SojournDistribution:
 
     # -- distribution functions ------------------------------------------------
 
-    def _gamma_tail(self, terms: int, tp: np.ndarray) -> np.ndarray:
-        """e^(-λτ) Σ_{i<terms} (λτ)^i / i! at τ = tp >= 0, the survival of the
-        erlang law of shape terms and this rate."""
-        lam_t = self.rate * tp
-        acc = term = 1.0
-        for i in range(1, terms):
-            term = term * lam_t / i
-            acc = acc + term
-        return np.exp(-lam_t) * acc
-
     def survival(self, t):
-        """F̄(t) = P(θ > t), vectorized, with F̄(t) = 1 for t < 0."""
-        t = np.asarray(t, dtype=float)
-        tp = np.maximum(t, 0.0)
-        if self.family == "uniform":
-            out = np.clip((self.b - tp) / (self.b - self.a), 0.0, 1.0)
-        else:
-            out = self._gamma_tail(self.shape, tp)
-        return np.where(t < 0, 1.0, out)
+        """F̄(t) = P(θ > t) = M_0(t), vectorized, with F̄(t) = 1 for t < 0."""
+        return self.partial_moment(0, t)
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
@@ -139,8 +123,14 @@ class SojournDistribution:
         if self.family == "uniform":
             c = np.clip(tau, self.a, self.b)
             return (self.b ** (n + 1) - c ** (n + 1)) / ((n + 1) * (self.b - self.a))
-        # s^n F(ds) is m_n times the erlang(shape + n) law
-        return self.moment(n) * self._gamma_tail(self.shape + n, tau)
+        # s^n F(ds) is m_n times the erlang(shape + n) law, whose survival is
+        # e^(-λτ) Σ_{i<shape+n} (λτ)^i / i!
+        lam_t = self.rate * tau
+        acc = term = 1.0
+        for i in range(1, self.shape + n):
+            term = term * lam_t / i
+            acc = acc + term
+        return self.moment(n) * (np.exp(-lam_t) * acc)
 
     def integrated_survival(self, k: int, tau) -> np.ndarray:
         """F̄^(k)(τ) = ∫_τ^∞ s^(k-1)/(k-1)! F̄(s) ds = [M_k(τ) - τ^k F̄(τ)] / k!."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import VelocityField, flow, flow_positions, interp_weights
+from .field import VelocityField, flow, flow_positions, grid_index, interp_weights
 from .model import SemiMarkovModel
 
 
@@ -114,8 +114,8 @@ def march_steps(t_eval, eps: float, h_s: float) -> dict:
     h_phys = eps * h_s
     keep = {}
     for t in sorted(float(t) for t in np.atleast_1d(t_eval)):
-        i = round(t / h_phys)
-        if abs(i * h_phys - t) > 1e-9 * max(1.0, t):
+        i = grid_index(t, h_phys)
+        if i is None:
             raise ValueError(
                 f"t={t:g} is not a whole number of march steps eps*oracle.h_s = "
                 f"{eps:g}*{h_s:g}; choose oracle.h_s so that t / (eps*h_s) is an integer")

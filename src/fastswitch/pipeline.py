@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import TestFunction, VelocityField, sup_norm
+from .field import TestFunction, VelocityField, grid_index, sup_norm
 from .model import SemiMarkovModel, validate_model
 from .operators import OperatorKit, TimeSeries, build_kit, state_mix
 from .regular import (averaged_flow_table, regular_term, solve_c0, solve_ck,
@@ -49,8 +49,8 @@ class ExpansionResult:
         return float(self.times[1] - self.times[0])
 
     def t_index(self, t: float) -> int:
-        idx = int(round(t / self.h_t))
-        if t < 0 or abs(idx * self.h_t - t) > 1e-9 * max(1.0, t) or idx >= len(self.times):
+        idx = grid_index(t, self.h_t)
+        if t < 0 or idx is None or idx >= len(self.times):
             raise ValueError(f"t={t} is not on the expansion time grid")
         return idx
 

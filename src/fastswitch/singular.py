@@ -13,10 +13,12 @@ The closed-form part of each order's layer forcing is enumerated once, as
 fast-time integrals (term_integral).
 
 The march is linear with a convolution kernel, so it is applied as its
-discrete resolvent R (renewal_resolvent).  Each separable term's τ-profile is
-convolved with R once; the history part of ψ^k_0, Σ_r K_r ⋆ V^r P W_{k-r},
-is convolved once per lower layer through the composite kernel R ⋆ K_r
-(psi_k0), so nothing convolves R at full width.
+discrete resolvent R, the power-series inverse of that kernel, which
+renewal_resolvent builds by Newton doubling in O(n_tau log n_tau n_states³).
+Every Volterra sum of the layer is a history_convolution: each separable
+term's τ-profile is convolved with R once, and the history part of ψ^k_0,
+Σ_r K_r ⋆ V^r P W_{k-r}, once per lower layer through the composite kernel
+R ⋆ K_r (psi_k0), so nothing convolves R at full width.
 """
 from __future__ import annotations
 
@@ -219,20 +221,18 @@ def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid,
 
 def renewal_resolvent(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Discrete resolvent of the implicit renewal march with node weights w
-    (n_states, N): R_0 = A⁻¹ and R_m = A⁻¹ Σ_{j=1..m} diag(w_j) P R_{m-j},
-    where A = I - diag(w_0) P.  Shape (N, n, n)."""
+    (n_states, N), shape (N, n, n): the power-series inverse R of the march's
+    kernel B(z) = I - Σ_m diag(w_m) P z^m, built by Newton doubling
+    R ← R - R ⋆ (B ⋆ R - I) on history_convolution, O(N log N n³)."""
     n, n_nodes = w.shape
-    A_inv = np.linalg.inv(np.eye(n) - w[:, 0, None] * P)
-    R = np.empty((n_nodes, n, n))
-    R[0] = A_inv
-    pr_sm = np.empty((n, n_nodes, n))  # state-major history of P R
-    pr_sm[:, 0] = P @ A_inv
-    rhs = np.empty((n, n))
-    for m in range(1, n_nodes):
-        for x in range(n):
-            rhs[x] = w[x, m:0:-1] @ pr_sm[x, :m]
-        R[m] = A_inv @ rhs
-        pr_sm[:, m] = P @ R[m]
+    B = -w.T[:, :, None] * P
+    B[0] += np.eye(n)
+    R = np.linalg.inv(B[:1])
+    while len(R) < n_nodes:
+        R = np.concatenate((R, np.zeros_like(R)))[:n_nodes]
+        E = history_convolution(B[:len(R)], R)
+        E[0] -= np.eye(n)
+        R -= history_convolution(R, E)
     return R
 
 

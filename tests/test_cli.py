@@ -59,6 +59,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_defaults_of_every_optional_section(self):
+        with open(MODEL_A) as fh:
+            full = json.load(fh)
+        cfg = config_from_document({"model": full["model"], "velocity": full["velocity"]})
+        assert (cfg.grid.u_min, cfg.grid.u_max, cfg.grid.n_points,
+                cfg.grid.boundary_mode) == (-8.0, 8.0, 257, "extrapolate")
+        assert (cfg.phi.kind, cfg.phi.center, cfg.phi.width,
+                cfg.phi.coeffs) == ("gaussian", 0.0, 1.0, (1.0,))
+        assert (cfg.order, cfg.horizon, cfg.h_t, cfg.h_tau, cfg.tau_max,
+                cfg.epsilons) == (2, 1.0, 0.002, 0.005, None, (0.2, 0.1, 0.05, 0.025))
+        o = cfg.oracle
+        assert (o.method, o.n_samples, o.seed, o.h_s, o.u_stride, o.t_eval,
+                o.richardson) == ("direct", 100000, 20240811, 0.02, 16, (0.5, 1.0), False)
+        assert (cfg.output.t_stride, cfg.output.tau_stride, cfg.output.u_stride) == (25, 40, 1)
+
 
     @pytest.mark.parametrize("seed", [0, -3])
     def test_zero_and_negative_seeds_load(self, tmp_path, seed):

@@ -94,6 +94,24 @@ def reference_solve_Wk(kit, k, grid_tau, W_k0, terms, W_lower):
     return W
 
 
+def reference_resolvent(P, w):
+    """The march's resolvent by its recursion, node by node:
+    R_0 = A⁻¹ and R_m = A⁻¹ Σ_{j=1..m} diag(w_j) P R_{m-j}, A = I - diag(w_0) P."""
+    n, n_nodes = w.shape
+    A_inv = np.linalg.inv(np.eye(n) - w[:, 0, None] * P)
+    R = np.empty((n_nodes, n, n))
+    R[0] = A_inv
+    pr_sm = np.empty((n, n_nodes, n))  # state-major history of P R
+    pr_sm[:, 0] = P @ A_inv
+    rhs = np.empty((n, n))
+    for m in range(1, n_nodes):
+        for x in range(n):
+            rhs[x] = w[x, m:0:-1] @ pr_sm[x, :m]
+        R[m] = A_inv @ rhs
+        pr_sm[:, m] = P @ R[m]
+    return R
+
+
 def layer_resolvent(kit, grid_tau):
     return renewal_resolvent(kit.P, kernel_node_weights(kit.model.sojourns, 0,
                                                         grid_tau.nodes)[0])
@@ -253,6 +271,44 @@ class TestHistoryConvolution:
             assert length == next(m for m in smooth if m >= n)
             assert length <= 1 << (n - 1).bit_length()
         assert fft_length(2 * 2635 - 1) == 5400
+
+
+class TestRenewalResolvent:
+    # N = 9 is the smallest window (8 panels); 9, 100 and 613 are not powers of two
+    @pytest.mark.parametrize("laws,P,tau_max,n_nodes", [
+        ((SojournDistribution("erlang", rate=2.0, shape=2),), [[1.0]], 2.0, 9),
+        ((SojournDistribution("uniform", a=0.2, b=1.2),), [[1.0]], 3.0, 100),
+        ((SojournDistribution("erlang", rate=1.0), SojournDistribution("uniform", a=0.0, b=1.0)),
+         [[0.0, 1.0], [1.0, 0.0]], 4.0, 9),
+        ((SojournDistribution("erlang", rate=1.5, shape=3),
+          SojournDistribution("uniform", a=0.3, b=0.9)),
+         [[0.2, 0.8], [0.6, 0.4]], 6.0, 613),
+        ((SojournDistribution("erlang", rate=1.0), SojournDistribution("erlang", rate=2.0, shape=2),
+          SojournDistribution("uniform", a=0.2, b=1.2)),
+         [[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.6, 0.4, 0.0]], 5.0, 257)])
+    def test_matches_recursion(self, laws, P, tau_max, n_nodes):
+        P = np.array(P)
+        w = kernel_node_weights(laws, 0, np.linspace(0.0, tau_max, n_nodes))[0]
+        R = renewal_resolvent(P, w)
+        expected = reference_resolvent(P, w)
+        assert R.shape == (n_nodes, len(laws), len(laws))
+        assert np.abs(R - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n_nodes", [2, 9, 16, 17, 613])
+    def test_newton_doublings_are_history_convolutions(self, monkeypatch, n_nodes):
+        """Each of the ceil(log2 N) doublings is two history_convolution calls."""
+        original = singular.history_convolution
+        calls = []
+
+        def counted(kernel, values):
+            calls.append(len(kernel))
+            return original(kernel, values)
+        monkeypatch.setattr(singular, "history_convolution", counted)
+        laws = (SojournDistribution("erlang", rate=1.0),
+                SojournDistribution("uniform", a=0.2, b=1.2))
+        w = kernel_node_weights(laws, 0, np.linspace(0.0, 3.0, n_nodes))[0]
+        renewal_resolvent(np.array([[0.0, 1.0], [1.0, 0.0]]), w)
+        assert len(calls) == 2 * math.ceil(math.log2(n_nodes))
 
 
 class TestPsiK0:
