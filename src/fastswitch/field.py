@@ -8,6 +8,7 @@ points.  Differentiation is 4th-order finite differences throughout.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -122,13 +123,18 @@ def interp_weights(grid: UGrid, positions: np.ndarray, order: int = 4):
     else:
         base = np.clip(base, 0, n - order)
         idx = base[..., None] + np.arange(order)
-    s = p - base
-    w = np.ones(s.shape + (order,))
+    return idx, lagrange_weights(p - base, order)
+
+
+def lagrange_weights(s: np.ndarray, order: int) -> np.ndarray:
+    """Weights of the Lagrange interpolant on nodes 0..order-1 at s, one
+    node per entry of a new last axis."""
+    w = np.ones(np.shape(s) + (order,))
     for j in range(order):
         for m in range(order):
             if m != j:
                 w[..., j] *= (s - m) / (j - m)
-    return idx, w
+    return w
 
 
 def interp_apply(values: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -148,6 +154,9 @@ def interp_eval(grid: UGrid, values: np.ndarray, positions: np.ndarray,
 
 
 # -- differentiation -----------------------------------------------------------
+
+
+_FD_BLOCK = 1 << 16   # elements of fd_derivative's per-term temporary
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,10 +200,17 @@ def fd_derivative(values: np.ndarray, h: float, order: int, axis: int,
     first = 0 if periodic else lo
     interior = out[along(first, first + m)]
     w = _stencil(lo, width, order) / h**order
-    np.multiply(v[along(0, m)], w[0], out=interior)
-    for j in range(1, width):
-        if w[j] != 0.0:
-            interior += w[j] * v[along(j, j + m)]
+    # blocks of leading-axis rows, so each term's product needs a block-sized
+    # temporary, not a full-width one
+    rows = max(1, _FD_BLOCK // max(1, math.prod(interior.shape[1:])))
+    prod = np.empty((min(rows, len(interior)),) + interior.shape[1:])
+    for r in range(0, len(interior), rows):
+        block = interior[r:r + rows]
+        np.multiply(v[along(0, m)][r:r + rows], w[0], out=block)
+        for j in range(1, width):
+            if w[j] != 0.0:
+                block += np.multiply(w[j], v[along(j, j + m)][r:r + rows],
+                                     out=prod[:len(block)])
     if periodic:
         out[along(n, n + 1)] = out[along(0, 1)]
         return out
@@ -241,6 +257,14 @@ class StateVelocity:
                                  f"slope={self.slope!r}, intercept={self.intercept!r}")
             object.__setattr__(self, "slope", 0.0)
             object.__setattr__(self, "intercept", self.value)
+
+    @property
+    def drift(self) -> float | None:
+        """b when the flow is the translation u + b·t (affine with slope 0),
+        else None."""
+        if self.kind == "tabulated" or abs(self.slope) >= 1e-300:
+            return None
+        return self.intercept
 
 
 @dataclass
@@ -291,13 +315,12 @@ def flow(fld: VelocityField, x: int, u0, t, h_flow: float | None = None,
     """
     u0 = np.asarray(u0, dtype=float)
     spec = fld.specs[x]
-    if spec.kind != "tabulated":
+    if spec.drift is not None:
+        out = u0 + spec.drift * t
+    elif spec.kind != "tabulated":
         a, b = spec.slope, spec.intercept
-        if abs(a) < 1e-300:
-            out = u0 + b * t
-        else:
-            ea = np.exp(a * t)
-            out = u0 * ea + (b / a) * (ea - 1.0)
+        ea = np.exp(a * t)
+        out = u0 * ea + (b / a) * (ea - 1.0)
     else:
         if h_flow is None:
             h_flow = fld.grid.spacing / 4.0

@@ -59,16 +59,6 @@ class SojournDistribution:
         """F̄(t) = P(θ > t) = M_0(t), vectorized, with F̄(t) = 1 for t < 0."""
         return self.partial_moment(0, t)
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.family == "uniform":
-            out = np.where((t >= self.a) & (t <= self.b), 1.0 / (self.b - self.a), 0.0)
-        else:
-            m, lam = self.shape, self.rate
-            tp = np.maximum(t, 0.0)
-            out = lam**m * tp ** (m - 1) * np.exp(-lam * tp) / math.factorial(m - 1)
-        return np.where(t < 0, 0.0, out)
-
     # -- moments ---------------------------------------------------------------
 
     def moment(self, k: int) -> float:
@@ -132,13 +122,6 @@ class SojournDistribution:
             acc = acc + term
         return self.moment(n) * (np.exp(-lam_t) * acc)
 
-    def integrated_survival(self, k: int, tau) -> np.ndarray:
-        """F̄^(k)(τ) = ∫_τ^∞ s^(k-1)/(k-1)! F̄(s) ds = [M_k(τ) - τ^k F̄(τ)] / k!."""
-        if k < 1:
-            raise ValueError("integrated survival order must be >= 1")
-        tau = np.maximum(np.asarray(tau, dtype=float), 0.0)
-        return (self.partial_moment(k, tau) - tau**k * self.survival(tau)) / math.factorial(k)
-
     # -- misc ------------------------------------------------------------------
 
     def cramer_margin(self) -> float:
@@ -181,11 +164,6 @@ class SojournDistribution:
         if self.family == "uniform":
             return self.a + (self.b - self.a) * u[..., 0]
         return -np.log1p(-u[..., :self.shape]).sum(axis=-1) / self.rate
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw sojourns of the given size (a scalar when size is None)."""
-        shp = () if size is None else tuple(np.atleast_1d(size))
-        return self.from_uniforms(rng.random(shp + (self.n_uniforms,)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import VelocityField, flow, flow_positions, grid_index, interp_weights
+from .field import (VelocityField, flow, flow_positions, grid_index, interp_weights,
+                    lagrange_weights)
 from .model import SemiMarkovModel
 
 
@@ -123,15 +124,51 @@ def march_steps(t_eval, eps: float, h_s: float) -> dict:
     return keep
 
 
+def _lag_kernel(fld: VelocityField, x: int, lag_times: np.ndarray,
+                lag_weights: np.ndarray):
+    """Dense lag kernel of a state whose flow is a translation, u + b·t.
+
+    Lag j moves every node by the same c_j = b·t_j / spacing columns, so a
+    node u whose stencils neither clip nor wrap reads lag j at the columns
+    u + d_min + d with the weight K[d, j-1]: the lag weight times the
+    Lagrange weight of c_j.  Returns (K, d_min, inner), inner the slice of
+    those nodes, or None for any other flow or when no node qualifies.
+    """
+    b = fld.specs[x].drift
+    if b is None:
+        return None
+    grid = fld.grid
+    c = b * lag_times / grid.spacing
+    base = np.floor(c).astype(np.intp) - (INTERP_ORDER // 2 - 1)
+    d_min = int(base.min())
+    d_max = int(base.max()) + INTERP_ORDER - 1
+    # a periodic grid's last node repeats the first: columns beyond n - 2 wrap
+    last = grid.n_points - 1 - (grid.boundary_mode == "periodic")
+    inner = slice(max(0, -d_min), last - d_max + 1)
+    if inner.stop <= inner.start:
+        return None
+    K = np.zeros((d_max - d_min + 1, len(c)))
+    K[base[:, None] - d_min + np.arange(INTERP_ORDER), np.arange(len(c))[:, None]] = (
+        lag_weights[:, None] * lagrange_weights(c - base, INTERP_ORDER))
+    return K, d_min, inner
+
+
 def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
            eps: float, h_s: float, n_steps: int, keep: dict) -> dict:
     """Product-integration march of the first-jump identity; keep maps
     step index -> slot for storing Φ.
 
     The history of P Φ is kept reversed (step m in row n_steps - m), so the
-    lags 1..jm of step i are one contiguous block.  Per state, the flowed
-    stencils of every lag carry their kernel weight and index that block
-    flattened: each step is one gather, one multiply and one sum per state.
+    lags 1..jm of step i are one contiguous block.  For a state whose flow
+    is a translation, the nodes whose stencils neither clip nor wrap share
+    one lag kernel K (see _lag_kernel): their history sums are the shifted
+    diagonals of the BLAS product G = K[:, :jm] @ block, O(n_steps J
+    n_points D) flops for D column offsets.  A dense product gives the sums
+    a blocked FFT would, up to summation order, with far less code.  Every
+    other node (the clipped or wrapped end columns, and every node of a
+    linear or tabulated state) gathers its flowed stencils, built once per
+    state with the lag weights folded in, as flat offsets into that block:
+    one gather, one multiply and one sum per state and step.
     """
     from .singular import kernel_node_weights
 
@@ -153,7 +190,7 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     phi_row = np.asarray(phi_values, dtype=float).reshape(-1)
     p_phi = np.einsum("xy,u->xu", model.P, phi_row)
     first = np.empty((n_steps + 1, n, npts))   # history-free part of each rhs
-    lag_idx, lag_w = [], []
+    cols, lag_idx, lag_w, dense = [], [], [], []
     for x in range(n):
         idx, w = interp_weights(grid, flow_positions(fld, x, times_phys),
                                 order=INTERP_ORDER)
@@ -163,17 +200,31 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
         jc = j_cut[x]
         first[1:jc + 1, x] -= left_w[x, 1:jc + 1, None] * np.einsum(
             "iuq,iuq->iu", p_phi[x][idx[1:jc + 1]], w[1:jc + 1])
+        kernel = _lag_kernel(fld, x, times_phys[1:jc + 1], weights[x, 1:jc + 1])
+        col = slice(None)
+        if kernel is not None:
+            K, d_min, inner = kernel
+            col = np.r_[0:inner.start, inner.stop:npts]
+            # rows d of G[d, u + d_min + d], for u in inner, as a strided view
+            G = np.empty((K.shape[0], npts))
+            diag = np.lib.stride_tricks.as_strided(
+                G.reshape(-1)[inner.start + d_min:],
+                shape=(K.shape[0], inner.stop - inner.start),
+                strides=((npts + 1) * G.itemsize, G.itemsize), writeable=False)
+            kernel = (K, G, diag, inner)
+        dense.append(kernel)
+        cols.append(col)
         # (lag, stencil, point) layout: a lag prefix is contiguous and the
         # sum runs over rows; each raw stencil array is freed once folded
-        lag_w.append(np.multiply(weights[x, 1:jc + 1, None, None],
-                                 w[1:jc + 1].transpose(0, 2, 1),
-                                 out=np.empty((jc, INTERP_ORDER, npts))))
+        w = w[1:jc + 1, col].transpose(0, 2, 1)
+        lag_w.append(np.multiply(weights[x, 1:jc + 1, None, None], w,
+                                 out=np.empty(w.shape)))
         del w
-        lag_idx.append(np.add(idx[1:jc + 1].transpose(0, 2, 1),
-                              npts * np.arange(jc)[:, None, None],
-                              out=np.empty((jc, INTERP_ORDER, npts), dtype=np.intp)))
+        idx = idx[1:jc + 1, col].transpose(0, 2, 1)
+        lag_idx.append(np.add(idx, npts * np.arange(jc)[:, None, None],
+                              out=np.empty(idx.shape, dtype=np.intp)))
         del idx
-    gathered = np.empty((max(j_cut), INTERP_ORDER, npts))
+    gathered = np.empty(max(a.size for a in lag_w))
 
     hist = np.empty((n, n_steps + 1, npts))   # reversed history of P Φ
     hist[:, n_steps] = p_phi
@@ -185,11 +236,16 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
         rhs = first[i]
         for x in range(n):
             jm = min(i, j_cut[x])
-            buf = gathered[:jm]
-            np.take(hist[x, row:row + jm].reshape(-1), lag_idx[x][:jm], out=buf,
-                    mode="clip")
+            block = hist[x, row:row + jm]
+            if dense[x] is not None:
+                K, G, diag, inner = dense[x]
+                np.matmul(K[:, :jm], block, out=G)
+                rhs[x, inner] += diag.sum(axis=0)
+            n_cols = lag_w[x].shape[2]
+            buf = gathered[:jm * INTERP_ORDER * n_cols].reshape(jm, INTERP_ORDER, n_cols)
+            np.take(block.reshape(-1), lag_idx[x][:jm], out=buf, mode="clip")
             buf *= lag_w[x][:jm]
-            rhs[x] += buf.reshape(-1, npts).sum(axis=0)
+            rhs[x, cols[x]] += buf.reshape(-1, n_cols).sum(axis=0)
         cur = np.tensordot(A_inv, rhs, axes=(1, 0))
         hist[:, row - 1] = np.einsum("xy,yu->xu", model.P, cur)
         if i in keep:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -13,6 +15,33 @@ settings.load_profile("suite")
 
 GRID = UGrid(-8.0, 8.0, 257)
 PHI = TestFunction("gaussian", 0.0, 1.0)
+
+
+# -- reference sojourn-law functions (the library needs only moments and
+# partial moments; these check them)
+
+
+def sojourn_density(dist: SojournDistribution, t) -> np.ndarray:
+    """Density of the sojourn law, vectorized, zero for t < 0."""
+    t = np.asarray(t, dtype=float)
+    if dist.family == "uniform":
+        out = np.where((t >= dist.a) & (t <= dist.b), 1.0 / (dist.b - dist.a), 0.0)
+    else:
+        m, lam = dist.shape, dist.rate
+        tp = np.maximum(t, 0.0)
+        out = lam**m * tp ** (m - 1) * np.exp(-lam * tp) / math.factorial(m - 1)
+    return np.where(t < 0, 0.0, out)
+
+
+def integrated_survival(dist: SojournDistribution, k: int, tau) -> np.ndarray:
+    """F̄^(k)(τ) = ∫_τ^∞ s^(k-1)/(k-1)! F̄(s) ds = [M_k(τ) - τ^k F̄(τ)] / k!."""
+    tau = np.maximum(np.asarray(tau, dtype=float), 0.0)
+    return (dist.partial_moment(k, tau) - tau**k * dist.survival(tau)) / math.factorial(k)
+
+
+def sample_sojourns(dist: SojournDistribution, rng: np.random.Generator, size) -> np.ndarray:
+    """size sojourns drawn through the library's map from uniforms."""
+    return dist.from_uniforms(rng.random(tuple(np.atleast_1d(size)) + (dist.n_uniforms,)))
 
 
 def make_model_a() -> SemiMarkovModel:

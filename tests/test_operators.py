@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from fastswitch.field import (StateVelocity, UGrid, VelocityField, fd_derivative,
+from fastswitch.field import (StateVelocity, UGrid, VelocityField, _stencil, fd_derivative,
                               fornberg_weights, sup_norm)
 from fastswitch.model import SojournDistribution, SemiMarkovModel, generator, semi_markov_stationary
 from fastswitch.operators import (L_series_values, TimeSeries, build_kit, potential_build,
@@ -148,6 +148,44 @@ class TestPotential:
         assert np.abs(pot.R0 @ Pi).max() < 1e-10
 
 
+def reference_fd_derivative(values, h, order, axis, periodic):
+    """fd_derivative with each interior term added as one full-width product,
+    interior += w[j] * v[shifted]: the per-element operations of the blocked
+    routine, in the same order."""
+    values = np.asarray(values, dtype=float)
+    axis = axis % values.ndim
+    width = order + 4
+    lo = width // 2
+
+    def along(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    n = values.shape[axis] - int(periodic)
+    v = values
+    if periodic:
+        core = values[along(0, n)]
+        v = np.concatenate([core[along(n - lo, n)], core,
+                            core[along(0, width - 1 - lo)]], axis=axis)
+    out = np.empty_like(values)
+    m = v.shape[axis] - width + 1
+    first = 0 if periodic else lo
+    interior = out[along(first, first + m)]
+    w = _stencil(lo, width, order) / h**order
+    np.multiply(v[along(0, m)], w[0], out=interior)
+    for j in range(1, width):
+        if w[j] != 0.0:
+            interior += w[j] * v[along(j, j + m)]
+    if periodic:
+        out[along(n, n + 1)] = out[along(0, 1)]
+        return out
+    for rows, start in ((range(lo), 0), (range(lo + m, n), n - width)):
+        w = np.array([_stencil(i - start, width, order) for i in rows]) / h**order
+        block = np.moveaxis(v[along(start, start + width)], axis, 0)
+        ends = np.einsum("rw,w...->r...", w, block)
+        out[along(rows.start, rows.stop)] = np.moveaxis(ends, 0, axis)
+    return out
+
+
 def _constant_kit(v0=1.0, v1=-1.0):
     return build_kit(make_model_a(), make_pm_field())
 
@@ -223,6 +261,21 @@ class TestTimeSeries:
             fd_derivative(vals[..., :width], small.spacing, order, axis=-1, periodic=True)
         # width distinct nodes are enough
         fd_derivative(vals[..., :width + 1], small.spacing, order, axis=-1, periodic=True)
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("axis,periodic", [(0, False), (-1, False), (-1, True)])
+    def test_blocked_fd_bit_identical(self, order, axis, periodic):
+        """Row blocks change no per-element operation: the result equals the
+        full-width accumulation bit for bit, on arrays of one block and of
+        many (2 * 3 * 129 elements per leading row, 600 rows)."""
+        rng = np.random.default_rng(order)
+        for shape in ((40, 3, 17), (600, 2, 129)):
+            vals = rng.normal(size=shape)
+            if periodic:
+                vals[..., -1] = vals[..., 0]
+            np.testing.assert_array_equal(
+                fd_derivative(vals, 0.05, order, axis=axis, periodic=periodic),
+                reference_fd_derivative(vals, 0.05, order, axis=axis, periodic=periodic))
 
     def test_derivative_cap(self):
         small = UGrid(-1.0, 1.0, 17)

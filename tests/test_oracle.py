@@ -97,6 +97,14 @@ REFERENCE_CASES = {
                            {"h_s": 0.04, "richardson": True}),
     "lag_cutoff": lambda: (_fast_model(), make_pm_field(_SMALL), [0.5, 1.0], 0.2,
                            {"h_s": 0.01}),
+    # 16 columns of drift by t = 2 on 33 points: most nodes of each state
+    # read a clipped stencil at some lag
+    "narrow_open": lambda: (make_model_a(), make_pm_field(UGrid(-2.0, 2.0, 33,
+                                                                escape_margin=3.0)),
+                            [1.0, 2.0], 0.2, {}),
+    "lag_cutoff_periodic": lambda: (_fast_model(),
+                                    make_pm_field(UGrid(-4.0, 4.0, 65, "periodic")),
+                                    [0.5, 1.0], 0.2, {"h_s": 0.01}),
 }
 
 
@@ -283,6 +291,41 @@ class TestDirectSolver:
             scale = np.abs(b.values).max()
             assert np.abs(a.values - b.values).max() <= 1e-12 * scale
             assert np.abs(a.stderr - b.stderr).max() <= 1e-12 * scale
+
+    def test_periodic_lag_cutoff_cuts_the_history(self):
+        m, fld, t_eval, eps, kwargs = REFERENCE_CASES["lag_cutoff_periodic"]()
+        n_steps = round(max(t_eval) / (eps * kwargs["h_s"]))
+        assert all(d.decay_point(1e-14) / kwargs["h_s"] + 2 < n_steps for d in m.sojourns)
+
+    @staticmethod
+    def _lag_kernels(m, fld, t, eps, h_s):
+        n_steps = round(t / (eps * h_s))
+        weights, _ = kernel_node_weights(m.sojourns, 0, h_s * np.arange(n_steps + 1))
+        lag_times = eps * h_s * np.arange(1, n_steps + 1)
+        return [oracle._lag_kernel(fld, x, lag_times, weights[x, 1:])
+                for x in range(m.n_states)]
+
+    def test_gathers_only_clipped_end_columns(self):
+        """Constant velocities: the gathered nodes are exactly those whose
+        flowed stencil clips at some lag, at most ceil(|v| t / h) +
+        INTERP_ORDER at each end; the dense lag kernel covers the rest."""
+        m, fld, t, eps = make_model_a(), make_pm_field(_SMALL), 1.0, 0.1
+        npts = _SMALL.n_points
+        for x, (K, d_min, inner) in enumerate(self._lag_kernels(m, fld, t, eps, 0.02)):
+            gathered = np.r_[0:inner.start, inner.stop:npts]
+            p = (flow_positions(fld, x, eps * 0.02 * np.arange(1, K.shape[1] + 1))
+                 - _SMALL.u_min) / _SMALL.spacing
+            low = np.floor(p) - (oracle.INTERP_ORDER // 2 - 1)
+            clipped = ((low < 0) | (low + oracle.INTERP_ORDER > npts)).any(axis=0)
+            np.testing.assert_array_equal(gathered, np.flatnonzero(clipped))
+            per_end = math.ceil(abs(fld.specs[x].intercept) * t / _SMALL.spacing) \
+                + oracle.INTERP_ORDER
+            assert inner.start <= per_end and npts - inner.stop <= per_end
+
+    def test_linear_states_gather_every_column(self):
+        m, (fld, _) = make_mixed_model(), _mixed_fields(_SMALL)
+        kernels = self._lag_kernels(m, fld, 1.0, 0.2, 0.02)
+        assert [k is None for k in kernels] == [True, False, True]
 
     @pytest.mark.parametrize("h_s,t_eval,bad", [(0.03, [0.5, 1.0], "t=0.5 "),
                                                 (0.02, [0.5, 0.51], "t=0.51 ")])

@@ -19,7 +19,8 @@ from fastswitch.singular import (LayerWindowError, TauGrid, default_tau_grid,
                                  negative_extension, psi_k0, renewal_resolvent,
                                  solve_Wk, term_integral, term_profile)
 
-from conftest import GRID, PHI, make_mixed_model, make_model_a, make_model_b, make_pm_field
+from conftest import (GRID, PHI, integrated_survival, make_mixed_model, make_model_a,
+                      make_model_b, make_pm_field, sojourn_density)
 
 DETERMINISTIC = Path(__file__).resolve().parent.parent / "configs" / "deterministic.json"
 
@@ -152,7 +153,7 @@ class TestPsiK:
         tau = default_tau_grid(kit, h_tau=0.01).nodes
         phi = np.broadcast_to(PHI(kit.fld.grid.nodes), (3, kit.fld.grid.n_points))
         vk_phi = velocity_power_values(kit.fld, state_mix(kit.P, phi), k)
-        fbar_k = np.array([d.integrated_survival(k, tau) for d in kit.model.sojourns]).T
+        fbar_k = np.array([integrated_survival(d, k, tau) for d in kit.model.sojourns]).T
         expected = fbar_k[:, :, None] * vk_phi
         assert np.abs(psi_k_values(kit, k, tau) - expected).max() \
             <= 1e-14 * np.abs(expected).max()
@@ -225,7 +226,7 @@ class TestKernelWeights:
             w, a = kernel_node_weights((d,), 1, nodes)
             results.append(w[0] @ gfun(nodes))
         s = np.linspace(0, 12, 200001)
-        ref = np.trapezoid(s * d.density(s) * gfun(s), s)
+        ref = np.trapezoid(s * sojourn_density(d, s) * gfun(s), s)
         e1, e2 = abs(results[0] - ref), abs(results[1] - ref)
         assert e2 < e1 / 3.0  # second order
         assert e2 < 1e-6
@@ -339,7 +340,7 @@ class TestPsiK0:
         s_fine = np.linspace(0.0, 30.0, 120001)
         expected = np.zeros((2, GRID.n_points))
         for xi, dist in enumerate(kit.model.sojourns):
-            dens = dist.density(s_fine)
+            dens = sojourn_density(dist, s_fine)
             # values of V P W1 at tau - s: interpolate the series in tau
             pos = tau - s_fine
             inside = pos >= 0
