@@ -7,7 +7,7 @@ Usage: python scripts/convergence_study.py [--config configs/model_a.json]
 import argparse
 
 from fastswitch.analysis import remainder_compare
-from fastswitch.config import load_config
+from fastswitch.config import ConfigError, load_config
 from fastswitch.pipeline import build_expansion
 
 
@@ -17,9 +17,11 @@ def main():
     ap.add_argument("--order", type=int, default=None)
     args = ap.parse_args()
 
-    cfg = load_config(args.config)
-    order = cfg.order if args.order is None else args.order
-    res = build_expansion(cfg.model, cfg.field, cfg.phi, order=order,
+    try:
+        cfg = load_config(args.config, {"order": args.order})
+    except ConfigError as exc:
+        ap.error(f"config error: {exc}")
+    res = build_expansion(cfg.model, cfg.field, cfg.phi, order=cfg.order,
                           horizon=cfg.horizon, h_t=cfg.h_t,
                           h_tau=cfg.h_tau, tau_max=cfg.tau_max)
     doc = remainder_compare(res, cfg)

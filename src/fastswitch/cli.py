@@ -7,7 +7,6 @@ that identical configs and seeds reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -37,17 +36,14 @@ def _write_series_csv(path: Path, quantity: str, k: int, times: np.ndarray,
                              f"{_fmt(u_nodes[p])},{_fmt(values[i, x, p])}\n")
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "order", None) is not None:
-        cfg = dataclasses.replace(cfg, order=args.order)
-    if getattr(args, "epsilon", None):
-        eps = tuple(float(e) for e in args.epsilon.split(","))
-        cfg = dataclasses.replace(cfg, epsilons=eps)
-    if getattr(args, "oracle", None):
-        cfg.oracle.method = args.oracle
-    if getattr(args, "seed", None) is not None:
-        cfg.oracle.seed = args.seed
-    return cfg
+def _floats(text: str) -> list:
+    return [float(e) for e in text.split(",")]
+
+
+def _load(args) -> RunConfig:
+    # each flag is checked as the config key it sets
+    return load_config(args.config, {"order": args.order, "epsilons": args.epsilon,
+                                     "oracle": {"method": args.oracle, "seed": args.seed}})
 
 
 def cmd_validate(args) -> int:
@@ -76,7 +72,7 @@ def _expand(cfg: RunConfig) -> ExpansionResult:
 
 
 def cmd_expand(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -114,7 +110,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
     if cfg.oracle.method == "direct":
         # an off-grid oracle time needs only the config to reject
         for eps in cfg.epsilons:
@@ -199,8 +195,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="out")
         if name in ("expand", "compare"):
             p.add_argument("--order", type=int, default=None)
-            p.add_argument("--epsilon", type=str, default=None,
-                           help="comma-separated overrides")
+            p.add_argument("--epsilon", type=_floats, default=None,
+                           help="comma-separated epsilons, replacing the config's")
             p.add_argument("--oracle", choices=("direct", "mc"), default=None)
             p.add_argument("--seed", type=int, default=None)
         p.set_defaults(fn=fn)

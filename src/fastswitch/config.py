@@ -18,7 +18,7 @@ class ConfigError(ValueError):
     """Malformed configuration document."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleConfig:
     method: str
     n_samples: int
@@ -29,14 +29,14 @@ class OracleConfig:
     richardson: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputConfig:
     t_stride: int
     tau_stride: int
     u_stride: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     model: SemiMarkovModel
     grid: UGrid
@@ -52,18 +52,28 @@ class RunConfig:
     output: OutputConfig
 
 
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
+    return doc
+
+
+def _require(doc, key: str, context: str):
+    if key not in _object(doc, context):
         raise ConfigError(f"missing key {key!r} in {context}")
     return doc[key]
+
+
+def _list(vals, where: str) -> list:
+    if not isinstance(vals, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {vals!r}")
+    return vals
 
 
 def _known(doc, keys, where: str) -> dict:
     """doc as a JSON object whose keys are all among keys: a key nothing
     reads is a ConfigError naming it, never a setting silently dropped."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object, got {doc!r}")
-    for key in doc:
+    for key in _object(doc, where):
         if key not in keys:
             raise ConfigError(f"unknown key {key!r} in {where}; "
                               f"expected one of {', '.join(keys)}")
@@ -88,9 +98,7 @@ def _number(val, name: str, cast=float, positive: bool = False):
 
 def _numbers(vals, name: str) -> list:
     """Each entry of the list vals as a finite number, entry i named name[i]."""
-    if not isinstance(vals, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {vals!r}")
-    return [_number(v, f"{name}[{i}]") for i, v in enumerate(vals)]
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(_list(vals, name))]
 
 
 def _positive(doc: dict, key: str, default, where: str, cast=float):
@@ -114,8 +122,8 @@ _VELOCITY_KEYS = {"constant": ("value",), "linear": ("slope", "intercept")}
 
 def _sojourn_from_doc(doc: dict, where: str) -> SojournDistribution:
     fam = _require(doc, "family", where)
-    if fam not in _SOJOURN_KEYS:
-        raise ConfigError(f"unknown sojourn family {fam!r} in {where}")
+    if not isinstance(fam, str) or fam not in _SOJOURN_KEYS:
+        raise ConfigError(f"unknown sojourn family {fam!r} in {where}.family")
     _known(doc, ("family",) + _SOJOURN_KEYS[fam], where)
     params = {key: _number(_require(doc, key, where), f"{where}.{key}",
                            int if key == "shape" else float)
@@ -134,8 +142,8 @@ def _velocity_from_doc(doc: dict, where: str, grid: UGrid) -> StateVelocity:
         if len(vals) != grid.n_points:
             raise ConfigError(f"tabulated velocity in {where} must have {grid.n_points} values")
         return StateVelocity("tabulated", table=np.array(vals))
-    if kind not in _VELOCITY_KEYS:
-        raise ConfigError(f"unknown velocity kind {kind!r} in {where}")
+    if not isinstance(kind, str) or kind not in _VELOCITY_KEYS:
+        raise ConfigError(f"unknown velocity kind {kind!r} in {where}.kind")
     _known(doc, ("kind",) + _VELOCITY_KEYS[kind], where)
     return StateVelocity(kind, **{key: _number(_require(doc, key, where), f"{where}.{key}")
                                   for key in _VELOCITY_KEYS[kind]})
@@ -146,7 +154,7 @@ def config_from_document(doc: dict) -> RunConfig:
                  "epsilons", "oracle", "output"), "document")
     mdoc = _known(_require(doc, "model", "document"), ("states", "transitions", "sojourns"),
                   "model")
-    states = tuple(_require(mdoc, "states", "model"))
+    states = tuple(_list(_require(mdoc, "states", "model"), "model.states"))
     n = len(states)
     rows = _require(mdoc, "transitions", "model")
     if isinstance(rows, list):
@@ -154,7 +162,8 @@ def config_from_document(doc: dict) -> RunConfig:
     if not isinstance(rows, list) or [len(r) for r in rows] != [n] * n:
         raise ConfigError(f"transitions must be {n}x{n}")
     sojourns = [_sojourn_from_doc(s, f"model.sojourns[{i}]")
-                for i, s in enumerate(_require(mdoc, "sojourns", "model"))]
+                for i, s in enumerate(_list(_require(mdoc, "sojourns", "model"),
+                                            "model.sojourns"))]
     if len(sojourns) != n:
         raise ConfigError("model.sojourns must list one entry per state")
     try:
@@ -169,7 +178,7 @@ def config_from_document(doc: dict) -> RunConfig:
                   n_points=_number(gdoc.get("n_points", 257), "grid.n_points", int),
                   boundary_mode=gdoc.get("boundary_mode", "extrapolate"))
 
-    vdoc = _require(doc, "velocity", "document")
+    vdoc = _list(_require(doc, "velocity", "document"), "velocity")
     if len(vdoc) != n:
         raise ConfigError("velocity must list one entry per state")
     fld = VelocityField(grid, tuple(_velocity_from_doc(v, f"velocity[{i}]", grid)
@@ -207,7 +216,6 @@ def config_from_document(doc: dict) -> RunConfig:
                           richardson=odoc.get("richardson", False))
     if not isinstance(oracle.richardson, bool):
         raise ConfigError(f"oracle.richardson must be true or false, got {oracle.richardson!r}")
-    # checked whatever the method: --oracle mc can switch it after load
     if oracle.n_samples < MIN_SAMPLES:
         raise ConfigError(f"oracle.n_samples must be an integer >= {MIN_SAMPLES}, "
                           f"got {oracle.n_samples!r}")
@@ -234,7 +242,10 @@ def config_from_document(doc: dict) -> RunConfig:
                      epsilons=eps, oracle=oracle, output=output)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, flags: dict | None = None) -> RunConfig:
+    """The config file's document with the fragment flags (such as {"order": 3,
+    "oracle": {"seed": 7}}) written over it, checked as one.  None values are
+    skipped; a file section that is not an object is kept for the checks."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -244,4 +255,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    for key, val in (flags or {}).items():
+        section = doc.get(key, {})
+        if isinstance(val, dict) and isinstance(section, dict):
+            doc[key] = {**section, **{k: v for k, v in val.items() if v is not None}}
+        elif val is not None and not isinstance(val, dict):
+            doc[key] = val
     return config_from_document(doc)

@@ -89,6 +89,9 @@ def mc_expectation(model: SemiMarkovModel, fld: VelocityField, phi, t: float,
                 nxt = np.searchsorted(cum_p[s], d[~hit_end, 0], side="right")
                 state[sel[~hit_end]] = np.minimum(nxt, n - 1)
             alive = alive[remaining[alive] > 0.0]
+        if grid.boundary_mode == "periodic":
+            # read φ where the expansion and the direct oracle read the grid
+            u = grid.u_min + np.mod(u - grid.u_min, grid.u_max - grid.u_min)
         for col, finals in enumerate(np.ascontiguousarray(u.T)):
             vals = phi(finals)
             values[xi, col] = vals.mean()
@@ -168,7 +171,7 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     other node (the clipped or wrapped end columns, and every node of a
     linear or tabulated state) gathers its flowed stencils, built once per
     state with the lag weights folded in, as flat offsets into that block:
-    one gather, one multiply and one sum per state and step.
+    one gather and one einsum sum per state and step.
     """
     from .singular import kernel_node_weights
 
@@ -214,8 +217,8 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
             kernel = (K, G, diag, inner)
         dense.append(kernel)
         cols.append(col)
-        # (lag, stencil, point) layout: a lag prefix is contiguous and the
-        # sum runs over rows; each raw stencil array is freed once folded
+        # (lag, stencil, point) layout: a lag prefix is contiguous; each raw
+        # stencil array is freed once folded
         w = w[1:jc + 1, col].transpose(0, 2, 1)
         lag_w.append(np.multiply(weights[x, 1:jc + 1, None, None], w,
                                  out=np.empty(w.shape)))
@@ -224,7 +227,6 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
         lag_idx.append(np.add(idx, npts * np.arange(jc)[:, None, None],
                               out=np.empty(idx.shape, dtype=np.intp)))
         del idx
-    gathered = np.empty(max(a.size for a in lag_w))
 
     hist = np.empty((n, n_steps + 1, npts))   # reversed history of P Φ
     hist[:, n_steps] = p_phi
@@ -241,11 +243,8 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
                 K, G, diag, inner = dense[x]
                 np.matmul(K[:, :jm], block, out=G)
                 rhs[x, inner] += diag.sum(axis=0)
-            n_cols = lag_w[x].shape[2]
-            buf = gathered[:jm * INTERP_ORDER * n_cols].reshape(jm, INTERP_ORDER, n_cols)
-            np.take(block.reshape(-1), lag_idx[x][:jm], out=buf, mode="clip")
-            buf *= lag_w[x][:jm]
-            rhs[x, cols[x]] += buf.reshape(-1, n_cols).sum(axis=0)
+            rhs[x, cols[x]] += np.einsum("lqc,lqc->c", block.reshape(-1)[lag_idx[x][:jm]],
+                                         lag_w[x][:jm])
         cur = np.tensordot(A_inv, rhs, axes=(1, 0))
         hist[:, row - 1] = np.einsum("xy,yu->xu", model.P, cur)
         if i in keep:

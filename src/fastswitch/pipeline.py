@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import TestFunction, VelocityField, grid_index, sup_norm
+from .field import TestFunction, VelocityField, grid_index, lagrange_weights, sup_norm
 from .model import SemiMarkovModel, validate_model
 from .operators import OperatorKit, TimeSeries, build_kit, state_mix
 from .regular import (averaged_flow_table, regular_term, solve_c0, solve_ck,
@@ -65,11 +65,7 @@ class ExpansionResult:
         base = min(max(i0 - 1, 0), grid_tau.n_tau - 3)
         s = p - base
         vals = self.W[k].values[base:base + 4]
-        w = np.array([-(s - 1) * (s - 2) * (s - 3) / 6.0,
-                      s * (s - 2) * (s - 3) / 2.0,
-                      -s * (s - 1) * (s - 3) / 2.0,
-                      s * (s - 1) * (s - 2) / 6.0])
-        return np.tensordot(w, vals, axes=(0, 0))
+        return np.tensordot(lagrange_weights(s, 4), vals, axes=(0, 0))
 
     def evaluate(self, eps: float, t: float, order: int | None = None) -> np.ndarray:
         """Partial sum U_0 + Σ_{k<=order} eps^k (U_k + W_k(t/eps))."""

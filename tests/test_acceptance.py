@@ -131,6 +131,27 @@ def test_criterion_5_remainder_order(expansion_a, expansion_b):
     _report("5 remainder order", ok, "; ".join(detail), t0)
 
 
+def test_remainder_inside_boundary_layer(expansion_a, expansion_b):
+    """At t = eps*tau the layer terms W_k are O(1), so the slopes of
+    criterion 5 must hold there too: >= N + 0.75 for N = 0, 1, 2."""
+    eps_list = (0.2, 0.1, 0.05, 0.025)
+    taus = (2.0, 4.0)
+    for name, res, model in (("A", expansion_a, make_model_a()),
+                             ("B", expansion_b, make_model_b())):
+        errs = {(n, tau): [] for n in (0, 1, 2) for tau in taus}
+        for eps in eps_list:
+            ests = direct_solve_phi(model, make_pm_field(), PHI, [eps * tau for tau in taus],
+                                    eps, h_s=0.02, richardson=True)
+            for tau, est in zip(taus, ests):
+                for n in (0, 1, 2):
+                    approx = res.evaluate(eps, est.t, order=n)
+                    errs[(n, tau)].append(float(np.abs(est.values - approx).max()))
+        for (n, tau), e in sorted(errs.items()):
+            slope = float(np.polyfit(np.log(eps_list), np.log(e), 1)[0])
+            print(f"layer remainder {name} N={n} tau={tau}: slope {slope:.2f}")
+            assert slope >= n + 0.75, f"{name} N={n} tau={tau}: slope {slope:.2f}"
+
+
 def test_criterion_6_cross_oracle():
     """Monte Carlo with 1e5 replicates matches the direct solver within four
     standard errors (plus the direct solver's 1e-8 numeric floor)."""

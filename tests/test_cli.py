@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -173,6 +175,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             config_from_document(doc)
 
+    @pytest.mark.parametrize("path,entry,name", [
+        (("model", "states"), 5, "model.states"),
+        (("model", "states"), "ab", "model.states"),
+        (("velocity",), 3, "velocity"),
+        (("model", "sojourns", 0), 5, "model.sojourns[0]"),
+        (("velocity", 1), [-1.0], "velocity[1]"),
+        (("model", "sojourns", 0, "family"), ["exponential"], "model.sojourns[0].family"),
+        (("velocity", 0, "kind"), ["constant"], "velocity[0].kind"),
+        (("model", "sojourns"), {"family": "exponential", "rate": 1.0}, "model.sojourns"),
+    ])
+    def test_wrong_shape_rejected(self, tmp_path, capsys, path, entry, name):
+        doc = json.loads(small_config(tmp_path).read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = entry
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            config_from_document(doc)
+        cfg = tmp_path / "shape.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["expand", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_loaded_config_is_frozen(self):
+        cfg = load_config(MODEL_A)
+        for obj, field in ((cfg, "order"), (cfg.oracle, "seed"), (cfg.output, "u_stride")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, 1)
+
     @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.json")))
     def test_shipped_configs_load(self, name):
         load_config(REPO / "configs" / name)
@@ -316,6 +347,48 @@ class TestCompareCommand:
         with open(out / "remainder.json") as fh:
             doc = json.load(fh)
         assert {r["eps"] for r in doc["rows"]} == {0.2}
+
+
+class TestFlags:
+    """--order, --epsilon, --oracle and --seed are written into the config
+    document and pass the checks of the keys they replace."""
+
+    @pytest.mark.parametrize("command", ["expand", "compare"])
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--epsilon", "0,0.1", "epsilon"), ("--epsilon", "-0.1", "epsilon"),
+        ("--epsilon", "1.5", "epsilon"), ("--epsilon", "nan", "epsilon"),
+        ("--epsilon", "abc", "epsilon"), ("--order", "5", "order"),
+    ])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, command, flag, value, key):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(small_config(tmp_path)), "--out", str(out),
+                flag, value]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_override_file_keys(self, tmp_path):
+        path = small_config(tmp_path)
+        ns = argparse.Namespace(config=str(path), order=0, epsilon=[0.1],
+                                oracle="mc", seed=11)
+        cfg = cli._load(ns)
+        assert (cfg.order, cfg.epsilons, cfg.oracle.method, cfg.oracle.seed) == (
+            0, (0.1,), "mc", 11)
+        # the oracle keys no flag names keep the file's values
+        assert (cfg.oracle.n_samples, cfg.oracle.h_s) == (2000, 0.05)
+
+    def test_no_flags_keep_file_keys(self, tmp_path):
+        path = small_config(tmp_path)
+        ns = argparse.Namespace(config=str(path), order=None, epsilon=None,
+                                oracle=None, seed=None)
+        cfg, file_cfg = cli._load(ns), load_config(path)
+        assert (cfg.order, cfg.epsilons, cfg.oracle) == (
+            file_cfg.order, file_cfg.epsilons, file_cfg.oracle)
+
+    def test_flag_never_replaces_a_malformed_section(self, tmp_path):
+        path = small_config(tmp_path, oracle=5)
+        with pytest.raises(ConfigError, match="oracle must be an object"):
+            load_config(path, {"oracle": {"seed": 3}})
 
 
 class TestReportCommand:

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fastswitch import oracle
-from fastswitch.field import StateVelocity, UGrid, VelocityField, flow_positions, interp_weights
+from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField, flow_positions,
+                             interp_weights)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.oracle import DirectSolverCost, direct_solve_phi, mc_expectation
 from fastswitch.singular import kernel_node_weights
@@ -365,3 +366,13 @@ class TestCrossOracle:
         direct = direct_solve_phi(m, fld, PHI, [1.0], 0.1, h_s=0.02)[0]
         diff = np.abs(mc.values - direct.values[:, u_idx])
         assert np.all(diff < 4.0 * mc.stderr + 1e-8)
+
+    def test_mc_wraps_on_periodic_grid(self):
+        # paths leave [-3, 3]; both oracles must read φ periodically, the
+        # seam node u = 3 included
+        m = make_model_a()
+        fld = make_pm_field(UGrid(-3.0, 3.0, 129, "periodic"))
+        phi = TestFunction("gaussian", 0.0, 0.7)
+        mc = mc_expectation(m, fld, phi, 1.0, 0.1, 20000, seed=7)
+        direct = direct_solve_phi(m, fld, phi, [1.0], 0.1, h_s=0.02)[0]
+        assert np.all(np.abs(mc.values - direct.values) < 4.0 * mc.stderr + 1e-8)

@@ -9,13 +9,25 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("flags", [[], ["--erlang"]])
-def test_telegraph_demo_runs(flags):
+def run_script(name, *flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "telegraph_demo.py"),
-                           "--order", "1", *flags],
+    return subprocess.run([sys.executable, str(REPO / "scripts" / name), *flags],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("flags", [[], ["--erlang"]])
+def test_telegraph_demo_runs(flags):
+    proc = run_script("telegraph_demo.py", "--order", "1", *flags)
     assert proc.returncode == 0, proc.stderr
     assert "order 1:" in proc.stdout
+
+
+def test_convergence_study_rejects_order_as_config_error():
+    # --order is checked as the config's own order key, before any build
+    proc = run_script("convergence_study.py", "--config",
+                      str(REPO / "configs" / "model_a.json"), "--order", "5")
+    assert proc.returncode == 2
+    assert "config error: order 5" in proc.stderr
+    assert "Traceback" not in proc.stderr
