@@ -33,8 +33,7 @@ def main():
     print("\nfitted slopes (target N + 1):")
     for s in doc["slopes"]:
         slope = "n/a" if s["slope"] is None else f"{s['slope']:6.3f}"
-        floor = "  [discretization floor]" if s["discretization_floor"] else ""
-        print(f"  N={s['order']} t={s['t']}: {slope}{floor}")
+        print(f"  N={s['order']} t={s['t']}: {slope}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import numpy as np
 
 from fastswitch.field import StateVelocity, TestFunction, UGrid, VelocityField
 from fastswitch.model import SemiMarkovModel, SojournDistribution
-from fastswitch.pipeline import build_expansion
+from fastswitch.pipeline import MAX_ORDER, build_expansion
 
 
 def main():
@@ -18,6 +18,8 @@ def main():
     ap.add_argument("--erlang", action="store_true",
                     help="erlang(2) sojourns instead of exponential")
     args = ap.parse_args()
+    if not 0 <= args.order <= MAX_ORDER:
+        ap.error(f"--order {args.order} outside the supported range 0..{MAX_ORDER}")
 
     if args.erlang:
         sojourns = (SojournDistribution("erlang", rate=1.0, shape=2),

@@ -8,51 +8,39 @@ from .config import RunConfig
 from .oracle import direct_solve_phi, mc_expectation
 from .pipeline import ExpansionResult
 
-FLOOR_LEVEL = 1e-5
-
 
 def _oracle_estimates(cfg: RunConfig, eps: float):
     if cfg.oracle.method == "direct":
         return direct_solve_phi(cfg.model, cfg.field, cfg.phi, cfg.oracle.t_eval,
                                 eps, h_s=cfg.oracle.h_s,
                                 richardson=cfg.oracle.richardson)
-    ests = []
     u_idx = np.arange(0, cfg.grid.n_points, cfg.oracle.u_stride)
-    for t in cfg.oracle.t_eval:
-        ests.append(mc_expectation(cfg.model, cfg.field, cfg.phi, t, eps,
-                                   cfg.oracle.n_samples, cfg.oracle.seed,
-                                   u_indices=u_idx))
-    return ests
+    return [mc_expectation(cfg.model, cfg.field, cfg.phi, t, eps, cfg.oracle.n_samples,
+                           cfg.oracle.seed, u_indices=u_idx) for t in cfg.oracle.t_eval]
 
 
 def remainder_compare(result: ExpansionResult, cfg: RunConfig) -> dict:
     """Sup-norm remainder of every truncation order at the evaluation times,
     for each epsilon, plus fitted log-log slopes, as the document
-    {"rows": [...], "slopes": [...]} that compare writes."""
+    {"rows": [...], "slopes": [...]} that compare writes.  A row below 4 times
+    the oracle's largest stderr is oracle-limited and left out of the fit."""
     rows = []
     for eps in cfg.epsilons:
         for est in _oracle_estimates(cfg, eps):
-            noise = float(4.0 * est.stderr.max()) if est.method == "monte_carlo" else 0.0
+            noise = float(4.0 * est.stderr.max())
             for n_prime in range(result.order + 1):
                 approx = result.evaluate(eps, est.t, order=n_prime)
                 diff = est.values - approx[:, est.u_indices]
                 err = float(np.abs(diff).max())
                 rows.append({"eps": eps, "t": float(est.t), "order": n_prime, "error": err,
-                             "noise_floor": noise,
-                             "noise_limited": bool(noise > 0 and err < noise)})
+                             "noise_floor": noise, "noise_limited": err < noise})
     slopes = []
     for n_prime in range(result.order + 1):
         for t in sorted({row["t"] for row in rows}):
-            cell = [row for row in rows if row["order"] == n_prime and row["t"] == t]
-            pts = [(row["eps"], row["error"]) for row in cell
-                   if not row["noise_limited"] and row["error"] > 0]
-            slope = None
-            if len(pts) >= 2:
-                x = np.log([p[0] for p in pts])
-                y = np.log([p[1] for p in pts])
-                slope = float(np.polyfit(x, y, 1)[0])
-            errs = [row["error"] for row in cell]
+            pts = np.array([(row["eps"], row["error"]) for row in rows
+                            if row["order"] == n_prime and row["t"] == t
+                            and not row["noise_limited"] and row["error"] > 0]).reshape(-1, 2)
+            slope = float(np.polyfit(*np.log(pts.T), 1)[0]) if len(pts) >= 2 else None
             slopes.append({"order": n_prime, "t": t, "slope": slope,
-                           "status": "ok" if slope is not None else "MC-noise-limited",
-                           "discretization_floor": bool(errs and max(errs) < FLOOR_LEVEL)})
+                           "status": "ok" if slope is not None else "oracle-limited"})
     return {"rows": rows, "slopes": slopes}

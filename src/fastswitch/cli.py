@@ -114,7 +114,7 @@ def cmd_compare(args) -> int:
     if cfg.oracle.method == "direct":
         # an off-grid oracle time needs only the config to reject
         for eps in cfg.epsilons:
-            march_steps(cfg.oracle.t_eval, eps, cfg.oracle.h_s)
+            march_steps(cfg.oracle.t_eval, eps, cfg.oracle.h_s, cfg.oracle.richardson)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = _expand(cfg)
@@ -126,11 +126,10 @@ def cmd_compare(args) -> int:
                      f"{_fmt(r['error'])},{_fmt(r['noise_floor'])},"
                      f"{int(r['noise_limited'])}\n")
     with open(out / "slopes.csv", "w") as fh:
-        fh.write("order,t,slope,status,discretization_floor\n")
+        fh.write("order,t,slope,status\n")
         for s in doc["slopes"]:
             slope_txt = _fmt(s["slope"]) if s["slope"] is not None else ""
-            fh.write(f"{s['order']},{_fmt(s['t'])},{slope_txt},{s['status']},"
-                     f"{int(s['discretization_floor'])}\n")
+            fh.write(f"{s['order']},{_fmt(s['t'])},{slope_txt},{s['status']}\n")
     with open(out / "plotdata.csv", "w") as fh:
         fh.write("log10_eps,log10_error,order,t\n")
         for r in doc["rows"]:
@@ -172,9 +171,8 @@ def cmd_report(args) -> int:
         lines.append("== remainder slopes ==")
         for s in rem["slopes"]:
             slope_txt = "n/a" if s["slope"] is None else f"{s['slope']:.3f}"
-            extra = " (discretization floor)" if s["discretization_floor"] else ""
             lines.append(f"order {s['order']} @ t={s['t']}: slope {slope_txt} "
-                         f"[{s['status']}]{extra}")
+                         f"[{s['status']}]")
     text = "\n".join(lines) + "\n"
     with open(out / "summary.txt", "w") as fh:
         fh.write(text)

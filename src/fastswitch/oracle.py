@@ -23,14 +23,12 @@ from .model import SemiMarkovModel
 @dataclass
 class OracleEstimate:
     values: np.ndarray          # (n_states, n_selected)
-    stderr: np.ndarray          # same shape; direct solver: zero, or the
-                                # Richardson error estimate
-    method: str
+    stderr: np.ndarray          # same shape; the MC standard error, or the direct
+                                # solver's Richardson error bar (else zero)
     eps: float
     t: float
     u_indices: np.ndarray       # grid columns the estimate covers
     n_samples: int = 0
-    seed: int | None = None
 
 
 # -- trajectory simulation ---------------------------------------------------------
@@ -96,9 +94,8 @@ def mc_expectation(model: SemiMarkovModel, fld: VelocityField, phi, t: float,
             vals = phi(finals)
             values[xi, col] = vals.mean()
             stderr[xi, col] = vals.std(ddof=1) / math.sqrt(n_samples)
-    return OracleEstimate(values=values, stderr=stderr, method="monte_carlo",
-                          eps=eps, t=t, u_indices=u_indices,
-                          n_samples=n_samples, seed=seed)
+    return OracleEstimate(values=values, stderr=stderr, eps=eps, t=t,
+                          u_indices=u_indices, n_samples=n_samples)
 
 
 # -- deterministic renewal march -----------------------------------------------------
@@ -112,18 +109,20 @@ class DirectSolverCost(RuntimeError):
     """The requested march would be too fine; coarsen h_s or use Monte Carlo."""
 
 
-def march_steps(t_eval, eps: float, h_s: float) -> dict:
+def march_steps(t_eval, eps: float, h_s: float, richardson: bool) -> dict:
     """Step index -> time of each requested time on the march grid of step
-    eps*h_s; raises ValueError when some time is not a whole number of steps."""
+    eps*h_s; raises ValueError when some time is not a whole number of steps,
+    with richardson of the coarse march's steps 2*eps*h_s."""
     h_phys = eps * h_s
+    stride, factor = (2, "2*") if richardson else (1, "")
     keep = {}
     for t in sorted(float(t) for t in np.atleast_1d(t_eval)):
-        i = grid_index(t, h_phys)
+        i = grid_index(t, stride * h_phys)
         if i is None:
-            raise ValueError(
-                f"t={t:g} is not a whole number of march steps eps*oracle.h_s = "
-                f"{eps:g}*{h_s:g}; choose oracle.h_s so that t / (eps*h_s) is an integer")
-        keep[i] = i * h_phys
+            raise ValueError(f"t={t:g} is not a whole number of march steps {factor}eps*"
+                             f"oracle.h_s = {factor}{eps:g}*{h_s:g}; choose oracle.h_s so "
+                             f"that t / ({factor}eps*h_s) is an integer")
+        keep[stride * i] = stride * i * h_phys
     return keep
 
 
@@ -258,12 +257,13 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
 
     Returns one OracleEstimate per requested time.  The kernel uses exact cell
     moments of the sojourn law and interpolation of the flowed history, so the
-    march is O(h_s^2) with a small constant; richardson=True removes the
-    leading error term with a second half-step march and reports that term,
-    |res2 - res| / 3, as stderr.  Every time in t_eval must be a whole number
-    of steps eps*h_s (see march_steps).
+    march r(h) is O(h^2) with a small constant.  richardson=True returns
+    E(h_s) = (4 r(h_s/2) - r(h_s)) / 3, which is O(h_s^4), with its
+    a-posteriori error |E(h_s) - E(2 h_s)| / 15 as stderr, from a third march
+    at 2 h_s.  Every t must be a whole number of steps eps*h_s, with richardson
+    of 2*eps*h_s (see march_steps).
     """
-    keep = march_steps(t_eval, eps, h_s)
+    keep = march_steps(t_eval, eps, h_s, richardson)
     n_steps = max(keep)
     if n_steps > MAX_STEPS:
         raise DirectSolverCost(
@@ -273,17 +273,20 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
     phi_values = phi(grid.nodes)
     if n_steps == 0:
         vals = np.broadcast_to(phi_values, (model.n_states, grid.n_points)).copy()
-        return [OracleEstimate(values=vals, stderr=np.zeros_like(vals),
-                               method="direct", eps=eps, t=0.0,
+        return [OracleEstimate(values=vals, stderr=np.zeros_like(vals), eps=eps, t=0.0,
                                u_indices=np.arange(grid.n_points))]
     res = _march(model, fld, phi_values, eps, h_s, n_steps, keep)
     stderr = {i: np.zeros_like(v) for i, v in res.items()}
     if richardson:
-        keep2 = {2 * i: t for i, t in keep.items()}
-        res2 = _march(model, fld, phi_values, eps, h_s / 2, 2 * n_steps, keep2)
-        # the h_s/2 march's error is (res2 - res)/3 to leading order
-        stderr = {i: np.abs(res2[2 * i] - res[i]) / 3.0 for i in keep}
-        res = {i: (4.0 * res2[2 * i] - res[i]) / 3.0 for i in keep}
-    return [OracleEstimate(values=res[i], stderr=stderr[i], method="direct", eps=eps,
-                           t=keep[i], u_indices=np.arange(grid.n_points))
+        half = _march(model, fld, phi_values, eps, h_s / 2, 2 * n_steps,
+                      {2 * i: t for i, t in keep.items()})
+        double = _march(model, fld, phi_values, eps, 2 * h_s, n_steps // 2,
+                        {i // 2: t for i, t in keep.items()})
+        # E(h) - E(2h) = (4 r(h/2) - 5 r(h) + r(2h)) / 3 is 15 times the
+        # O(h^4) error of E(h) to leading order
+        stderr = {i: np.abs(4.0 * half[2 * i] - 5.0 * res[i] + double[i // 2]) / 45.0
+                  for i in keep}
+        res = {i: (4.0 * half[2 * i] - res[i]) / 3.0 for i in keep}
+    return [OracleEstimate(values=res[i], stderr=stderr[i], eps=eps, t=keep[i],
+                           u_indices=np.arange(grid.n_points))
             for i in sorted(keep)]

@@ -339,6 +339,20 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "oracle.h_s" in err and "t=0.25 " in err
 
+    def test_off_grid_richardson_time_exits_one(self, tmp_path, capsys, monkeypatch):
+        # eps 0.1 * h_s 0.1 = 0.01 divides t = 0.25, but the Richardson error
+        # bar's coarse march steps 0.02 do not; no expansion is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("expansion built")
+        monkeypatch.setattr(cli, "build_expansion", no_build)
+        path = small_config(tmp_path, epsilons=[0.1])
+        doc = json.loads(path.read_text())
+        doc["oracle"].update(h_s=0.1, richardson=True)
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "2*eps*oracle.h_s" in err and "t=0.25 " in err
+
     def test_epsilon_override(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "out"

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from fastswitch.pipeline import MAX_ORDER
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -22,6 +24,14 @@ def test_telegraph_demo_runs(flags):
     proc = run_script("telegraph_demo.py", "--order", "1", *flags)
     assert proc.returncode == 0, proc.stderr
     assert "order 1:" in proc.stdout
+
+
+def test_telegraph_demo_rejects_order_as_usage_error():
+    # the demo builds its model in code, so it checks --order itself
+    proc = run_script("telegraph_demo.py", "--order", "5")
+    assert proc.returncode == 2
+    assert f"--order 5 outside the supported range 0..{MAX_ORDER}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_convergence_study_rejects_order_as_config_error():
