@@ -27,13 +27,17 @@ def _fmt(x: float) -> str:
 def _write_series_csv(path: Path, quantity: str, k: int, times: np.ndarray,
                       values: np.ndarray, t_stride: int, u_stride: int,
                       u_nodes: np.ndarray):
+    # every time and u-node is formatted once; the values of each (time,
+    # state) are one "%.17g" template, whose lines share the row's lead
+    u_lines = [f"{_fmt(u)},%.17g\n" for u in u_nodes[::u_stride]]
     with open(path, "w") as fh:
         fh.write("quantity,k,time,state,u,value\n")
         for i in range(0, len(times), t_stride):
+            time_lead = f"{quantity},{k},{_fmt(times[i])},"
             for x in range(values.shape[1]):
-                for p in range(0, values.shape[2], u_stride):
-                    fh.write(f"{quantity},{k},{_fmt(times[i])},{x},"
-                             f"{_fmt(u_nodes[p])},{_fmt(values[i, x, p])}\n")
+                lead = f"{time_lead}{x},"
+                fh.write((lead + lead.join(u_lines))
+                         % tuple(values[i, x, ::u_stride].tolist()))
 
 
 def _floats(text: str) -> list:

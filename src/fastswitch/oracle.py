@@ -265,9 +265,12 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
     """
     keep = march_steps(t_eval, eps, h_s, richardson)
     n_steps = max(keep)
-    if n_steps > MAX_STEPS:
+    # the longest march that will run: with richardson, the one at h_s/2
+    longest = 2 * n_steps if richardson else n_steps
+    if longest > MAX_STEPS:
+        march = "the Richardson half-step march (h_s/2)" if richardson else "the march"
         raise DirectSolverCost(
-            f"march needs {n_steps} steps (> {MAX_STEPS}); increase h_s, "
+            f"{march} needs {longest} steps (> {MAX_STEPS}); increase h_s, "
             "shorten the horizon, or use the Monte Carlo oracle")
     grid = fld.grid
     phi_values = phi(grid.nodes)

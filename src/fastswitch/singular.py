@@ -29,7 +29,7 @@ import numpy as np
 
 from .field import sup_norm
 from .operators import OperatorKit, TimeSeries, state_mix, velocity_power_values
-from .regular import cumulative_simpson_weights
+from .regular import cumulative_simpson_weights, fft_length
 
 
 class LayerWindowError(RuntimeError):
@@ -152,20 +152,6 @@ def kernel_node_weights(sojourns, r: int, tau_nodes: np.ndarray):
 
 # columns per FFT pass: bounds the complex temporaries of a long window
 _COLUMN_BLOCK = 32
-
-
-def fft_length(n: int) -> int:
-    """Smallest 5-smooth number 2^a 3^b 5^c >= n, which the FFT factors into
-    radix-2, -3 and -5 passes; the next power of two bounds the search."""
-    length = n
-    while True:
-        rest = length
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return length
-        length += 1
 
 
 def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:

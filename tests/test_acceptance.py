@@ -89,8 +89,11 @@ def test_criterion_3_deterministic_velocity_collapse():
         floor = max(floor, float(np.abs(est.values - res.evaluate(eps, 1.0, order=0)).max()))
     elapsed = time.perf_counter() - t0
     ok = sup_uw < 5e-5 and floor < 1e-5 and elapsed < 30.0
+    # the corrections are rounding noise here: print the bound they meet,
+    # not digits that move with the last bit
+    sup_txt = "<5e-05" if sup_uw < 5e-5 else f"={sup_uw:.2e}"
     _report("3 deterministic collapse", ok,
-            f"max|U_k|,|W_k|={sup_uw:.2e} order-0 floor={floor:.2e}", t0)
+            f"max|U_k|,|W_k|{sup_txt} order-0 floor={floor:.2e}", t0)
 
 
 def test_criterion_4_system_residuals(expansion_a):
@@ -214,4 +217,7 @@ def test_criterion_8_determinism(tmp_path):
         blob = b"".join(sorted(p.read_bytes() for p in out.iterdir()))
         digests.append(blob)
     ok = digests[0] == digests[1]
-    _report("8 determinism", ok, f"{len(digests[0])} bytes compared", t0)
+    # a file count, not a byte count: the bytes follow the repr length of
+    # rounding-level values
+    n_files = len(list(out.iterdir()))
+    _report("8 determinism", ok, f"{n_files} files {'identical' if ok else 'differ'}", t0)

@@ -261,6 +261,31 @@ class TestExpandCommand:
         header = (out / "U_1.csv").read_text().splitlines()[0]
         assert header == "quantity,k,time,state,u,value"
 
+    def test_series_csv_bytes_match_per_field_formatter(self, tmp_path, monkeypatch):
+        """Every series file, W included, is byte-identical to the one the
+        reference writer gives: one formatted field at a time."""
+        def reference_csv(quantity, k, times, values, t_stride, u_stride, u_nodes):
+            lines = ["quantity,k,time,state,u,value\n"]
+            for i in range(0, len(times), t_stride):
+                for x in range(values.shape[1]):
+                    for p in range(0, values.shape[2], u_stride):
+                        lines.append(f"{quantity},{k},{times[i]:.17g},{x},"
+                                     f"{u_nodes[p]:.17g},{values[i, x, p]:.17g}\n")
+            return "".join(lines).encode()
+
+        expected = {}
+        writer = cli._write_series_csv
+
+        def recording(path, *args):
+            expected[path.name] = reference_csv(*args)
+            writer(path, *args)
+        monkeypatch.setattr(cli, "_write_series_csv", recording)
+        out = tmp_path / "out"
+        assert main(["expand", "--config", str(small_config(tmp_path)), "--out", str(out)]) == 0
+        assert set(expected) == {"c_0.csv", "c_1.csv", "U_0.csv", "U_1.csv", "W_1.csv"}
+        for name, blob in expected.items():
+            assert (out / name).read_bytes() == blob, name
+
     def test_grid_metadata_consistent(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "out"

@@ -359,6 +359,25 @@ class TestDirectSolver:
         with pytest.raises(DirectSolverCost):
             direct_solve_phi(m, fld, PHI, [1.0], eps=1e-4, h_s=0.001)
 
+    def test_cost_guardrail_counts_the_longest_march(self, monkeypatch):
+        """The h_s march takes exactly MAX_STEPS and is admitted; with
+        richardson the h_s/2 march takes twice that, and is refused before
+        any march starts."""
+        from fastswitch import oracle
+
+        def no_march(*args):
+            raise AssertionError("march started")
+        monkeypatch.setattr(oracle, "_march", no_march)
+        eps, h_s = 0.001, 1.0 / 60.0
+        assert round(1.0 / (eps * h_s)) == oracle.MAX_STEPS
+        with pytest.raises(AssertionError, match="march started"):
+            direct_solve_phi(make_model_a(), make_pm_field(), PHI, [1.0], eps, h_s=h_s)
+        with pytest.raises(DirectSolverCost) as info:
+            direct_solve_phi(make_model_a(), make_pm_field(), PHI, [1.0], eps, h_s=h_s,
+                             richardson=True)
+        msg = str(info.value)
+        assert f"{2 * oracle.MAX_STEPS} steps" in msg and "half-step march (h_s/2)" in msg
+
     def test_averaging_limit(self):
         """Decreasing eps drives the solution to the averaged flow value."""
         m = make_model_a()

@@ -109,18 +109,34 @@ class TestSolveCk:
         assert_allclose(ck.values[0, 0], init, atol=1e-15)
 
 
-    @pytest.mark.parametrize("kind", ["pm", "linear", "tabulated", "periodic"])
-    def test_lag_gather_matches_double_loop(self, kind):
+    @staticmethod
+    def _duhamel_gap(kind, times):
+        """solve_ck against the double loop, relative to the loop's sup."""
         kit = build_kit(make_model_a(), _duhamel_field(kind))
         assert abs(kit.vhat.values).max() > 0.1
-        times = np.linspace(0.0, 0.6, 61)
         rng = np.random.default_rng(7)
         npts = kit.fld.grid.n_points
         init, source = rng.normal(size=npts), rng.normal(size=(len(times), npts))
         table = averaged_flow_table(kit, times)
         got = solve_ck(kit, init, source, times, table).values
         expected = reference_duhamel(init, source, times, table)
-        assert np.abs(got - expected[:, None, :]).max() <= 1e-13 * np.abs(expected).max()
+        return np.abs(got - expected[:, None, :]).max() / np.abs(expected).max()
+
+    @pytest.mark.parametrize("kind", ["pm", "linear", "tabulated", "periodic"])
+    def test_lag_gather_matches_double_loop(self, kind):
+        assert self._duhamel_gap(kind, np.linspace(0.0, 0.6, 61)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["pm", "periodic"])
+    @pytest.mark.parametrize("n_times", [2, 3, 4, 5])
+    def test_short_series_match_double_loop(self, kind, n_times):
+        """The trapezoid row and the odd rows' end corrections overlap
+        column 0 on the first rows."""
+        assert self._duhamel_gap(kind, np.linspace(0.0, 0.6, n_times)) <= 1e-13
+
+    def test_periodic_flow_past_one_period(self):
+        """vhat = 1/3 travels 20/3 > 2π over the horizon, so each node's
+        stencil window wraps the seam and covers the whole period."""
+        assert self._duhamel_gap("periodic", np.linspace(0.0, 20.0, 61)) <= 1e-13
 
 
 class TestRegularTerm:
