@@ -40,7 +40,7 @@ class ExpansionResult:
     c: list = dc_field(default_factory=list)
     U: list = dc_field(default_factory=list)
     U_R: list = dc_field(default_factory=list)
-    W: list = dc_field(default_factory=list)      # W[0] unused placeholder
+    W: list = dc_field(default_factory=list)      # LayerSeries; W[0] unused placeholder
     ck0: list = dc_field(default_factory=list)
     diagnostics: dict = dc_field(default_factory=dict)
 
@@ -144,6 +144,7 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
                                     else str(w_info["decay_worst_state"])),
             "w_monotone_tail": w_info["monotone_tail"],
             "w_sup": float(sup_norm(W_series.values)),
+            "layer_rank": len(W_series.basis),
             "u_sup": float(sup_norm(U_k.values)),
             **reg,
         }
@@ -163,7 +164,7 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
         },
         "grids": {
             "h_t": float(times[1] - times[0]), "horizon": float(times[-1]),
-            "h_tau": grid_tau.h_tau, "tau_max": grid_tau.tau_max,
+            "h_tau": grid_tau.h_tau, "tau_max": grid_tau.tau_max, "n_tau": grid_tau.n_tau,
             "n_points": kit.fld.grid.n_points,
         },
         "orders": orders_diag,

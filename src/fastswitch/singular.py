@@ -17,8 +17,13 @@ discrete resolvent R, the power-series inverse of that kernel, which
 renewal_resolvent builds by Newton doubling in O(n_tau log n_tau n_states³).
 Every Volterra sum of the layer is a history_convolution: each separable
 term's τ-profile is convolved with R once, and the history part of ψ^k_0,
-Σ_r K_r ⋆ V^r P W_{k-r}, once per lower layer through the composite kernel
-R ⋆ K_r (psi_k0), so nothing convolves R at full width.
+Σ_r K_r ⋆ V^r P W_{k-r}, through the composite kernel R ⋆ K_r (psi_k0).
+Every forcing vector is φ, or a lower order's value at τ = 0, pushed
+through V, P and ∂_u, so each layer lies in a span of few u-vectors and is
+carried as τ-coefficients on an orthonormal basis of it (LayerSeries,
+layer_factor).  ψ^k_0 convolves the lower layers' coefficients, rank-many
+columns per source state, so no layer sum runs at n_points width: each
+costs O(n_tau log n_tau n_states² r).
 """
 from __future__ import annotations
 
@@ -52,6 +57,16 @@ class TauGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.tau_max, self.n_tau + 1)
+
+
+@dataclass
+class LayerSeries(TimeSeries):
+    """A layer W_k on the τ grid with its factor: values[i] = coeffs[i] @ basis,
+    coeffs (N, n_states, r_k) and basis (r_k, n_points) with orthonormal rows.
+    Node 0 holds W_k(0) itself, which the factor reproduces to rounding."""
+
+    coeffs: np.ndarray = None
+    basis: np.ndarray = None
 
 
 def default_tau_grid(kit: OperatorKit, h_tau: float = 0.005,
@@ -157,20 +172,20 @@ _COLUMN_BLOCK = 32
 def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Causal sums out[i] = Σ_{m<=i} kernel[m] @ values[i-m] over fast time.
 
-    kernel is (N, n, n) and values (N, n, n_cols); the sums are one
+    kernel is (N, n_out, n_in) and values (N, n_in, n_cols); the sums are one
     zero-padded real-FFT convolution, taken over blocks of columns with fast
     time as the contiguous transform axis, and the frequency product summed
-    over the n source states.
+    over the n_in source states.
     """
-    n_nodes, n = kernel.shape[:2]
+    n_nodes, n_out, n_in = kernel.shape
     length = fft_length(2 * n_nodes - 1)  # no wrap-around
     k_hat = np.fft.rfft(np.ascontiguousarray(kernel.transpose(1, 2, 0)), length)
-    out = np.empty(values.shape)
+    out = np.empty((n_nodes, n_out, values.shape[2]))
     for c in range(0, values.shape[2], _COLUMN_BLOCK):
         block = np.ascontiguousarray(values[:, :, c:c + _COLUMN_BLOCK].transpose(1, 2, 0))
-        v_hat = np.fft.rfft(block, length)              # (n, cols, freq)
+        v_hat = np.fft.rfft(block, length)              # (n_in, cols, freq)
         prod = k_hat[:, 0, None] * v_hat[0]
-        for y in range(1, n):
+        for y in range(1, n_in):
             prod += k_hat[:, y, None] * v_hat[y]
         sums = np.fft.irfft(prod, length)[..., :n_nodes]
         out[:, :, c:c + _COLUMN_BLOCK] = sums.transpose(2, 0, 1)
@@ -178,28 +193,38 @@ def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid,
-           resolvent: np.ndarray) -> np.ndarray:
+           resolvent: np.ndarray):
     """The march's response Σ_{r=1..k-1} (R ⋆ K_r) ⋆ V^r P W_{k-r} to the [0, τ]
-    part of ψ^k_0(τ) = Σ_{r=1..k-1} ∫_0^∞ s^r/r! F(ds) V^r P W_{k-r}(τ-s).
+    part of ψ^k_0(τ) = Σ_{r=1..k-1} ∫_0^∞ s^r/r! F(ds) V^r P W_{k-r}(τ-s),
+    as a factor: τ-coefficients (N, n_states, m) and u-vectors (m, n_points)
+    whose contraction over m is the response.
 
     K_r is diag of the r-th kernel's node weights and R the march's
-    resolvent: the composite kernel R ⋆ K_r costs n_states columns, and each
-    r one full-width FFT history convolution.  The left-cell weights and the
-    (τ, ∞) part ride with the (r, 0) terms of forcing_terms.
+    resolvent: the composite kernel R ⋆ K_r costs n_states columns.  Each
+    lower layer is read as its factor G B (LayerSeries), so
+    V^r P W_{k-r}(τ)[y] = Σ_c (P G)[τ, y, c] (v_y ∂_u)^r B_c: per source
+    state y the composite kernel's column y is convolved with (P G)[:, y],
+    r_{k-r} columns, and the vectors are (v_y ∂_u)^r B, one set per y.  So
+    each r costs n_states history sums of r_{k-r} columns, O(n_tau log n_tau
+    n_states² r_{k-r}), and nothing runs at n_points width.  The left-cell
+    weights and the (τ, ∞) part ride with the (r, 0) terms of forcing_terms.
     """
     tau = grid_tau.nodes
     n = kit.model.n_states
-    out = None
+    n_points = kit.fld.grid.n_points
+    coeffs, vectors = [np.zeros((len(tau), n, 0))], [np.zeros((0, n_points))]
     for r in range(1, k):
+        lower = W_lower[k - r]
         w = kernel_node_weights(kit.model.sojourns, r, tau)[0]
         composite = history_convolution(resolvent, w.T[:, :, None] * np.eye(n))
-        conv = history_convolution(composite, velocity_power_values(
-            kit.fld, state_mix(kit.P, W_lower[k - r].values), r))
-        if out is None:
-            out = conv  # the first sum is the buffer: no zero-filled full width
-        else:
-            out += conv
-    return np.zeros((len(tau), n, kit.fld.grid.n_points)) if out is None else out
+        pg = state_mix(kit.P, lower.coeffs)
+        coeffs += [history_convolution(composite[:, :, y, None], pg[:, y, None])
+                   for y in range(n)]
+        rank = len(lower.basis)
+        vr_basis = velocity_power_values(
+            kit.fld, np.broadcast_to(lower.basis[:, None], (rank, n, n_points)), r)
+        vectors.append(vr_basis.transpose(1, 0, 2).reshape(n * rank, n_points))
+    return np.concatenate(coeffs, axis=2), np.concatenate(vectors)
 
 
 # -- the renewal solve --------------------------------------------------------------
@@ -222,6 +247,32 @@ def renewal_resolvent(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     return R
 
 
+# singular values of a layer's coefficients at or below this fraction of the
+# largest are rounding, and their directions are dropped from its basis
+_RANK_TOL = 1e-15
+
+
+def layer_factor(W: np.ndarray, vectors: np.ndarray):
+    """The factor of a layer W (N, n_states, n_points) whose rows, W_k(0)
+    included, lie in the span of the stacked vectors (m, n_points):
+    τ-coefficients G (N, n_states, r) on an orthonormal u-basis B
+    (r, n_points), W ≈ G B.
+
+    A thin QR of the vectors gives an orthonormal basis Q of their span and
+    W's coefficients W Q on it.  The basis is orthonormal because the raw
+    factor, the kernel's columns on the vectors themselves, would not do:
+    those columns are resolvent convolutions that do not decay while their
+    sum does, so the FFT rounding of the sums that read a raw factor scales
+    with |G_c|·|B_c| and not with |W|.  On an orthonormal basis |G| is |W|.
+    An SVD of W Q then drops the directions whose singular values are at
+    rounding level.
+    """
+    q = np.linalg.qr(vectors.T)[0]
+    u, s, yt = np.linalg.svd(W.reshape(-1, W.shape[2]) @ q, full_matrices=False)
+    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
+    return (u[:, :rank] * s[:rank]).reshape(W.shape[:2] + (rank,)), yt[:rank] @ q.T
+
+
 def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
              terms: list, W_lower: list, resolvent: np.ndarray):
     """Solve the standard-form fast-time renewal equation
@@ -233,9 +284,13 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     (0, 0, P W_k(0)), plus the history part of ψ^k_0.  The march is applied
     as its discrete resolvent (renewal_resolvent on the r = 0 node weights)
     convolved with the forcing: each separable term's τ-profile is convolved
-    once and contracted with its vector, and psi_k0 returns the history
-    part already convolved, one full-width FFT sum per lower layer.
-    Returns the series and (t0 residual, decay ratio, worst state, monotone-tail flag).
+    once, and psi_k0 returns the history part already convolved, as
+    coefficients on u-vectors read from the lower layers' factors.  The
+    layer is one contraction of all those coefficients with the stacked
+    vectors, and layer_factor factors it on an orthonormal basis of their
+    span for the orders above.
+    Returns the LayerSeries and (t0 residual, decay ratio, worst state,
+    monotone-tail flag).
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
@@ -247,9 +302,8 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     vectors = [vec for _, _, vec in terms]
     f0 = sum(prof[0, :, None] * vec for prof, vec in zip(profiles, vectors))
     t0_residual = sup_norm(f0 - W_k0)
-    # one full-width buffer: the history part's response, built before the
-    # kernels below are held, then the separable part added into it
-    W = psi_k0(kit, W_lower, k, grid_tau, resolvent)
+    # the history part's response, factored like the separable part
+    history, history_vectors = psi_k0(kit, W_lower, k, grid_tau, resolvent)
 
     # node i >= 1 of the march solves A W_i - Σ_{m=1..i} diag(w_m) P W_{i-m}
     # = f_i - diag(a_i) P W_0; with right side A W_0 at i = 0 this holds at
@@ -267,12 +321,13 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     diag = np.zeros((n_nodes, n, n * len(profiles)))
     for t, prof in enumerate(profiles):
         diag[1:, np.arange(n), t * n + np.arange(n)] = prof[1:]
-    kernel = np.concatenate((history_convolution(resolvent, diag), resolvent), axis=2)
-    kernel = kernel.reshape(n_nodes * n, -1)
-    W += (kernel @ np.concatenate(vectors + [delta])).reshape(W.shape)
+    kernel = np.concatenate((history_convolution(resolvent, diag), resolvent, history), axis=2)
+    vectors = np.concatenate(vectors + [delta, history_vectors])
+    W = (kernel.reshape(n_nodes * n, -1) @ vectors).reshape(n_nodes, n, -1)
     W[0] = W_k0
+    coeffs, basis = layer_factor(W, vectors)
 
-    series = TimeSeries(W, kit.fld.grid, grid_tau.h_tau)
+    series = LayerSeries(W, kit.fld.grid, grid_tau.h_tau, coeffs=coeffs, basis=basis)
     norm0 = sup_norm(W_k0)
     # a numerically vanishing layer has no meaningful decay ratio or worst state
     decay_ratio, worst_state = 0.0, None

@@ -294,6 +294,8 @@ class TestExpandCommand:
             diag = json.load(fh)
         assert diag["grids"]["n_points"] == 65
         assert diag["grids"]["h_t"] == pytest.approx(0.005)
+        assert diag["grids"]["n_tau"] * diag["grids"]["h_tau"] == pytest.approx(
+            diag["grids"]["tau_max"])
 
     def test_residual_keys_each_present_once(self, tmp_path):
         path = small_config(tmp_path)
@@ -303,7 +305,7 @@ class TestExpandCommand:
             diag = json.load(fh)
         expected = {"range_projection_defect", "system15_residual", "ck0_sup", "ck0_tail_bound",
                     "w_decay_ratio", "w_monotone_tail", "w_sup", "u_sup",
-                    "regularity_PI", "regularity_I_minus_Pi", "renewal_t0"}
+                    "regularity_PI", "regularity_I_minus_Pi", "renewal_t0", "layer_rank"}
         assert expected <= set(diag["orders"]["1"].keys())
 
     def test_partial_diagnostics_on_failure(self, tmp_path):

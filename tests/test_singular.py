@@ -13,7 +13,7 @@ from fastswitch.pipeline import build_expansion
 from fastswitch.regular import cumulative_simpson_weights
 from fastswitch import singular
 from fastswitch.config import load_config
-from fastswitch.singular import (LayerWindowError, TauGrid, default_tau_grid,
+from fastswitch.singular import (LayerSeries, LayerWindowError, TauGrid, default_tau_grid,
                                  fft_length, forcing_terms, history_convolution,
                                  kernel_node_weights, layer_time_integral,
                                  negative_extension, psi_k0, renewal_resolvent,
@@ -111,6 +111,14 @@ def reference_resolvent(P, w):
         R[m] = A_inv @ rhs
         pr_sm[:, m] = P @ R[m]
     return R
+
+
+def random_layer(rng, grid, grid_tau, n_states, rank):
+    """A factored layer: random τ-coefficients on a random orthonormal
+    rank-`rank` u-basis."""
+    basis = np.linalg.qr(rng.normal(size=(grid.n_points, rank)))[0].T
+    coeffs = rng.normal(size=(grid_tau.n_tau + 1, n_states, rank))
+    return LayerSeries(coeffs @ basis, grid, grid_tau.h_tau, coeffs=coeffs, basis=basis)
 
 
 def layer_resolvent(kit, grid_tau):
@@ -316,8 +324,8 @@ class TestPsiK0:
     def test_k1_is_empty(self, kit_a):
         grid_tau = TauGrid(2.0, 400)
         assert np.abs(reference_psi_k0(kit_a, [None], 1, grid_tau)).max() == 0.0
-        out = psi_k0(kit_a, [None], 1, grid_tau, layer_resolvent(kit_a, grid_tau))
-        assert out.shape == (401, 2, GRID.n_points) and np.abs(out).max() == 0.0
+        coeffs, vectors = psi_k0(kit_a, [None], 1, grid_tau, layer_resolvent(kit_a, grid_tau))
+        assert coeffs.shape == (401, 2, 0) and vectors.shape == (0, GRID.n_points)
 
     def test_k2_against_brute_force(self, expansion_a):
         """ψ^2_0 = Q^1 W_1: check the product-integration history part plus
@@ -362,12 +370,13 @@ class TestPsiK0:
     @pytest.mark.parametrize("k", (2, 3))
     def test_composite_kernel_is_resolvent_of_history_sums(self, k):
         """psi_k0 is R ⋆ Σ_r K_r ⋆ V^r P W_{k-r}: the reference forcing with its
-        left-cell terms added back, convolved with the march's resolvent."""
+        left-cell terms added back, convolved with the march's resolvent.  The
+        lower layers are factored, and the reference reads their values."""
         kit = build_kit(make_mixed_model(), make_mixed_field())
         grid_tau = TauGrid(4.0, 200)
         rng = np.random.default_rng(k)
-        W = [None] + [TimeSeries(rng.normal(size=(201, 3, 65)), kit.fld.grid, grid_tau.h_tau)
-                      for _ in range(k - 1)]
+        W = [None] + [random_layer(rng, kit.fld.grid, grid_tau, 3, rank)
+                      for rank in (5, 11)[:k - 1]]
         resolvent = layer_resolvent(kit, grid_tau)
         history = reference_psi_k0(kit, W, k, grid_tau)
         for r in range(1, k):
@@ -375,7 +384,8 @@ class TestPsiK0:
             history += a.T[:, :, None] * velocity_power_values(
                 kit.fld, state_mix(kit.P, W[k - r].values[0]), r)
         expected = history_convolution(resolvent, history)
-        out = psi_k0(kit, W, k, grid_tau, resolvent)
+        coeffs, vectors = psi_k0(kit, W, k, grid_tau, resolvent)
+        out = coeffs @ vectors
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_refinement_stability(self):
@@ -448,21 +458,45 @@ class TestSolveWk:
             expected = reference_solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
             assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    def test_one_full_width_convolution_per_lower_layer(self, monkeypatch):
-        """Order k convolves at full width once per lower layer, through the
-        composite kernel R ⋆ K_r: Σ_k (k - 1) = 3 sums for an order-3 build,
-        and never the resolvent with a full-width history sum."""
+    @pytest.mark.parametrize("make_model,field", [
+        (make_model_a, None), (make_model_b, None), (make_mixed_model, make_mixed_field)])
+    def test_factor_reproduces_layer(self, monkeypatch, make_model, field):
+        """Each order's factor G_k B_k is its layer, node 0 included, on an
+        orthonormal basis; the order-3 build lifts the tail bound as
+        test_matches_full_width_assembly does."""
+        monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+        fld = field() if field else make_pm_field(UGrid(-6.0, 6.0, 65))
+        res = build_expansion(make_model(), fld, PHI, order=3, horizon=0.5, h_t=0.005,
+                              h_tau=0.01)
+        for k in (1, 2, 3):
+            W = res.W[k]
+            rank = res.diagnostics["orders"][k]["layer_rank"]
+            assert W.coeffs.shape == W.values.shape[:2] + (rank,)
+            assert W.basis.shape == (rank, fld.grid.n_points)
+            assert np.abs(W.coeffs @ W.basis - W.values).max() <= 1e-13 * np.abs(W.values).max()
+            assert np.abs(W.basis @ W.basis.T - np.eye(rank)).max() <= 1e-13
+
+    def test_history_sums_run_at_basis_width(self, monkeypatch):
+        """No layer sum convolves n_points columns: ψ^k_0 convolves, per lower
+        layer r and per source state, the r_{k-r} coefficient columns of
+        that layer's factor, so each ψ sum is n_states × r_{k-r} wide."""
         monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
         fld = make_pm_field(UGrid(-6.0, 6.0, 65))
         original = singular.history_convolution
-        widths = []
+        calls = []
 
         def counted(kernel, values):
-            widths.append(values.shape[2])
+            calls.append((kernel.shape[2], values.shape[2]))
             return original(kernel, values)
         monkeypatch.setattr(singular, "history_convolution", counted)
-        build_expansion(make_model_a(), fld, PHI, order=3, horizon=0.5, h_t=0.01, h_tau=0.01)
-        assert widths.count(fld.grid.n_points) == 3
+        res = build_expansion(make_model_a(), fld, PHI, order=3, horizon=0.5, h_t=0.01,
+                              h_tau=0.01)
+        rank = [None] + [res.diagnostics["orders"][k]["layer_rank"] for k in (1, 2, 3)]
+        n = res.kit.model.n_states
+        assert all(width != fld.grid.n_points for _, width in calls)
+        # the ψ sums are the ones with one source state per kernel
+        psi_widths = [width for n_in, width in calls if n_in == 1]
+        assert psi_widths == [rank[1]] * n + [rank[2]] * n + [rank[1]] * n
 
     def test_vanishing_layer_has_no_worst_state(self):
         """configs/deterministic.json: every layer is rounding noise, whose
