@@ -304,23 +304,35 @@ class VelocityField:
         return interp_eval(self.grid, self.values[x], pos)
 
 
+def flow_map(fld: VelocityField, x: int, t):
+    """(scale, shift) of state x's affine flow over the durations t, so that
+    u_x(t) = u0 * scale + shift: e^{a t} and (b/a)(e^{a t} - 1) for the
+    velocity a u + b, or 1 and b t for a translation (StateVelocity.drift).
+    Two such maps compose to one, so a path of many segments is one map."""
+    spec = fld.specs[x]
+    if spec.kind == "tabulated":
+        raise ValueError(f"state {x} has a tabulated velocity, whose flow is not affine")
+    if spec.drift is not None:
+        shift = spec.drift * t
+        return np.ones_like(shift), shift
+    a, b = spec.slope, spec.intercept
+    ea = np.exp(a * t)
+    return ea, (b / a) * (ea - 1.0)
+
+
 def flow(fld: VelocityField, x: int, u0, t, h_flow: float | None = None,
          check: bool = True) -> np.ndarray:
     """Characteristic position u_x(t) started from u0.
 
     t is a scalar or an array that broadcasts against u0 (one duration per
-    element).  Closed form for affine fields; for tabulated ones RK4, each
-    element taking its own n = max(1, ceil(|t|/h_flow)) steps of t/n, so a
-    short duration never pays for the longest one.
+    element).  Affine fields apply their flow_map, u0 * scale + shift;
+    tabulated ones take RK4, each element its own n = max(1, ceil(|t|/h_flow))
+    steps of t/n, so a short duration never pays for the longest one.
     """
     u0 = np.asarray(u0, dtype=float)
-    spec = fld.specs[x]
-    if spec.drift is not None:
-        out = u0 + spec.drift * t
-    elif spec.kind != "tabulated":
-        a, b = spec.slope, spec.intercept
-        ea = np.exp(a * t)
-        out = u0 * ea + (b / a) * (ea - 1.0)
+    if fld.specs[x].kind != "tabulated":
+        scale, shift = flow_map(fld, x, t)
+        out = u0 * scale + shift
     else:
         if h_flow is None:
             h_flow = fld.grid.spacing / 4.0

@@ -6,7 +6,11 @@ Monte Carlo randomness is counter-based (Philox keyed by seed and start
 state), so results are bit-identical for a given seed regardless of how the
 work is scheduled.  The switching process does not depend on u, so every
 requested node of a start state rides the same sampled paths; each jump
-draws uniforms (alive × channels) for the replicates still running only.
+round draws uniforms (alive × channels) for the replicates still running
+only, and groups them by state with one stable argsort.  An affine flow is
+an affine map of u and so is a composition of them, so with affine
+velocities each replicate carries two scalars, its path's flow map, and
+not a row of positions; a tabulated state makes the field flow positions.
 """
 from __future__ import annotations
 
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (VelocityField, flow, flow_positions, grid_index, interp_weights,
-                    lagrange_weights)
+from .field import (VelocityField, flow, flow_map, flow_positions, grid_index,
+                    interp_weights, lagrange_weights)
 from .model import SemiMarkovModel
 
 
@@ -42,21 +46,41 @@ def _philox_stream(seed: int, x_idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_horizon(eps: float, t, t_name: str = "t") -> None:
+    """Raise ValueError unless eps is finite and > 0 and every t is finite
+    and >= 0: at eps <= 0 no sampled path ends, and a negative or NaN time
+    would read φ(u0) or index the march before its start."""
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise ValueError(f"{t_name} must be finite and >= 0, got {t.tolist()!r}")
+
+
 def mc_expectation(model: SemiMarkovModel, fld: VelocityField, phi, t: float,
                    eps: float, n_samples: int, seed: int,
                    u_indices: np.ndarray | None = None) -> OracleEstimate:
     """Sample mean of φ(u(t)) with standard errors, per start (state, node).
 
-    Per start state, each replicate's positions are a row of all requested
-    nodes, flowed along the replicate's one switching path.  A node's column
-    is reduced on its own, so its estimate reads the same whether the node is
-    requested alone or with others."""
+    Per start state, every requested node rides each replicate's one
+    switching path.  Each jump round draws one row per running replicate and
+    groups those rows by state with one stable argsort, so each state's
+    sojourns, flows and next states are one slice.  When every state's
+    velocity is affine, a replicate carries its path's flow map, two scalars
+    (scale, shift) composed per segment from field.flow_map, and its final
+    positions are formed once as nodes * scale + shift; a field with a
+    tabulated state flows a row of positions, one per node, through
+    field.flow.  A node's column is reduced on its own, so its estimate reads
+    the same whether the node is requested alone or with others."""
+    _check_horizon(eps, t)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"Monte Carlo estimate needs at least {MIN_SAMPLES} samples")
     grid = fld.grid
     if u_indices is None:
         u_indices = np.arange(grid.n_points)
     u_indices = np.asarray(u_indices, dtype=int)
+    nodes = grid.nodes[u_indices]
+    affine = all(spec.kind != "tabulated" for spec in fld.specs)
     n = model.n_states
     channels = 1 + max(d.n_uniforms for d in model.sojourns)
     cum_p = np.cumsum(model.P, axis=1)
@@ -64,34 +88,49 @@ def mc_expectation(model: SemiMarkovModel, fld: VelocityField, phi, t: float,
     stderr = np.empty_like(values)
     for xi in range(n):
         rng = _philox_stream(seed, xi)
-        u = np.tile(grid.nodes[u_indices], (n_samples, 1))
-        state = np.full(n_samples, xi)
+        if affine:
+            scale, shift = np.ones(n_samples), np.zeros(n_samples)
+        else:
+            u = np.tile(nodes, (n_samples, 1))
+        # the narrowest integer type lets the stable argsort take a radix sort
+        state = np.full(n_samples, xi, dtype=np.min_scalar_type(n - 1))
         remaining = np.full(n_samples, float(t))
         alive = np.flatnonzero(remaining > 0.0)
         while alive.size:
             # one row per running replicate: channel 0 drives the jump,
-            # channels 1.. the sojourn
+            # channels 1.. the sojourn; the stable sort keeps each state's
+            # rows in draw order
             draws = rng.random((alive.size, channels))
             st = state[alive]
-            for s in range(n):
-                mine = st == s
-                sel, d = alive[mine], draws[mine]
+            by_state = np.argsort(st, kind="stable")
+            grouped, draws = alive[by_state], draws[by_state]
+            lo = 0
+            for s, hi in enumerate(np.cumsum(np.bincount(st, minlength=n))):
+                sel, d = grouped[lo:hi], draws[lo:hi]
+                lo = hi
                 if not sel.size:
                     continue
                 dt = eps * model.sojourns[s].from_uniforms(d[:, 1:])
                 rem = remaining[sel]
-                hit_end = dt >= rem
-                step = np.where(hit_end, rem, dt)
-                u[sel] = flow(fld, s, u[sel], step[:, None], check=False)
-                remaining[sel] = np.where(hit_end, 0.0, rem - dt)
-                nxt = np.searchsorted(cum_p[s], d[~hit_end, 0], side="right")
-                state[sel[~hit_end]] = np.minimum(nxt, n - 1)
+                step = np.minimum(dt, rem)
+                remaining[sel] = rem - step     # exactly 0 at the horizon
+                if affine:
+                    sc, sh = flow_map(fld, s, step)
+                    scale[sel] *= sc
+                    shift[sel] = shift[sel] * sc + sh
+                else:
+                    u[sel] = flow(fld, s, u[sel], step[:, None], check=False)
+                # a finished replicate's state is never read again
+                state[sel] = np.minimum(np.searchsorted(cum_p[s], d[:, 0], side="right"),
+                                        n - 1)
             alive = alive[remaining[alive] > 0.0]
+        # one row of final positions per node
+        finals = nodes[:, None] * scale + shift if affine else np.ascontiguousarray(u.T)
         if grid.boundary_mode == "periodic":
             # read φ where the expansion and the direct oracle read the grid
-            u = grid.u_min + np.mod(u - grid.u_min, grid.u_max - grid.u_min)
-        for col, finals in enumerate(np.ascontiguousarray(u.T)):
-            vals = phi(finals)
+            finals = grid.u_min + np.mod(finals - grid.u_min, grid.u_max - grid.u_min)
+        for col, row in enumerate(finals):
+            vals = phi(row)
             values[xi, col] = vals.mean()
             stderr[xi, col] = vals.std(ddof=1) / math.sqrt(n_samples)
     return OracleEstimate(values=values, stderr=stderr, eps=eps, t=t,
@@ -263,6 +302,7 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
     at 2 h_s.  Every t must be a whole number of steps eps*h_s, with richardson
     of 2*eps*h_s (see march_steps).
     """
+    _check_horizon(eps, t_eval, "t_eval")
     keep = march_steps(t_eval, eps, h_s, richardson)
     n_steps = max(keep)
     # the longest march that will run: with richardson, the one at h_s/2

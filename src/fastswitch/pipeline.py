@@ -15,8 +15,8 @@ from .model import SemiMarkovModel, validate_model
 from .operators import OperatorKit, TimeSeries, build_kit, state_mix
 from .regular import (averaged_flow_table, regular_term, solve_c0, solve_ck,
                       system_rhs_values, transport_sources)
-from .singular import (TauGrid, check_boundary_regularity, default_tau_grid,
-                       forcing_terms, initial_ck0, kernel_node_weights,
+from .singular import (TauGrid, check_boundary_regularity, composite_kernels,
+                       default_tau_grid, forcing_terms, initial_ck0, kernel_node_weights,
                        renewal_resolvent, solve_Wk)
 
 # high-order time derivatives of the solved series get noisy beyond this
@@ -110,9 +110,11 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
 
     orders_diag: dict = {}
     if order > 0:
-        # the layer march's resolvent is the same at every order
+        # the layer march's resolvent and its composites R ⋆ K_r are the
+        # same at every order
         resolvent = renewal_resolvent(
             kit.P, kernel_node_weights(model.sojourns, 0, grid_tau.nodes)[0])
+        composites = composite_kernels(model.sojourns, grid_tau.nodes, resolvent, order - 1)
     for k in range(1, order + 1):
         rhs_vals = system_rhs_values(kit, result.U, k)
         U_Rk, defect = regular_term(kit, rhs_vals, c0.h_t)
@@ -130,7 +132,8 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
         Uk0 = U_k.values[0]
         Wk0 = -Uk0
 
-        W_series, w_info = solve_Wk(kit, k, grid_tau, Wk0, terms, result.W, resolvent)
+        W_series, w_info = solve_Wk(kit, k, grid_tau, Wk0, terms, result.W, resolvent,
+                                     composites)
         result.W.append(W_series)
 
         reg = check_boundary_regularity(kit, Uk0, Wk0, w_info["t0_residual"])

@@ -17,7 +17,8 @@ discrete resolvent R, the power-series inverse of that kernel, which
 renewal_resolvent builds by Newton doubling in O(n_tau log n_tau n_states³).
 Every Volterra sum of the layer is a history_convolution: each separable
 term's τ-profile is convolved with R once, and the history part of ψ^k_0,
-Σ_r K_r ⋆ V^r P W_{k-r}, through the composite kernel R ⋆ K_r (psi_k0).
+Σ_r K_r ⋆ V^r P W_{k-r}, through the composite kernel R ⋆ K_r (psi_k0),
+which composite_kernels builds once per expansion, like R.
 Every forcing vector is φ, or a lower order's value at τ = 0, pushed
 through V, P and ∂_u, so each layer lies in a span of few u-vectors and is
 carried as τ-coefficients on an orthonormal basis of it (LayerSeries,
@@ -192,16 +193,29 @@ def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def composite_kernels(sojourns, tau: np.ndarray, resolvent: np.ndarray,
+                      r_max: int) -> list:
+    """The composite kernels R ⋆ K_r for r = 1..r_max, entry r - 1, that
+    psi_k0 reads: K_r is diag of the r-th kernel's node weights and R the
+    march's resolvent.  Each depends on r alone, not on the order, so a
+    build makes each once; each costs one history sum of n_states columns."""
+    n = resolvent.shape[1]
+    out = []
+    for r in range(1, r_max + 1):
+        w = kernel_node_weights(sojourns, r, tau)[0]
+        out.append(history_convolution(resolvent, w.T[:, :, None] * np.eye(n)))
+    return out
+
+
 def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid,
-           resolvent: np.ndarray):
+           composites: list):
     """The march's response Σ_{r=1..k-1} (R ⋆ K_r) ⋆ V^r P W_{k-r} to the [0, τ]
     part of ψ^k_0(τ) = Σ_{r=1..k-1} ∫_0^∞ s^r/r! F(ds) V^r P W_{k-r}(τ-s),
     as a factor: τ-coefficients (N, n_states, m) and u-vectors (m, n_points)
     whose contraction over m is the response.
 
-    K_r is diag of the r-th kernel's node weights and R the march's
-    resolvent: the composite kernel R ⋆ K_r costs n_states columns.  Each
-    lower layer is read as its factor G B (LayerSeries), so
+    composites[r - 1] is R ⋆ K_r (composite_kernels), at least k - 1 of
+    them.  Each lower layer is read as its factor G B (LayerSeries), so
     V^r P W_{k-r}(τ)[y] = Σ_c (P G)[τ, y, c] (v_y ∂_u)^r B_c: per source
     state y the composite kernel's column y is convolved with (P G)[:, y],
     r_{k-r} columns, and the vectors are (v_y ∂_u)^r B, one set per y.  So
@@ -215,8 +229,7 @@ def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid,
     coeffs, vectors = [np.zeros((len(tau), n, 0))], [np.zeros((0, n_points))]
     for r in range(1, k):
         lower = W_lower[k - r]
-        w = kernel_node_weights(kit.model.sojourns, r, tau)[0]
-        composite = history_convolution(resolvent, w.T[:, :, None] * np.eye(n))
+        composite = composites[r - 1]
         pg = state_mix(kit.P, lower.coeffs)
         coeffs += [history_convolution(composite[:, :, y, None], pg[:, y, None])
                    for y in range(n)]
@@ -274,7 +287,7 @@ def layer_factor(W: np.ndarray, vectors: np.ndarray):
 
 
 def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
-             terms: list, W_lower: list, resolvent: np.ndarray):
+             terms: list, W_lower: list, resolvent: np.ndarray, composites: list):
     """Solve the standard-form fast-time renewal equation
 
         ∫_0^τ F(ds) P W_k(τ-s) - W_k(τ) = ψ^k - ψ^k_0 - ψ^k_1
@@ -284,7 +297,8 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     (0, 0, P W_k(0)), plus the history part of ψ^k_0.  The march is applied
     as its discrete resolvent (renewal_resolvent on the r = 0 node weights)
     convolved with the forcing: each separable term's τ-profile is convolved
-    once, and psi_k0 returns the history part already convolved, as
+    once, and psi_k0 returns the history part already convolved with the
+    composites R ⋆ K_r (composite_kernels, built once per expansion), as
     coefficients on u-vectors read from the lower layers' factors.  The
     layer is one contraction of all those coefficients with the stacked
     vectors, and layer_factor factors it on an orthonormal basis of their
@@ -303,7 +317,7 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     f0 = sum(prof[0, :, None] * vec for prof, vec in zip(profiles, vectors))
     t0_residual = sup_norm(f0 - W_k0)
     # the history part's response, factored like the separable part
-    history, history_vectors = psi_k0(kit, W_lower, k, grid_tau, resolvent)
+    history, history_vectors = psi_k0(kit, W_lower, k, grid_tau, composites)
 
     # node i >= 1 of the march solves A W_i - Σ_{m=1..i} diag(w_m) P W_{i-m}
     # = f_i - diag(a_i) P W_0; with right side A W_0 at i = 0 this holds at

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from fastswitch.field import (DomainEscape, StateVelocity, TestFunction,
                               UGrid, VelocityField, averaged_velocity, flow,
-                              flow_positions, interp_apply, interp_eval,
+                              flow_map, flow_positions, interp_apply, interp_eval,
                               interp_weights, sup_norm, u_derivative_values)
 from fastswitch.operators import velocity_power_values
 
@@ -73,6 +73,36 @@ class TestFlow:
         # each element takes the steps its own duration needs, as if alone
         for i in range(len(t)):
             assert got[i] == flow(fld, 0, u0[i], t[i]), i
+
+
+    @pytest.mark.parametrize("spec", [
+        StateVelocity("constant", value=-1.0),
+        StateVelocity("linear", slope=0.05, intercept=0.3),
+        StateVelocity("linear", slope=-0.1, intercept=1.0),
+        # below the translation cutoff, and just above it
+        StateVelocity("linear", slope=1e-301, intercept=0.7),
+        StateVelocity("linear", slope=1e-299, intercept=0.7)])
+    def test_affine_flow_is_its_flow_map(self, small_grid, spec):
+        """flow applies flow_map as u0 * scale + shift, bit for bit the
+        closed forms u0 + b t and u0 e^{at} + (b/a)(e^{at} - 1)."""
+        fld = VelocityField(small_grid, (spec,))
+        u0 = np.linspace(-3.0, 3.0, 13)[:, None]
+        t = np.array([0.0, 1e-3, 0.37, 1.0, 2.5])
+        scale, shift = flow_map(fld, 0, t)
+        got = flow(fld, 0, u0, t)
+        np.testing.assert_array_equal(got, u0 * scale + shift)
+        if spec.drift is not None:
+            closed = u0 + spec.drift * t
+        else:
+            a, b = spec.slope, spec.intercept
+            closed = u0 * np.exp(a * t) + (b / a) * (np.exp(a * t) - 1.0)
+        np.testing.assert_array_equal(got, closed)
+
+    def test_tabulated_state_has_no_flow_map(self, small_grid):
+        fld = VelocityField(small_grid, (StateVelocity("tabulated",
+                                                       table=np.sin(small_grid.nodes)),))
+        with pytest.raises(ValueError, match="tabulated"):
+            flow_map(fld, 0, 1.0)
 
 
 class TestSemigroup:

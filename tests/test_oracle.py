@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fastswitch import oracle
-from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField, flow_positions,
-                             interp_weights)
+from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField, flow,
+                             flow_positions, interp_weights)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.oracle import DirectSolverCost, direct_solve_phi, mc_expectation
 from fastswitch.singular import kernel_node_weights
@@ -65,6 +65,50 @@ def reference_march(model, fld, phi_values, eps, h_s, n_steps, keep):
         if i in keep:
             out[i] = cur.copy()
     return out
+
+
+def reference_mc(model, fld, phi, t, eps, n_samples, seed, u_indices):
+    """Monte Carlo by positions: per start state each replicate flows a row
+    of every requested node through field.flow, segment by segment, and each
+    jump round masks the running replicates state by state.  Same streams,
+    same draws and same paths as mc_expectation; returns (values, stderr)."""
+    grid = fld.grid
+    u_indices = np.asarray(u_indices, dtype=int)
+    n = model.n_states
+    channels = 1 + max(d.n_uniforms for d in model.sojourns)
+    cum_p = np.cumsum(model.P, axis=1)
+    values = np.empty((n, len(u_indices)))
+    stderr = np.empty_like(values)
+    for xi in range(n):
+        rng = oracle._philox_stream(seed, xi)
+        u = np.tile(grid.nodes[u_indices], (n_samples, 1))
+        state = np.full(n_samples, xi)
+        remaining = np.full(n_samples, float(t))
+        alive = np.flatnonzero(remaining > 0.0)
+        while alive.size:
+            draws = rng.random((alive.size, channels))
+            st = state[alive]
+            for s in range(n):
+                mine = st == s
+                sel, d = alive[mine], draws[mine]
+                if not sel.size:
+                    continue
+                dt = eps * model.sojourns[s].from_uniforms(d[:, 1:])
+                rem = remaining[sel]
+                hit_end = dt >= rem
+                step = np.where(hit_end, rem, dt)
+                u[sel] = flow(fld, s, u[sel], step[:, None], check=False)
+                remaining[sel] = np.where(hit_end, 0.0, rem - dt)
+                nxt = np.searchsorted(cum_p[s], d[~hit_end, 0], side="right")
+                state[sel[~hit_end]] = np.minimum(nxt, n - 1)
+            alive = alive[remaining[alive] > 0.0]
+        if grid.boundary_mode == "periodic":
+            u = grid.u_min + np.mod(u - grid.u_min, grid.u_max - grid.u_min)
+        for col, finals in enumerate(np.ascontiguousarray(u.T)):
+            vals = phi(finals)
+            values[xi, col] = vals.mean()
+            stderr[xi, col] = vals.std(ddof=1) / math.sqrt(n_samples)
+    return values, stderr
 
 
 def _mixed_fields(grid):
@@ -169,7 +213,45 @@ class TestSampleTrajectory:
         assert abs(mean - 1.0 / 3.0) < 3 * se + 1.0 * eps
 
 
+# name -> (model, field, u_indices): the cases mc_expectation is held to
+# reference_mc on
+MC_CASES = {
+    "model_a": lambda: (make_model_a(), make_pm_field(_SMALL), np.arange(8, 121, 16)),
+    "mixed_linear": lambda: (make_mixed_model(), _mixed_fields(_SMALL)[0],
+                             np.arange(0, 129, 16)),
+    "periodic": lambda: (make_model_a(), make_pm_field(UGrid(-3.0, 3.0, 65, "periodic")),
+                         np.arange(0, 65, 8)),
+}
+
+
 class TestMCExpectation:
+    @pytest.mark.parametrize("seed", (3, 17))
+    @pytest.mark.parametrize("eps", (0.2, 0.05))
+    @pytest.mark.parametrize("case", sorted(MC_CASES))
+    def test_flow_maps_match_positions(self, monkeypatch, case, eps, seed):
+        """An all-affine field composes each path's flow map and never
+        flows positions; it reads what the positions loop reads, up to the
+        rounding of the composition."""
+        m, fld, u_idx = MC_CASES[case]()
+        expected = reference_mc(m, fld, PHI, 1.0, eps, 2000, seed, u_idx)
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("positions flowed")
+        monkeypatch.setattr(oracle, "flow", no_flow)
+        got = mc_expectation(m, fld, PHI, 1.0, eps, 2000, seed, u_indices=u_idx)
+        assert np.abs(got.values - expected[0]).max() <= 1e-14
+        assert np.abs(got.stderr - expected[1]).max() <= 1e-14
+
+    def test_tabulated_field_flows_positions(self):
+        """A tabulated state has no flow map: such a field keeps the positions
+        loop's arithmetic, bit for bit."""
+        m, (_, fld) = make_mixed_model(), _mixed_fields(_SMALL)
+        u_idx = np.arange(0, 129, 32)
+        got = mc_expectation(m, fld, PHI, 1.0, 0.2, 1000, 5, u_indices=u_idx)
+        values, stderr = reference_mc(m, fld, PHI, 1.0, 0.2, 1000, 5, u_idx)
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.stderr, stderr)
+
     def test_constant_function(self):
         m = make_model_a()
         fld = make_pm_field()
@@ -226,6 +308,27 @@ class TestMCExpectation:
         m = make_model_a()
         with pytest.raises(ValueError):
             mc_expectation(m, make_pm_field(), PHI, 0.5, 0.1, 10, seed=0)
+
+
+@pytest.mark.parametrize("eps,t,bad", [
+    (0.0, 0.5, "eps"), (-0.1, 0.5, "eps"), (math.nan, 0.5, "eps"), (math.inf, 0.5, "eps"),
+    (0.1, -0.5, "t"), (0.1, math.nan, "t"), (0.1, math.inf, "t")])
+@pytest.mark.parametrize("method", ("mc", "direct"))
+def test_oracles_reject_bad_eps_and_t(monkeypatch, method, eps, t, bad):
+    """eps must be finite and > 0 and every t finite and >= 0; each oracle
+    raises naming the argument before any draw or march."""
+    def no_work(*args):
+        raise AssertionError("oracle started")
+    monkeypatch.setattr(oracle, "_march", no_work)
+    monkeypatch.setattr(oracle, "_philox_stream", no_work)
+    if method == "mc":
+        call, name = lambda: mc_expectation(make_model_a(), make_pm_field(), PHI, t, eps,
+                                            1000, seed=0), "t"
+    else:
+        call, name = lambda: direct_solve_phi(make_model_a(), make_pm_field(), PHI,
+                                              [0.0, t], eps), "t_eval"
+    with pytest.raises(ValueError, match=f"^{name if bad == 't' else 'eps'} must be"):
+        call()
 
 
 class TestDirectSolver:

@@ -13,8 +13,8 @@ from fastswitch.pipeline import build_expansion
 from fastswitch.regular import cumulative_simpson_weights
 from fastswitch import singular
 from fastswitch.config import load_config
-from fastswitch.singular import (LayerSeries, LayerWindowError, TauGrid, default_tau_grid,
-                                 fft_length, forcing_terms, history_convolution,
+from fastswitch.singular import (LayerSeries, LayerWindowError, TauGrid, composite_kernels,
+                                 default_tau_grid, fft_length, forcing_terms, history_convolution,
                                  kernel_node_weights, layer_time_integral,
                                  negative_extension, psi_k0, renewal_resolvent,
                                  solve_Wk, term_integral, term_profile)
@@ -121,9 +121,11 @@ def random_layer(rng, grid, grid_tau, n_states, rank):
     return LayerSeries(coeffs @ basis, grid, grid_tau.h_tau, coeffs=coeffs, basis=basis)
 
 
-def layer_resolvent(kit, grid_tau):
-    return renewal_resolvent(kit.P, kernel_node_weights(kit.model.sojourns, 0,
-                                                        grid_tau.nodes)[0])
+def layer_kernels(kit, grid_tau, r_max):
+    """The march's resolvent R and its composites R ⋆ K_r, r = 1..r_max."""
+    resolvent = renewal_resolvent(kit.P, kernel_node_weights(kit.model.sojourns, 0,
+                                                             grid_tau.nodes)[0])
+    return resolvent, composite_kernels(kit.model.sojourns, grid_tau.nodes, resolvent, r_max)
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +326,7 @@ class TestPsiK0:
     def test_k1_is_empty(self, kit_a):
         grid_tau = TauGrid(2.0, 400)
         assert np.abs(reference_psi_k0(kit_a, [None], 1, grid_tau)).max() == 0.0
-        coeffs, vectors = psi_k0(kit_a, [None], 1, grid_tau, layer_resolvent(kit_a, grid_tau))
+        coeffs, vectors = psi_k0(kit_a, [None], 1, grid_tau, [])
         assert coeffs.shape == (401, 2, 0) and vectors.shape == (0, GRID.n_points)
 
     def test_k2_against_brute_force(self, expansion_a):
@@ -377,14 +379,14 @@ class TestPsiK0:
         rng = np.random.default_rng(k)
         W = [None] + [random_layer(rng, kit.fld.grid, grid_tau, 3, rank)
                       for rank in (5, 11)[:k - 1]]
-        resolvent = layer_resolvent(kit, grid_tau)
+        resolvent, composites = layer_kernels(kit, grid_tau, k - 1)
         history = reference_psi_k0(kit, W, k, grid_tau)
         for r in range(1, k):
             a = kernel_node_weights(kit.model.sojourns, r, grid_tau.nodes)[1]
             history += a.T[:, :, None] * velocity_power_values(
                 kit.fld, state_mix(kit.P, W[k - r].values[0]), r)
         expected = history_convolution(resolvent, history)
-        coeffs, vectors = psi_k0(kit, W, k, grid_tau, resolvent)
+        coeffs, vectors = psi_k0(kit, W, k, grid_tau, composites)
         out = coeffs @ vectors
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -433,7 +435,7 @@ class TestSolveWk:
             W_k0 = res.W[k].values[0]
             terms = forcing_terms(kit, k, res.phi_values, res.U, res.W)
             W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W,
-                            layer_resolvent(kit, grid_tau))
+                            *layer_kernels(kit, grid_tau, 1))
             g = -profile_sum(kit, [(0, 0, state_mix(kit.P, W_k0))] + terms, tau) \
                 - reference_psi_k0(kit, res.W, k, grid_tau)
             expected = reference_march(kit, grid_tau, g, W_k0)
@@ -450,11 +452,11 @@ class TestSolveWk:
         res = build_expansion(make_model(), fld, PHI, order=3, horizon=0.5, h_t=0.005,
                               h_tau=0.01)
         kit, grid_tau = res.kit, res.tau_grid
-        resolvent = layer_resolvent(kit, grid_tau)
+        kernels = layer_kernels(kit, grid_tau, 2)
         for k in (1, 2, 3):
             W_k0 = res.W[k].values[0]
             terms = forcing_terms(kit, k, res.phi_values, res.U, res.W)
-            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, resolvent)
+            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, *kernels)
             expected = reference_solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
             assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -479,24 +481,30 @@ class TestSolveWk:
     def test_history_sums_run_at_basis_width(self, monkeypatch):
         """No layer sum convolves n_points columns: ψ^k_0 convolves, per lower
         layer r and per source state, the r_{k-r} coefficient columns of
-        that layer's factor, so each ψ sum is n_states × r_{k-r} wide."""
+        that layer's factor, so each ψ sum is n_states × r_{k-r} wide.  The
+        composite kernels R ⋆ K_r depend on r alone, so an order-3 build
+        convolves R with K_1 and with K_2 once each."""
         monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
         fld = make_pm_field(UGrid(-6.0, 6.0, 65))
         original = singular.history_convolution
         calls = []
 
         def counted(kernel, values):
-            calls.append((kernel.shape[2], values.shape[2]))
+            calls.append((kernel.shape[2], values.shape[2], values.copy()))
             return original(kernel, values)
         monkeypatch.setattr(singular, "history_convolution", counted)
         res = build_expansion(make_model_a(), fld, PHI, order=3, horizon=0.5, h_t=0.01,
                               h_tau=0.01)
         rank = [None] + [res.diagnostics["orders"][k]["layer_rank"] for k in (1, 2, 3)]
         n = res.kit.model.n_states
-        assert all(width != fld.grid.n_points for _, width in calls)
+        assert all(width != fld.grid.n_points for _, width, _ in calls)
         # the ψ sums are the ones with one source state per kernel
-        psi_widths = [width for n_in, width in calls if n_in == 1]
+        psi_widths = [width for n_in, width, _ in calls if n_in == 1]
         assert psi_widths == [rank[1]] * n + [rank[2]] * n + [rank[1]] * n
+        for r in (1, 2):
+            w = kernel_node_weights(res.kit.model.sojourns, r, res.tau_grid.nodes)[0]
+            diag_r = w.T[:, :, None] * np.eye(n)
+            assert sum(np.array_equal(values, diag_r) for _, _, values in calls) == 1
 
     def test_vanishing_layer_has_no_worst_state(self):
         """configs/deterministic.json: every layer is rounding noise, whose
