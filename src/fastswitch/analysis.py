@@ -14,7 +14,7 @@ def _oracle_estimates(cfg: RunConfig, eps: float):
         return direct_solve_phi(cfg.model, cfg.field, cfg.phi, cfg.oracle.t_eval,
                                 eps, h_s=cfg.oracle.h_s,
                                 richardson=cfg.oracle.richardson)
-    u_idx = np.arange(0, cfg.grid.n_points, cfg.oracle.u_stride)
+    u_idx = np.arange(0, cfg.field.grid.n_points, cfg.oracle.u_stride)
     return [mc_expectation(cfg.model, cfg.field, cfg.phi, t, eps, cfg.oracle.n_samples,
                            cfg.oracle.seed, u_indices=u_idx) for t in cfg.oracle.t_eval]
 

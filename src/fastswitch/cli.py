@@ -96,7 +96,7 @@ def cmd_expand(args) -> int:
             json.dump(partial, fh, indent=2, sort_keys=True)
             fh.write("\n")
         raise
-    u_nodes = cfg.grid.nodes
+    u_nodes = cfg.field.grid.nodes
     ts, us = cfg.output.t_stride, cfg.output.u_stride
     for k in range(result.order + 1):
         _write_series_csv(out / f"c_{k}.csv", "c", k, result.times,

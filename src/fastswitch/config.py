@@ -39,7 +39,6 @@ class OutputConfig:
 @dataclass(frozen=True)
 class RunConfig:
     model: SemiMarkovModel
-    grid: UGrid
     field: VelocityField
     phi: TestFunction
     order: int
@@ -237,7 +236,7 @@ def config_from_document(doc: dict) -> RunConfig:
     if not 0 <= order <= MAX_ORDER:
         raise ConfigError(f"order {order} outside the supported range 0..{MAX_ORDER}")
 
-    return RunConfig(model=model, grid=grid, field=fld, phi=phi, order=order,
+    return RunConfig(model=model, field=fld, phi=phi, order=order,
                      horizon=horizon, h_t=h_t, h_tau=h_tau, tau_max=tau_max,
                      epsilons=eps, oracle=oracle, output=output)
 

@@ -8,7 +8,6 @@ points.  Differentiation is 4th-order finite differences throughout.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -156,9 +155,6 @@ def interp_eval(grid: UGrid, values: np.ndarray, positions: np.ndarray,
 # -- differentiation -----------------------------------------------------------
 
 
-_FD_BLOCK = 1 << 16   # elements of fd_derivative's per-term temporary
-
-
 @functools.lru_cache(maxsize=None)
 def _stencil(offset: int, width: int, order: int) -> np.ndarray:
     """Unit-spacing weights of the order-th derivative at node offset of
@@ -200,17 +196,10 @@ def fd_derivative(values: np.ndarray, h: float, order: int, axis: int,
     first = 0 if periodic else lo
     interior = out[along(first, first + m)]
     w = _stencil(lo, width, order) / h**order
-    # blocks of leading-axis rows, so each term's product needs a block-sized
-    # temporary, not a full-width one
-    rows = max(1, _FD_BLOCK // max(1, math.prod(interior.shape[1:])))
-    prod = np.empty((min(rows, len(interior)),) + interior.shape[1:])
-    for r in range(0, len(interior), rows):
-        block = interior[r:r + rows]
-        np.multiply(v[along(0, m)][r:r + rows], w[0], out=block)
-        for j in range(1, width):
-            if w[j] != 0.0:
-                block += np.multiply(w[j], v[along(j, j + m)][r:r + rows],
-                                     out=prod[:len(block)])
+    np.multiply(v[along(0, m)], w[0], out=interior)
+    for j in range(1, width):
+        if w[j] != 0.0:
+            interior += w[j] * v[along(j, j + m)]
     if periodic:
         out[along(n, n + 1)] = out[along(0, 1)]
         return out
@@ -306,8 +295,9 @@ class VelocityField:
 
 def flow_map(fld: VelocityField, x: int, t):
     """(scale, shift) of state x's affine flow over the durations t, so that
-    u_x(t) = u0 * scale + shift: e^{a t} and (b/a)(e^{a t} - 1) for the
-    velocity a u + b, or 1 and b t for a translation (StateVelocity.drift).
+    u_x(t) = u0 * scale + shift: e^{a t} and (b/a) expm1(a t) for the
+    velocity a u + b (expm1 keeps the digits that e^{a t} - 1 cancels at
+    small |a t|), or 1 and b t for a translation (StateVelocity.drift).
     Two such maps compose to one, so a path of many segments is one map."""
     spec = fld.specs[x]
     if spec.kind == "tabulated":
@@ -316,8 +306,7 @@ def flow_map(fld: VelocityField, x: int, t):
         shift = spec.drift * t
         return np.ones_like(shift), shift
     a, b = spec.slope, spec.intercept
-    ea = np.exp(a * t)
-    return ea, (b / a) * (ea - 1.0)
+    return np.exp(a * t), (b / a) * np.expm1(a * t)
 
 
 def flow(fld: VelocityField, x: int, u0, t, h_flow: float | None = None,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import UGrid, VelocityField, fd_derivative, u_derivative_values
+from .field import VelocityField, fd_derivative, u_derivative_values
 from .model import SemiMarkovModel, embedded_stationary, generator, semi_markov_stationary
 
 
@@ -66,7 +66,6 @@ class TimeSeries:
     time derivatives (or an analytic derivative hook where one exists)."""
 
     values: np.ndarray  # (n_times, n_states, n_points)
-    grid: UGrid
     h_t: float
     derivative_hook: object = None  # optional: order -> values array
     _deriv_cache: dict = dc_field(default_factory=dict, repr=False)

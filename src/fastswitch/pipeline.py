@@ -32,16 +32,16 @@ ADJUDICATIONS = {
 
 @dataclass
 class ExpansionResult:
+    """The expansion's series by order.  c_k(0) is row 0 of c[k] (φ at
+    k = 0), U_k^R is U[k] - c[k], and W_k(0) is -U_k(0)."""
+
     kit: OperatorKit
     order: int
     times: np.ndarray
     tau_grid: TauGrid
-    phi_values: np.ndarray
     c: list = dc_field(default_factory=list)
     U: list = dc_field(default_factory=list)
-    U_R: list = dc_field(default_factory=list)
     W: list = dc_field(default_factory=list)      # LayerSeries; W[0] unused placeholder
-    ck0: list = dc_field(default_factory=list)
     diagnostics: dict = dc_field(default_factory=dict)
 
     @property
@@ -98,15 +98,11 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
 
     flow_table = averaged_flow_table(kit, times)
     c0 = solve_c0(kit, phi, times, flow_table)
-    phi_values = phi(kit.fld.grid.nodes)
 
-    result = ExpansionResult(kit=kit, order=order, times=times, tau_grid=grid_tau,
-                             phi_values=phi_values)
+    result = ExpansionResult(kit=kit, order=order, times=times, tau_grid=grid_tau)
     result.c.append(c0)
     result.U.append(c0)
-    result.U_R.append(None)
     result.W.append(None)
-    result.ck0.append(phi_values.copy())
 
     orders_diag: dict = {}
     if order > 0:
@@ -118,25 +114,22 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
     for k in range(1, order + 1):
         rhs_vals = system_rhs_values(kit, result.U, k)
         U_Rk, defect = regular_term(kit, rhs_vals, c0.h_t)
-        terms = forcing_terms(kit, k, phi_values, result.U, result.W)
+        terms = forcing_terms(kit, k, result.U)
 
         pi_w_r0 = -state_mix(kit.P - np.eye(kit.model.n_states), U_Rk.values[0])
         ck0, ck0_tail_bound = initial_ck0(kit, k, terms, pi_w_r0, result.W, grid_tau)
         source = transport_sources(kit, result.U, U_Rk, k)
         c_k = solve_ck(kit, ck0, source, times, flow_table)
-        U_k = TimeSeries(c_k.values + U_Rk.values, c0.grid, c0.h_t)
+        U_k = TimeSeries(c_k.values + U_Rk.values, c0.h_t)
         result.c.append(c_k)
         result.U.append(U_k)
-        result.U_R.append(U_Rk)
-        result.ck0.append(ck0)
-        Uk0 = U_k.values[0]
-        Wk0 = -Uk0
 
-        W_series, w_info = solve_Wk(kit, k, grid_tau, Wk0, terms, result.W, resolvent,
-                                     composites)
+        W_series, w_info = solve_Wk(kit, k, grid_tau, -U_k.values[0], terms, result.W,
+                                     resolvent, composites)
         result.W.append(W_series)
 
-        reg = check_boundary_regularity(kit, Uk0, Wk0, w_info["t0_residual"])
+        reg = check_boundary_regularity(kit, U_k.values[0], W_series.values[0],
+                                        w_info["t0_residual"])
         orders_diag[k] = {
             "range_projection_defect": defect,
             "system15_residual": system15_residual(kit, result.U, k, rhs_vals),

@@ -142,9 +142,10 @@ def solve_c0(kit: OperatorKit, phi: TestFunction, times: np.ndarray,
     vals = np.repeat(interp_apply(phi_vals, idx, wts)[:, None, :], n, axis=1)
     vals[0] = phi_vals[None, :]
     h_t = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    series = TimeSeries(vals, grid, h_t)
-    # analytic time derivatives: d^n/dt^n c = (vhat d/du)^n c
-    series.derivative_hook = lambda order: velocity_power_values(kit.vhat, vals, order)
+    series = TimeSeries(vals, h_t)
+    # analytic time derivatives: d^n/dt^n c = vhat d/du of the cached (n-1)-th
+    series.derivative_hook = lambda order: velocity_power_values(
+        kit.vhat, series.derivative_values(order - 1), 1)
     return series
 
 
@@ -174,7 +175,7 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, source: np.ndarray,
     out = np.repeat((interp_apply(c_k0, idx, wts) + duhamel)[:, None, :],
                     kit.model.n_states, axis=1)
     out[0] = c_k0[None, :]
-    return TimeSeries(out, kit.fld.grid, h_t)
+    return TimeSeries(out, h_t)
 
 
 def system_rhs_values(kit: OperatorKit, U_list: list, k: int) -> np.ndarray:
@@ -190,7 +191,7 @@ def regular_term(kit: OperatorKit, rhs_values: np.ndarray, h_t: float):
     order-k right side S_k, with its projected defect |Π U_k^R|."""
     u_r_vals = np.einsum("xy,tyu->txu", kit.R0, rhs_values)
     defect = float(np.abs(kit.project_values(u_r_vals)).max())
-    return TimeSeries(u_r_vals, kit.fld.grid, h_t), defect
+    return TimeSeries(u_r_vals, h_t), defect
 
 
 def projected_frak_L_series(kit: OperatorKit, U_list: list, U_Rk: TimeSeries,

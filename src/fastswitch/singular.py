@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import sup_norm
-from .operators import OperatorKit, TimeSeries, state_mix, velocity_power_values
+from .operators import OperatorKit, state_mix, velocity_power_values
 from .regular import cumulative_simpson_weights, fft_length
 
 
@@ -61,13 +61,15 @@ class TauGrid:
 
 
 @dataclass
-class LayerSeries(TimeSeries):
-    """A layer W_k on the τ grid with its factor: values[i] = coeffs[i] @ basis,
-    coeffs (N, n_states, r_k) and basis (r_k, n_points) with orthonormal rows.
-    Node 0 holds W_k(0) itself, which the factor reproduces to rounding."""
+class LayerSeries:
+    """A layer W_k on the τ grid with its factor: values (N, n_states,
+    n_points), values[i] = coeffs[i] @ basis, coeffs (N, n_states, r_k) and
+    basis (r_k, n_points) with orthonormal rows.  Node 0 holds W_k(0) itself,
+    which the factor reproduces to rounding."""
 
-    coeffs: np.ndarray = None
-    basis: np.ndarray = None
+    values: np.ndarray
+    coeffs: np.ndarray
+    basis: np.ndarray
 
 
 def default_tau_grid(kit: OperatorKit, h_tau: float = 0.005,
@@ -104,41 +106,38 @@ def term_integral(sojourns, r: int, n: int) -> np.ndarray:
         / ((n + 1) * math.factorial(r))
 
 
-def forcing_terms(kit: OperatorKit, k: int, phi_values: np.ndarray, U: list,
-                  W: list) -> list:
+def forcing_terms(kit: OperatorKit, k: int, U: list) -> list:
     """The closed-form part of the order-k layer forcing as (r, n, vector)
     terms, each term_profile(r, n) times an (n_states, n_points) vector.
 
     The forcing -(ψ^k - ψ^k_0 - ψ^k_1) meets the sojourn laws in closed form
-    wherever W_j(τ-s) reaches below zero, where it is the polynomial
-    extension W_j(0) - Σ_{n=1..j} (τ-s)^n/n! U^(n)_{j-n}(0):
-    (r, 0, V^r P W_{k-r}(0)) for 1 <= r < k and
-    (r, n, -V^r P U^(n)_{k-r-n}(0) / n!) for 0 <= r < k, 1 <= n <= k - r;
-    and -ψ^k = -F̄^(k) V^k P φ is (k-n, n, V^k P φ / n!) for 1 <= n <= k.
-    The (0, 0, P W_k(0)) term waits for c_k(0).  U and W hold the lower
-    orders' series.
+    wherever W_j(τ-s) reaches below zero, where it is the negative extension
+    -Σ_{n=0..j} (τ-s)^n/n! U^(n)_{j-n}(0) (W_j(0) = -U_j(0) is its n = 0
+    term): one Taylor family (r, n, -V^r P U^(n)_{k-r-n}(0) / n!) for
+    0 <= r < k and (r == 0) <= n <= k - r; and -ψ^k = -F̄^(k) V^k P φ is
+    (k-n, n, V^k P φ / n!) for 1 <= n <= k, φ read from U_0(0).  The
+    (0, 0, P W_k(0)) term waits for c_k(0).  U holds the lower orders' series.
     """
-    terms = []
-    for r in range(k):
-        if r > 0:
-            terms.append((r, 0, W[k - r].values[0]))
-        terms += [(r, n, -U[k - r - n].derivative_values(n)[0] / math.factorial(n))
-                  for n in range(1, k - r + 1)]
+    terms = [(r, n, -U[k - r - n].derivative_values(n)[0] / math.factorial(n))
+             for r in range(k) for n in range(int(r == 0), k - r + 1)]
     terms = [(r, n, velocity_power_values(kit.fld, state_mix(kit.P, v), r))
              for r, n, v in terms]
-    phi = np.broadcast_to(np.asarray(phi_values).reshape(1, -1),
-                          (kit.model.n_states, phi_values.size))
+    # every row of U_0(0) is φ; P mixes the first broadcast over the states,
+    # as einsum rounds the state sum of a broadcast operand differently
+    # from that of contiguous rows once there are three states
+    phi = np.broadcast_to(U[0].values[0, 0], U[0].values[0].shape)
     vk_phi = velocity_power_values(kit.fld, state_mix(kit.P, phi), k)
     return terms + [(k - n, n, vk_phi / math.factorial(n)) for n in range(1, k + 1)]
 
 
-def negative_extension(W_k0: np.ndarray, U: list, k: int, tau) -> np.ndarray:
-    """W_k(τ) for τ < 0: W_k(0) - Σ_{n=1..k} τ^n/n! U^(n)_{k-n}(0)."""
+def negative_extension(U: list, k: int, tau) -> np.ndarray:
+    """W_k(τ) for τ < 0: -Σ_{n=0..k} τ^n/n! U^(n)_{k-n}(0), which is
+    W_k(0) = -U_k(0) at τ = 0."""
     tau = np.asarray(tau, dtype=float)
-    out = np.broadcast_to(W_k0, tau.shape + W_k0.shape).copy()
-    for n in range(1, k + 1):
+    out = 0.0
+    for n in range(k + 1):
         coeff = tau**n / math.factorial(n)
-        out = out - coeff.reshape(tau.shape + (1, 1)) * U[k - n].derivative_values(n)[0][None]
+        out = out - coeff.reshape(tau.shape + (1, 1)) * U[k - n].derivative_values(n)[0]
     return out
 
 
@@ -166,31 +165,23 @@ def kernel_node_weights(sojourns, r: int, tau_nodes: np.ndarray):
     return w, a
 
 
-# columns per FFT pass: bounds the complex temporaries of a long window
-_COLUMN_BLOCK = 32
-
-
 def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Causal sums out[i] = Σ_{m<=i} kernel[m] @ values[i-m] over fast time.
 
     kernel is (N, n_out, n_in) and values (N, n_in, n_cols); the sums are one
-    zero-padded real-FFT convolution, taken over blocks of columns with fast
-    time as the contiguous transform axis, and the frequency product summed
-    over the n_in source states.
+    zero-padded real-FFT convolution with fast time as the contiguous
+    transform axis, the frequency product summed over the n_in source
+    states.  Every caller convolves few columns (n_states, or n_states times
+    a term count or a layer rank), so the temporaries stay small.
     """
-    n_nodes, n_out, n_in = kernel.shape
+    n_nodes = kernel.shape[0]
     length = fft_length(2 * n_nodes - 1)  # no wrap-around
     k_hat = np.fft.rfft(np.ascontiguousarray(kernel.transpose(1, 2, 0)), length)
-    out = np.empty((n_nodes, n_out, values.shape[2]))
-    for c in range(0, values.shape[2], _COLUMN_BLOCK):
-        block = np.ascontiguousarray(values[:, :, c:c + _COLUMN_BLOCK].transpose(1, 2, 0))
-        v_hat = np.fft.rfft(block, length)              # (n_in, cols, freq)
-        prod = k_hat[:, 0, None] * v_hat[0]
-        for y in range(1, n_in):
-            prod += k_hat[:, y, None] * v_hat[y]
-        sums = np.fft.irfft(prod, length)[..., :n_nodes]
-        out[:, :, c:c + _COLUMN_BLOCK] = sums.transpose(2, 0, 1)
-    return out
+    v_hat = np.fft.rfft(np.ascontiguousarray(values.transpose(1, 2, 0)), length)
+    prod = k_hat[:, 0, None] * v_hat[0]
+    for y in range(1, kernel.shape[2]):
+        prod += k_hat[:, y, None] * v_hat[y]
+    return np.fft.irfft(prod, length)[..., :n_nodes].transpose(2, 0, 1)
 
 
 def composite_kernels(sojourns, tau: np.ndarray, resolvent: np.ndarray,
@@ -341,7 +332,7 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     W[0] = W_k0
     coeffs, basis = layer_factor(W, vectors)
 
-    series = LayerSeries(W, kit.fld.grid, grid_tau.h_tau, coeffs=coeffs, basis=basis)
+    series = LayerSeries(W, coeffs, basis)
     norm0 = sup_norm(W_k0)
     # a numerically vanishing layer has no meaningful decay ratio or worst state
     decay_ratio, worst_state = 0.0, None
@@ -379,7 +370,7 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
                     "monotone_tail": monotone}
 
 
-def layer_time_integral(series: TimeSeries, grid_tau: TauGrid):
+def layer_time_integral(series: LayerSeries, grid_tau: TauGrid):
     """J = ∫_0^∞ W(θ) dθ over the window, a bound on the truncated tail, and
     advice naming the layer setting that shrinks that bound.
 

@@ -65,8 +65,8 @@ class TestConfig:
         with open(MODEL_A) as fh:
             full = json.load(fh)
         cfg = config_from_document({"model": full["model"], "velocity": full["velocity"]})
-        assert (cfg.grid.u_min, cfg.grid.u_max, cfg.grid.n_points,
-                cfg.grid.boundary_mode) == (-8.0, 8.0, 257, "extrapolate")
+        assert (cfg.field.grid.u_min, cfg.field.grid.u_max, cfg.field.grid.n_points,
+                cfg.field.grid.boundary_mode) == (-8.0, 8.0, 257, "extrapolate")
         assert (cfg.phi.kind, cfg.phi.center, cfg.phi.width,
                 cfg.phi.coeffs) == ("gaussian", 0.0, 1.0, (1.0,))
         assert (cfg.order, cfg.horizon, cfg.h_t, cfg.h_tau, cfg.tau_max,

@@ -84,7 +84,7 @@ class TestFlow:
         StateVelocity("linear", slope=1e-299, intercept=0.7)])
     def test_affine_flow_is_its_flow_map(self, small_grid, spec):
         """flow applies flow_map as u0 * scale + shift, bit for bit the
-        closed forms u0 + b t and u0 e^{at} + (b/a)(e^{at} - 1)."""
+        closed forms u0 + b t and u0 e^{at} + (b/a) expm1(a t)."""
         fld = VelocityField(small_grid, (spec,))
         u0 = np.linspace(-3.0, 3.0, 13)[:, None]
         t = np.array([0.0, 1e-3, 0.37, 1.0, 2.5])
@@ -95,8 +95,18 @@ class TestFlow:
             closed = u0 + spec.drift * t
         else:
             a, b = spec.slope, spec.intercept
-            closed = u0 * np.exp(a * t) + (b / a) * (np.exp(a * t) - 1.0)
+            closed = u0 * np.exp(a * t) + (b / a) * np.expm1(a * t)
         np.testing.assert_array_equal(got, closed)
+
+    @pytest.mark.parametrize("slope", [1e-8, 1e-12, 1e-15, 1e-200])
+    def test_small_slope_shift_keeps_its_digits(self, small_grid, slope):
+        """From u0 = 0 the flow is the shift (b/a)(e^{at} - 1), which is
+        b t (1 + a t/2) to O((a t)^2); formed as e^{at} - 1 it cancels, to
+        11% at a = 1e-15 and to 0 at a = 1e-200."""
+        fld = VelocityField(small_grid, (StateVelocity("linear", slope=slope, intercept=1.0),))
+        t = np.array([0.3, 1.0, 2.0])
+        got = flow(fld, 0, np.zeros(3), t)
+        np.testing.assert_allclose(got, t * (1.0 + slope * t / 2.0), rtol=1e-14, atol=0.0)
 
     def test_tabulated_state_has_no_flow_map(self, small_grid):
         fld = VelocityField(small_grid, (StateVelocity("tabulated",

@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField,
                               interp_apply, sup_norm, u_derivative_values)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
-from fastswitch.operators import L_series_values, TimeSeries, build_kit
-from fastswitch.regular import (averaged_flow_table, cumulative_simpson_weights,
+from fastswitch.operators import L_series_values, TimeSeries, build_kit, velocity_power_values
+from fastswitch.regular import (averaged_flow_table, cumulative_simpson_weights, regular_term,
                                solve_c0, solve_ck, system_rhs_values)
 
 from conftest import GRID, PHI, make_model_a, make_pm_field
@@ -207,10 +207,18 @@ class TestDerivativesAtZero:
         # the hook applies the discrete advection operator, so they agree only
         # to the O(h_u^4) derivative truncation level
         c0 = solve_c0(kit_a, PHI, TIMES, averaged_flow_table(kit_a, TIMES))
-        plain = TimeSeries(c0.values.copy(), GRID, c0.h_t)
+        plain = TimeSeries(c0.values.copy(), c0.h_t)
         fd = plain.derivative_values(1)[0]
         analytic = c0.derivative_values(1)[0]
         assert np.abs(fd - analytic).max() < 5e-5
+
+    def test_hook_chains_one_advection_pass(self, kit_a):
+        # the n-th derivative is one vhat ∂_u pass on the cached (n-1)-th,
+        # the same operations as n passes on the values
+        c0 = solve_c0(kit_a, PHI, TIMES, averaged_flow_table(kit_a, TIMES))
+        for n in (3, 1, 2):
+            np.testing.assert_array_equal(
+                c0.derivative_values(n), velocity_power_values(kit_a.vhat, c0.values, n))
 
 
 class TestSystem15:
@@ -228,12 +236,16 @@ class TestSystem15:
 
 class TestViews:
     def test_regular_and_singular_views(self, expansion_a):
-        # the regular (c, U, U_R) and singular (W, ck0) parts are fields of
-        # the one result, indexed by order
+        # the regular (c, U) and singular (W) parts are fields of the one
+        # result, indexed by order; U_k^R is U_k - c_k
         res = expansion_a
         assert res.order == 2
-        assert len(res.U) == 3 and len(res.W) == 3
-        assert len(res.c) == len(res.U_R) == len(res.ck0) == 3
+        assert len(res.c) == len(res.U) == len(res.W) == 3
+        kit = res.kit
+        for k in (1, 2):
+            U_Rk = regular_term(kit, system_rhs_values(kit, res.U, k), res.h_t)[0]
+            assert np.abs(res.U[k].values - res.c[k].values - U_Rk.values).max() \
+                <= 1e-15 * np.abs(res.U[k].values).max()
         orders = res.diagnostics["orders"]
         assert orders[1]["system15_residual"] < 1e-6
         assert orders[1]["w_decay_ratio"] < 1e-3

@@ -40,12 +40,31 @@ def profile_sum(kit, terms, tau):
 
 
 def psi_k_values(kit, k, tau):
-    """ψ^k from the order-k forcing terms alone: with every lower order zero,
-    the only nonzero terms are those of -ψ^k."""
-    zero = TimeSeries(np.zeros((8, kit.model.n_states, kit.fld.grid.n_points)),
-                      kit.fld.grid, 0.1)
-    terms = forcing_terms(kit, k, PHI(kit.fld.grid.nodes), [zero] * k, [None] + [zero] * k)
+    """ψ^k from the order-k forcing terms alone: with U_0 = φ constant in time
+    and every higher order zero, the only nonzero terms are those of -ψ^k."""
+    shape = (8, kit.model.n_states, kit.fld.grid.n_points)
+    phi = TimeSeries(np.broadcast_to(PHI(kit.fld.grid.nodes), shape), 0.1)
+    phi.derivative_hook = lambda n: np.zeros(shape)
+    terms = forcing_terms(kit, k, [phi] + [TimeSeries(np.zeros(shape), 0.1)] * (k - 1))
     return -profile_sum(kit, terms, tau)
+
+
+def reference_forcing_terms(kit, k, phi_values, U, W):
+    """forcing_terms as two families: (r, 0, V^r P W_{k-r}(0)) for 1 <= r < k
+    read from the lower layers, and (r, n, -V^r P U^(n)_{k-r-n}(0) / n!) for
+    0 <= r < k, 1 <= n <= k - r; then -ψ^k's terms, with φ on the grid."""
+    terms = []
+    for r in range(k):
+        if r > 0:
+            terms.append((r, 0, W[k - r].values[0]))
+        terms += [(r, n, -U[k - r - n].derivative_values(n)[0] / math.factorial(n))
+                  for n in range(1, k - r + 1)]
+    terms = [(r, n, velocity_power_values(kit.fld, state_mix(kit.P, v), r))
+             for r, n, v in terms]
+    phi = np.broadcast_to(np.asarray(phi_values).reshape(1, -1),
+                          (kit.model.n_states, phi_values.size))
+    vk_phi = velocity_power_values(kit.fld, state_mix(kit.P, phi), k)
+    return terms + [(k - n, n, vk_phi / math.factorial(n)) for n in range(1, k + 1)]
 
 
 def reference_march(kit, grid_tau, g, W_k0):
@@ -118,7 +137,7 @@ def random_layer(rng, grid, grid_tau, n_states, rank):
     rank-`rank` u-basis."""
     basis = np.linalg.qr(rng.normal(size=(grid.n_points, rank)))[0].T
     coeffs = rng.normal(size=(grid_tau.n_tau + 1, n_states, rank))
-    return LayerSeries(coeffs @ basis, grid, grid_tau.h_tau, coeffs=coeffs, basis=basis)
+    return LayerSeries(coeffs @ basis, coeffs, basis)
 
 
 def layer_kernels(kit, grid_tau, r_max):
@@ -186,34 +205,39 @@ class TestTermEvaluators:
 
 class TestNegativeExtension:
     def _U(self, kit, k):
-        """k lower orders whose n-th time derivative at 0 is (vhat ∂_u)^n φ."""
-        phi = np.broadcast_to(PHI(GRID.nodes), (1, 2, GRID.n_points))
-        series = TimeSeries(phi, GRID, 1.0)
-        series.derivative_hook = lambda n: velocity_power_values(kit.vhat, phi, n)
-        return [series] * k
+        """k + 1 orders whose n-th time derivative at 0 is (vhat ∂_u)^n of a
+        random state-dependent field, one per order."""
+        rng = np.random.default_rng(k)
+        U = []
+        for _ in range(k + 1):
+            vals = rng.normal(size=(1, 2, GRID.n_points))
+            series = TimeSeries(vals, 1.0)
+            series.derivative_hook = lambda n, v=vals: velocity_power_values(kit.vhat, v, n)
+            U.append(series)
+        return U
 
     @staticmethod
     def _d0(U, j, n):
         return U[j].derivative_values(n)[0]
 
-    def test_continuity_at_zero(self, kit_a):
-        W0 = np.random.default_rng(3).normal(size=(2, GRID.n_points))
-        out = negative_extension(W0, self._U(kit_a, 1), 1, np.array([0.0]))
-        assert_allclose(out[0], W0)
+    def test_continuity_at_zero(self, expansion_a):
+        """W_k(0) is -U_k(0), so the extension meets the layer bit for bit."""
+        for k in (1, 2):
+            out = negative_extension(expansion_a.U, k, [0.0])
+            np.testing.assert_array_equal(out[0], expansion_a.W[k].values[0])
 
     def test_k1_linear_form(self, kit_a):
-        W0 = np.random.default_rng(4).normal(size=(2, GRID.n_points))
         U = self._U(kit_a, 1)
         tau = np.array([-0.7])
-        out = negative_extension(W0, U, 1, tau)
-        assert_allclose(out[0], W0 - (-0.7) * self._d0(U, 0, 1), rtol=1e-13)
+        out = negative_extension(U, 1, tau)
+        assert_allclose(out[0], -self._d0(U, 1, 0) - (-0.7) * self._d0(U, 0, 1), rtol=1e-13)
 
     def test_k2_taylor_factorials(self, kit_a):
-        W0 = np.random.default_rng(5).normal(size=(2, GRID.n_points))
         U = self._U(kit_a, 2)
         tau = np.array([-1.2])
-        out = negative_extension(W0, U, 2, tau)
-        expected = W0 - (-1.2) * self._d0(U, 1, 1) - ((-1.2) ** 2 / 2.0) * self._d0(U, 0, 2)
+        out = negative_extension(U, 2, tau)
+        expected = -self._d0(U, 2, 0) - (-1.2) * self._d0(U, 1, 1) \
+            - ((-1.2) ** 2 / 2.0) * self._d0(U, 0, 2)
         assert_allclose(out[0], expected, rtol=1e-12)
 
 
@@ -262,7 +286,7 @@ class TestHistoryConvolution:
     # the powers of two 128, 256 and 1024
     @pytest.mark.parametrize("n,n_nodes,n_points", [
         (1, 17, 65), (1, 24, 257), (3, 17, 257), (3, 24, 65),
-        (2, 33, 40), (3, 100, 33), (1, 257, 65)])
+        (2, 33, 40), (3, 100, 33), (1, 257, 65), (2, 64, 513)])
     def test_matches_causal_double_loop(self, n, n_nodes, n_points):
         rng = np.random.default_rng(n * 1000 + n_nodes + n_points)
         kernel = rng.normal(size=(n_nodes, n, n))
@@ -361,7 +385,7 @@ class TestPsiK0:
             vals = np.zeros((len(s_fine), GRID.n_points))
             vals[inside] = (1 - frac) * vpw[lo, xi] + frac * vpw[hi, xi]
             neg = ~inside
-            W1_neg = negative_extension(W10, res.U, 1, pos[neg])
+            W1_neg = negative_extension(res.U, 1, pos[neg])
             vals[neg] = velocity_power_values(
                 kit.fld, state_mix(kit.P, W1_neg.reshape(-1, 2, GRID.n_points)
                                    ).reshape(-1, 2, GRID.n_points), 1)[:, xi]
@@ -404,17 +428,17 @@ class TestPsiK0:
 
 class TestInitialCk0:
     def test_exponential_zero(self, expansion_a):
-        assert np.abs(expansion_a.ck0[1]).max() < 1e-10
+        assert np.abs(expansion_a.c[1].values[0, 0]).max() < 1e-10
 
     def test_collapse_zero(self, expansion_collapse):
-        assert np.abs(expansion_collapse.ck0[1]).max() < 1e-12
-        assert np.abs(expansion_collapse.ck0[2]).max() < 1e-12
+        assert np.abs(expansion_collapse.c[1].values[0, 0]).max() < 1e-12
+        assert np.abs(expansion_collapse.c[2].values[0, 0]).max() < 1e-12
 
     def test_model_b_analytic_value(self, expansion_b):
         # pi = (2/3, 1/3), nu_1 = (-1/2, -1/4), vhat = 1/3, v = (1, -1):
         # c_1(0) = [2/3*(-1/2)*(1/3-1) + 1/3*(-1/4)*(1/3+1)] phi' = phi'/9
         expected = u_derivative_values(PHI(GRID.nodes), GRID) / 9.0
-        assert np.abs(expansion_b.ck0[1] - expected).max() < 1e-12
+        assert np.abs(expansion_b.c[1].values[0, 0] - expected).max() < 1e-12
 
     def test_nu_form_equivalence_k1(self, expansion_b):
         """Order 1 reduces to the ν-weighted average of L_1 U_0(0)."""
@@ -424,7 +448,25 @@ class TestInitialCk0:
         l1u0 = state_mix(kit.P, res.U[0].derivative_values(1)[0]) - \
             velocity_power_values(kit.fld, state_mix(kit.P, phi), 1)
         expected = np.einsum("x,x,xu->u", kit.pi, kit.nu(1), l1u0)
-        assert np.abs(res.ck0[1] - expected).max() < 1e-12
+        assert np.abs(res.c[1].values[0, 0] - expected).max() < 1e-12
+
+
+class TestForcingTerms:
+    @pytest.mark.parametrize("make_model", (make_model_a, make_model_b))
+    def test_one_taylor_family_matches_two(self, monkeypatch, make_model):
+        """The W_j(0) terms are the n = 0 members of the U Taylor family and φ
+        is U_0(0), bit for bit; the order-3 build lifts the tail bound as
+        TestSolveWk.test_matches_full_width_assembly does."""
+        monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+        fld = make_pm_field(UGrid(-6.0, 6.0, 65))
+        res = build_expansion(make_model(), fld, PHI, order=3, horizon=0.5, h_t=0.005,
+                              h_tau=0.01)
+        for k in (1, 2, 3):
+            got = forcing_terms(res.kit, k, res.U)
+            expected = reference_forcing_terms(res.kit, k, PHI(fld.grid.nodes), res.U, res.W)
+            assert [(r, n) for r, n, _ in got] == [(r, n) for r, n, _ in expected]
+            for (_, _, vec), (_, _, ref) in zip(got, expected):
+                np.testing.assert_array_equal(vec, ref)
 
 
 class TestSolveWk:
@@ -433,7 +475,7 @@ class TestSolveWk:
         kit, grid_tau, tau = res.kit, res.tau_grid, res.tau_grid.nodes
         for k in (1, 2):
             W_k0 = res.W[k].values[0]
-            terms = forcing_terms(kit, k, res.phi_values, res.U, res.W)
+            terms = forcing_terms(kit, k, res.U)
             W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W,
                             *layer_kernels(kit, grid_tau, 1))
             g = -profile_sum(kit, [(0, 0, state_mix(kit.P, W_k0))] + terms, tau) \
@@ -455,7 +497,7 @@ class TestSolveWk:
         kernels = layer_kernels(kit, grid_tau, 2)
         for k in (1, 2, 3):
             W_k0 = res.W[k].values[0]
-            terms = forcing_terms(kit, k, res.phi_values, res.U, res.W)
+            terms = forcing_terms(kit, k, res.U)
             W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, *kernels)
             expected = reference_solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
             assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -547,7 +589,7 @@ class TestSolveWk:
         res = expansion_a
         tail = np.abs(res.W[1].values[-1]).max()
         pi_w0 = res.kit.project_values(res.W[1].values[0])
-        assert np.abs(res.ck0[1] + pi_w0[0]).max() < 1e-4
+        assert np.abs(res.c[1].values[0, 0] + pi_w0[0]).max() < 1e-4
         assert tail < 1e-4
 
 
@@ -563,7 +605,7 @@ class TestOrderThree:
             d = res.diagnostics["orders"][k]
             assert d["u_sup"] < 1e-12
             assert d["w_sup"] < 1e-12
-            assert np.abs(res.ck0[k]).max() < 1e-12
+            assert np.abs(res.c[k].values[0, 0]).max() < 1e-12
 
 
 class TestBoundaryRegularity:
@@ -574,7 +616,7 @@ class TestBoundaryRegularity:
             assert d["regularity_I_minus_Pi"] < 1e-8
         # first-order jump identity: (P - I) W_1(0) = m_1 [V P φ - P U_0'(0)]
         kit, n = expansion_a.kit, expansion_a.kit.model.n_states
-        phi = np.broadcast_to(expansion_a.phi_values, (n, expansion_a.phi_values.size))
+        phi = expansion_a.U[0].values[0]
         rhs = kit.model.mean_sojourns()[:, None] * (
             velocity_power_values(kit.fld, state_mix(kit.P, phi), 1)
             - state_mix(kit.P, expansion_a.U[0].derivative_values(1)[0]))
@@ -601,7 +643,7 @@ class TestTauGrid:
         grid_tau = TauGrid(3.0, 60)
         tau = grid_tau.nodes
         vals = np.broadcast_to((tau**3 - 2.0 * tau)[:, None, None], (len(tau), 2, 5))
-        J, _, _ = layer_time_integral(TimeSeries(vals, GRID, grid_tau.h_tau), grid_tau)
+        J, _, _ = layer_time_integral(TimeSeries(vals, grid_tau.h_tau), grid_tau)
         assert_allclose(J, 3.0**4 / 4 - 3.0**2, rtol=1e-14)
 
     def test_layer_integral_tail_bound(self, expansion_a):
