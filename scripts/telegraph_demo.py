@@ -5,8 +5,6 @@ Usage: python scripts/telegraph_demo.py [--order N] [--erlang]
 """
 import argparse
 
-import numpy as np
-
 from fastswitch.field import StateVelocity, TestFunction, UGrid, VelocityField
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.pipeline import MAX_ORDER, build_expansion
@@ -42,7 +40,7 @@ def main():
               f"|c_k(0)|={d['ck0_sup']:.4f}  decay={d['w_decay_ratio']:.2e}  "
               f"system residual={d['system15_residual']:.2e}")
     tau = res.tau_grid.nodes
-    prof = np.abs(res.W[1].values).max(axis=(1, 2))
+    prof = res.W[1].sup_profile()
     print("\nfirst-layer sup profile:")
     for frac in (0.0, 0.05, 0.1, 0.2, 0.4, 1.0):
         i = int(frac * (len(tau) - 1))

@@ -104,8 +104,9 @@ def cmd_expand(args) -> int:
         _write_series_csv(out / f"U_{k}.csv", "U", k, result.times,
                           result.U[k].values, ts, us, u_nodes)
         if k >= 1:
-            _write_series_csv(out / f"W_{k}.csv", "W", k, result.tau_grid.nodes,
-                              result.W[k].values, cfg.output.tau_stride, us, u_nodes)
+            layer, stride = result.W[k], cfg.output.tau_stride
+            _write_series_csv(out / f"W_{k}.csv", "W", k, result.tau_grid.nodes[::stride],
+                              layer.coeffs[::stride] @ layer.basis, 1, us, u_nodes)
     with open(out / "diagnostics.json", "w") as fh:
         json.dump(result.diagnostics, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -202,6 +202,8 @@ def config_from_document(doc: dict) -> RunConfig:
     for e in eps:
         if not 0.0 < e < 1.0:
             raise ConfigError(f"epsilon {e} outside (0, 1)")
+        if eps.count(e) > 1:
+            raise ConfigError(f"epsilons repeat {e}: a remainder slope needs distinct epsilons")
 
     odoc = _known(doc.get("oracle", {}), ("method", "n_samples", "seed", "h_s", "u_stride",
                                           "t_eval", "richardson"), "oracle")

@@ -13,6 +13,7 @@ import numpy as np
 from .field import TestFunction, VelocityField, grid_index, lagrange_weights, sup_norm
 from .model import SemiMarkovModel, validate_model
 from .operators import OperatorKit, TimeSeries, build_kit, state_mix
+from .oracle import _check_horizon
 from .regular import (averaged_flow_table, regular_term, solve_c0, solve_ck,
                       system_rhs_values, transport_sources)
 from .singular import (TauGrid, check_boundary_regularity, composite_kernels,
@@ -58,20 +59,25 @@ class ExpansionResult:
         """W_k at fast time tau, cubic in tau; zero beyond the window."""
         grid_tau = self.tau_grid
         if tau >= grid_tau.tau_max:
-            return np.zeros_like(self.W[k].values[0])
+            return np.zeros_like(self.U[k].values[0])
         h = grid_tau.h_tau
         p = tau / h
         i0 = int(np.floor(p))
         base = min(max(i0 - 1, 0), grid_tau.n_tau - 3)
         s = p - base
-        vals = self.W[k].values[base:base + 4]
-        return np.tensordot(lagrange_weights(s, 4), vals, axes=(0, 0))
+        rows = self.W[k].coeffs[base:base + 4]
+        return np.tensordot(lagrange_weights(s, 4), rows, axes=(0, 0)) @ self.W[k].basis
 
     def evaluate(self, eps: float, t: float, order: int | None = None) -> np.ndarray:
-        """Partial sum U_0 + Σ_{k<=order} eps^k (U_k + W_k(t/eps))."""
+        """Partial sum U_0 + Σ_{k<=order} eps^k (U_k + W_k(t/eps)), for eps
+        finite and > 0 and order an integer in [0, self.order]."""
         if order is None:
             order = self.order
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) \
+                or not 0 <= order <= self.order:
+            raise ValueError(f"order must be an integer in [0, {self.order}], got {order!r}")
         i = self.t_index(t)
+        _check_horizon(eps, t)
         total = self.U[0].values[i].copy()
         for k in range(1, order + 1):
             total += eps**k * (self.U[k].values[i] + self.layer_value(k, t / eps))
@@ -124,12 +130,12 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
         result.c.append(c_k)
         result.U.append(U_k)
 
-        W_series, w_info = solve_Wk(kit, k, grid_tau, -U_k.values[0], terms, result.W,
+        W_k0 = -U_k.values[0]
+        W_series, w_info = solve_Wk(kit, k, grid_tau, W_k0, terms, result.W,
                                      resolvent, composites)
         result.W.append(W_series)
 
-        reg = check_boundary_regularity(kit, U_k.values[0], W_series.values[0],
-                                        w_info["t0_residual"])
+        reg = check_boundary_regularity(kit, U_k.values[0], W_k0, w_info["t0_residual"])
         orders_diag[k] = {
             "range_projection_defect": defect,
             "system15_residual": system15_residual(kit, result.U, k, rhs_vals),
@@ -139,7 +145,7 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
             "w_decay_worst_state": (None if w_info["decay_worst_state"] is None
                                     else str(w_info["decay_worst_state"])),
             "w_monotone_tail": w_info["monotone_tail"],
-            "w_sup": float(sup_norm(W_series.values)),
+            "w_sup": w_info["sup"],
             "layer_rank": len(W_series.basis),
             "u_sup": float(sup_norm(U_k.values)),
             **reg,

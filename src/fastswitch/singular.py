@@ -20,11 +20,11 @@ term's τ-profile is convolved with R once, and the history part of ψ^k_0,
 Σ_r K_r ⋆ V^r P W_{k-r}, through the composite kernel R ⋆ K_r (psi_k0),
 which composite_kernels builds once per expansion, like R.
 Every forcing vector is φ, or a lower order's value at τ = 0, pushed
-through V, P and ∂_u, so each layer lies in a span of few u-vectors and is
-carried as τ-coefficients on an orthonormal basis of it (LayerSeries,
-layer_factor).  ψ^k_0 convolves the lower layers' coefficients, rank-many
-columns per source state, so no layer sum runs at n_points width: each
-costs O(n_tau log n_tau n_states² r).
+through V, P and ∂_u, so each layer lies in a span of few u-vectors and
+lives only as τ-coefficients on an orthonormal basis of it (LayerSeries,
+layer_factor), never at full width.  ψ^k_0 convolves the lower layers'
+coefficients, rank-many columns per source state, so no layer sum runs at
+n_points width: each costs O(n_tau log n_tau n_states² r).
 """
 from __future__ import annotations
 
@@ -62,14 +62,18 @@ class TauGrid:
 
 @dataclass
 class LayerSeries:
-    """A layer W_k on the τ grid with its factor: values (N, n_states,
-    n_points), values[i] = coeffs[i] @ basis, coeffs (N, n_states, r_k) and
-    basis (r_k, n_points) with orthonormal rows.  Node 0 holds W_k(0) itself,
-    which the factor reproduces to rounding."""
+    """A layer W_k on the τ grid as its factor, W_k(τ_i) = coeffs[i] @ basis:
+    coeffs (N, n_states, r_k) and basis (r_k, n_points) with orthonormal
+    rows.  Node 0 reproduces W_k(0) = -U_k(0) to rounding."""
 
-    values: np.ndarray
     coeffs: np.ndarray
     basis: np.ndarray
+
+    def sup_profile(self) -> np.ndarray:
+        """sup over states and u of |W_k| at each τ node, formed 256 τ-rows at
+        a time: a full-width product would set a build's memory peak."""
+        return np.concatenate([np.abs(self.coeffs[i:i + 256] @ self.basis).max(axis=(1, 2))
+                               for i in range(0, len(self.coeffs), 256)])
 
 
 def default_tau_grid(kit: OperatorKit, h_tau: float = 0.005,
@@ -256,25 +260,24 @@ def renewal_resolvent(P: np.ndarray, w: np.ndarray) -> np.ndarray:
 _RANK_TOL = 1e-15
 
 
-def layer_factor(W: np.ndarray, vectors: np.ndarray):
-    """The factor of a layer W (N, n_states, n_points) whose rows, W_k(0)
-    included, lie in the span of the stacked vectors (m, n_points):
-    τ-coefficients G (N, n_states, r) on an orthonormal u-basis B
-    (r, n_points), W ≈ G B.
+def layer_factor(kernel: np.ndarray, vectors: np.ndarray, W_k0: np.ndarray):
+    """The factor of the layer W = kernel @ vectors (kernel (N, n_states, m),
+    vectors (m, n_points)) with node 0 pinned to W_k0: τ-coefficients G
+    (N, n_states, r) on an orthonormal u-basis B (r, n_points), W ≈ G B.
 
     A thin QR of the vectors gives an orthonormal basis Q of their span and
-    W's coefficients W Q on it.  The basis is orthonormal because the raw
-    factor, the kernel's columns on the vectors themselves, would not do:
-    those columns are resolvent convolutions that do not decay while their
-    sum does, so the FFT rounding of the sums that read a raw factor scales
-    with |G_c|·|B_c| and not with |W|.  On an orthonormal basis |G| is |W|.
-    An SVD of W Q then drops the directions whose singular values are at
-    rounding level.
+    the coefficients kernel @ (vectors Q), row 0 W_k0 Q, so W is never
+    formed at full width; an SVD of them drops directions at rounding level.
+    The raw factor, the kernel's columns on the vectors, would not do: they
+    do not decay while their sum does, so FFT sums that read them round
+    with |G_c|·|B_c|, not |W|.  On an orthonormal basis |G| is |W|.
     """
     q = np.linalg.qr(vectors.T)[0]
-    u, s, yt = np.linalg.svd(W.reshape(-1, W.shape[2]) @ q, full_matrices=False)
+    coeffs = kernel @ (vectors @ q)
+    coeffs[0] = W_k0 @ q
+    u, s, yt = np.linalg.svd(coeffs.reshape(-1, q.shape[1]), full_matrices=False)
     rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
-    return (u[:, :rank] * s[:rank]).reshape(W.shape[:2] + (rank,)), yt[:rank] @ q.T
+    return (u[:, :rank] * s[:rank]).reshape(coeffs.shape[:2] + (rank,)), yt[:rank] @ q.T
 
 
 def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
@@ -290,12 +293,11 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     convolved with the forcing: each separable term's τ-profile is convolved
     once, and psi_k0 returns the history part already convolved with the
     composites R ⋆ K_r (composite_kernels, built once per expansion), as
-    coefficients on u-vectors read from the lower layers' factors.  The
-    layer is one contraction of all those coefficients with the stacked
-    vectors, and layer_factor factors it on an orthonormal basis of their
-    span for the orders above.
-    Returns the LayerSeries and (t0 residual, decay ratio, worst state,
-    monotone-tail flag).
+    coefficients on u-vectors read from the lower layers' factors.
+    layer_factor carries the layer onto an orthonormal basis of the stacked
+    vectors' span, never forming it at full width.
+    Returns the LayerSeries and (t0 residual, sup norm, decay ratio, worst
+    state, monotone-tail flag).
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
@@ -328,19 +330,16 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
         diag[1:, np.arange(n), t * n + np.arange(n)] = prof[1:]
     kernel = np.concatenate((history_convolution(resolvent, diag), resolvent, history), axis=2)
     vectors = np.concatenate(vectors + [delta, history_vectors])
-    W = (kernel.reshape(n_nodes * n, -1) @ vectors).reshape(n_nodes, n, -1)
-    W[0] = W_k0
-    coeffs, basis = layer_factor(W, vectors)
-
-    series = LayerSeries(W, coeffs, basis)
+    series = LayerSeries(*layer_factor(kernel, vectors, W_k0))
+    profile = series.sup_profile()
     norm0 = sup_norm(W_k0)
     # a numerically vanishing layer has no meaningful decay ratio or worst state
     decay_ratio, worst_state = 0.0, None
     if norm0 > 1e-13:
-        decay_ratio = sup_norm(W[-1]) / norm0
+        decay_ratio = profile[-1] / norm0
         # a settled layer ends on a state-independent level, so states level
         # with the worst to rounding of the solve report the first of them
-        terminal_by_state = np.abs(W[-1]).max(axis=1)
+        terminal_by_state = np.abs(series.coeffs[-1] @ series.basis).max(axis=1)
         level = terminal_by_state >= terminal_by_state.max() - 1e-12 * norm0
         worst_state = kit.model.states[int(np.argmax(level))]
     if decay_ratio > 0.1:
@@ -351,7 +350,6 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
             f"state {worst_state!r}); check c_k(0) conventions or increase layer.tau_max")
     m1_max = float(kit.model.mean_sojourns().max())
     tail_start = 3.0 * m1_max
-    profile = np.abs(W).max(axis=(1, 2))
     # sampled at renewal scale (sub-renewal oscillations of non-exponential
     # kernels are not decay violations), and only above the numerical floor,
     # taken as twice the terminal level
@@ -365,6 +363,7 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
         seg = samples[live]
         monotone = bool(np.all(np.diff(seg) <= 0.05 * seg[:-1] + 1e-12))
     return series, {"t0_residual": float(t0_residual),
+                    "sup": float(profile.max()),
                     "decay_ratio": float(decay_ratio),
                     "decay_worst_state": worst_state,
                     "monotone_tail": monotone}
@@ -385,8 +384,8 @@ def layer_time_integral(series: LayerSeries, grid_tau: TauGrid):
     tau = grid_tau.nodes
     n_nodes = len(tau)
     w = cumulative_simpson_weights(grid_tau.n_tau, grid_tau.h_tau)
-    J = np.tensordot(w, series.values, axes=(0, 0))
-    profile = np.abs(series.values).max(axis=(1, 2))
+    J = np.tensordot(w, series.coeffs, axes=(0, 0)) @ series.basis
+    profile = series.sup_profile()
     end = profile[-1]
     top = profile[0]
     if end <= 0 or top <= 0:

@@ -77,6 +77,13 @@ def make_collapse_model() -> SemiMarkovModel:
                                      SojournDistribution("erlang", rate=2.0, shape=2)))
 
 
+def layer_values(layer) -> np.ndarray:
+    """A layer at full width, G B: its τ-coefficients on its u-basis.  The
+    library never holds this array; the tests build it to read the layer
+    node by node."""
+    return layer.coeffs @ layer.basis
+
+
 def make_collapse_field(grid=GRID) -> VelocityField:
     return VelocityField(grid, (StateVelocity("constant", value=0.7),
                                 StateVelocity("constant", value=0.7)))

@@ -105,6 +105,7 @@ class TestConfig:
         ("velocity[0]", "value", float("inf")), ("model.sojourns[0]", "rate", True),
         ("model.sojourns[0]", "rate", "2"), ("grid", "n_points", "129"),
         ("time", "horizon", "1"), ("", "epsilons", ["0.2"]),
+        ("", "epsilons", [0.2, 0.2]), ("", "epsilons", [0.2, 0.1, 0.05, 0.1]),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, section, key, value):
         # small_config: horizon 0.5, h_t 0.005
@@ -286,6 +287,26 @@ class TestExpandCommand:
         for name, blob in expected.items():
             assert (out / name).read_bytes() == blob, name
 
+    def test_layer_rows_round_trip_to_factor(self, tmp_path):
+        """W_k.csv holds the factor's rows G B at every tau_stride-th node,
+        and every printed digit reads back to the same double."""
+        path = small_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["expand", "--config", str(path), "--out", str(out)]) == 0
+        cfg = load_config(path)
+        res = cli._expand(cfg)
+        stride, us = cfg.output.tau_stride, cfg.output.u_stride
+        layer = res.W[1]
+        expected = (layer.coeffs[::stride] @ layer.basis)[:, :, ::us]
+        rows = np.loadtxt(out / "W_1.csv", delimiter=",", skiprows=1,
+                          usecols=(1, 2, 3, 4, 5))
+        n_tau, n_states, n_u = expected.shape
+        assert n_tau == len(res.tau_grid.nodes[::stride]) > 1
+        rows = rows.reshape(n_tau, n_states, n_u, 5)
+        assert np.all(rows[..., 0] == 1)
+        assert np.array_equal(rows[:, 0, 0, 1], res.tau_grid.nodes[::stride])
+        assert np.array_equal(rows[..., 4], expected)
+
     def test_grid_metadata_consistent(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "out"
@@ -399,6 +420,7 @@ class TestFlags:
         ("--epsilon", "0,0.1", "epsilon"), ("--epsilon", "-0.1", "epsilon"),
         ("--epsilon", "1.5", "epsilon"), ("--epsilon", "nan", "epsilon"),
         ("--epsilon", "abc", "epsilon"), ("--order", "5", "order"),
+        ("--epsilon", "0.1,0.1", "epsilons repeat 0.1"),
     ])
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, command, flag, value, key):
         out = tmp_path / "out"

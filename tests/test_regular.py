@@ -9,7 +9,7 @@ from fastswitch.operators import L_series_values, TimeSeries, build_kit, velocit
 from fastswitch.regular import (averaged_flow_table, cumulative_simpson_weights, regular_term,
                                solve_c0, solve_ck, system_rhs_values)
 
-from conftest import GRID, PHI, make_model_a, make_pm_field
+from conftest import GRID, PHI, layer_values, make_model_a, make_pm_field
 
 
 TIMES = np.linspace(0.0, 1.0, 501)
@@ -249,7 +249,7 @@ class TestViews:
         orders = res.diagnostics["orders"]
         assert orders[1]["system15_residual"] < 1e-6
         assert orders[1]["w_decay_ratio"] < 1e-3
-        assert np.abs(res.W[1].values[0] + res.U[1].values[0]).max() < 1e-12
+        assert np.abs(layer_values(res.W[1])[0] + res.U[1].values[0]).max() < 1e-12
 
     def test_negative_time_rejected(self, expansion_a):
         # a negative index would silently read the series from its end
@@ -258,6 +258,22 @@ class TestViews:
             expansion_a.t_index(t)
         with pytest.raises(ValueError, match="time grid"):
             expansion_a.evaluate(0.1, t)
+
+    @pytest.mark.parametrize("eps", [-0.1, 0.0, np.inf, np.nan])
+    def test_bad_eps_rejected(self, expansion_a, eps):
+        # a negative eps would extrapolate the layer to negative fast time
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            expansion_a.evaluate(eps, 0.5)
+
+    @pytest.mark.parametrize("order", [-1, 3, 1.0, True])
+    def test_bad_order_rejected(self, expansion_a, order):
+        # expansion_a is an order-2 build: order 3 has no series, -1 none either
+        with pytest.raises(ValueError, match=r"order must be an integer in \[0, 2\]"):
+            expansion_a.evaluate(0.1, 0.5, order=order)
+
+    def test_order_argument_accepts_numpy_integers(self, expansion_a):
+        np.testing.assert_array_equal(expansion_a.evaluate(0.1, 0.5, order=np.int64(1)),
+                                      expansion_a.evaluate(0.1, 0.5, order=1))
 
 
 class TestPermutationEquivariance:

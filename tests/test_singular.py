@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastswitch.field import (StateVelocity, UGrid, VelocityField, sup_norm,
+from fastswitch.field import (StateVelocity, UGrid, VelocityField, lagrange_weights, sup_norm,
                               u_derivative_values)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import TimeSeries, build_kit, state_mix, velocity_power_values
@@ -19,8 +20,8 @@ from fastswitch.singular import (LayerSeries, LayerWindowError, TauGrid, composi
                                  negative_extension, psi_k0, renewal_resolvent,
                                  solve_Wk, term_integral, term_profile)
 
-from conftest import (GRID, PHI, integrated_survival, make_mixed_model, make_model_a,
-                      make_model_b, make_pm_field, sojourn_density)
+from conftest import (GRID, PHI, integrated_survival, layer_values, make_mixed_model,
+                      make_model_a, make_model_b, make_pm_field, sojourn_density)
 
 DETERMINISTIC = Path(__file__).resolve().parent.parent / "configs" / "deterministic.json"
 
@@ -49,14 +50,14 @@ def psi_k_values(kit, k, tau):
     return -profile_sum(kit, terms, tau)
 
 
-def reference_forcing_terms(kit, k, phi_values, U, W):
+def reference_forcing_terms(kit, k, phi_values, U):
     """forcing_terms as two families: (r, 0, V^r P W_{k-r}(0)) for 1 <= r < k
-    read from the lower layers, and (r, n, -V^r P U^(n)_{k-r-n}(0) / n!) for
+    with W_j(0) read as -U_j(0), and (r, n, -V^r P U^(n)_{k-r-n}(0) / n!) for
     0 <= r < k, 1 <= n <= k - r; then -ψ^k's terms, with φ on the grid."""
     terms = []
     for r in range(k):
         if r > 0:
-            terms.append((r, 0, W[k - r].values[0]))
+            terms.append((r, 0, -U[k - r].values[0]))
         terms += [(r, n, -U[k - r - n].derivative_values(n)[0] / math.factorial(n))
                   for n in range(1, k - r + 1)]
     terms = [(r, n, velocity_power_values(kit.fld, state_mix(kit.P, v), r))
@@ -92,7 +93,7 @@ def reference_psi_k0(kit, W_lower, k, grid_tau):
     n = kit.model.n_states
     out = np.zeros((len(tau), n, kit.fld.grid.n_points))
     for r in range(1, k):
-        vrpw = velocity_power_values(kit.fld, state_mix(kit.P, W_lower[k - r].values), r)
+        vrpw = velocity_power_values(kit.fld, state_mix(kit.P, layer_values(W_lower[k - r])), r)
         w, a = kernel_node_weights(kit.model.sojourns, r, tau)
         out += history_convolution(w.T[:, :, None] * np.eye(n), vrpw)
         out -= a.T[:, :, None] * vrpw[0]
@@ -137,7 +138,7 @@ def random_layer(rng, grid, grid_tau, n_states, rank):
     rank-`rank` u-basis."""
     basis = np.linalg.qr(rng.normal(size=(grid.n_points, rank)))[0].T
     coeffs = rng.normal(size=(grid_tau.n_tau + 1, n_states, rank))
-    return LayerSeries(coeffs @ basis, coeffs, basis)
+    return LayerSeries(coeffs, basis)
 
 
 def layer_kernels(kit, grid_tau, r_max):
@@ -224,7 +225,7 @@ class TestNegativeExtension:
         """W_k(0) is -U_k(0), so the extension meets the layer bit for bit."""
         for k in (1, 2):
             out = negative_extension(expansion_a.U, k, [0.0])
-            np.testing.assert_array_equal(out[0], expansion_a.W[k].values[0])
+            np.testing.assert_array_equal(out[0], -expansion_a.U[k].values[0])
 
     def test_k1_linear_form(self, kit_a):
         U = self._U(kit_a, 1)
@@ -362,7 +363,7 @@ class TestPsiK0:
         grid_tau = res.tau_grid
         tau_idx = 400
         tau = grid_tau.nodes[tau_idx]
-        W10 = res.W[1].values[0]
+        W10 = layer_values(res.W[1])[0]
         vp = lambda v: velocity_power_values(kit.fld, state_mix(kit.P, v), 1)
         tail_terms = [(1, 0, vp(W10)), (1, 1, -vp(res.U[0].derivative_values(1)[0]))]
         out = reference_psi_k0(kit, res.W, 2, grid_tau)[tau_idx] \
@@ -370,7 +371,7 @@ class TestPsiK0:
 
         # brute force: int_0^inf s F(ds) V P W1(tau - s), fine trapezoid with
         # grid interpolation on [0, tau] and the polynomial extension beyond
-        vpw = velocity_power_values(kit.fld, state_mix(kit.P, res.W[1].values), 1)
+        vpw = velocity_power_values(kit.fld, state_mix(kit.P, layer_values(res.W[1])), 1)
         s_fine = np.linspace(0.0, 30.0, 120001)
         expected = np.zeros((2, GRID.n_points))
         for xi, dist in enumerate(kit.model.sojourns):
@@ -408,7 +409,7 @@ class TestPsiK0:
         for r in range(1, k):
             a = kernel_node_weights(kit.model.sojourns, r, grid_tau.nodes)[1]
             history += a.T[:, :, None] * velocity_power_values(
-                kit.fld, state_mix(kit.P, W[k - r].values[0]), r)
+                kit.fld, state_mix(kit.P, layer_values(W[k - r])[0]), r)
         expected = history_convolution(resolvent, history)
         coeffs, vectors = psi_k0(kit, W, k, grid_tau, composites)
         out = coeffs @ vectors
@@ -422,7 +423,7 @@ class TestPsiK0:
                                   horizon=0.5, h_t=0.0025, h_tau=h, tau_max=20.0)
             results.append(res.W[1])
         coarse, fine = results
-        diff = np.abs(coarse.values[::1] - fine.values[::2]).max()
+        diff = np.abs(layer_values(coarse) - layer_values(fine)[::2]).max()
         assert diff < 1e-5
 
 
@@ -463,7 +464,7 @@ class TestForcingTerms:
                               h_tau=0.01)
         for k in (1, 2, 3):
             got = forcing_terms(res.kit, k, res.U)
-            expected = reference_forcing_terms(res.kit, k, PHI(fld.grid.nodes), res.U, res.W)
+            expected = reference_forcing_terms(res.kit, k, PHI(fld.grid.nodes), res.U)
             assert [(r, n) for r, n, _ in got] == [(r, n) for r, n, _ in expected]
             for (_, _, vec), (_, _, ref) in zip(got, expected):
                 np.testing.assert_array_equal(vec, ref)
@@ -474,14 +475,14 @@ class TestSolveWk:
         res = build_expansion(make_mixed_model(), make_mixed_field(), PHI, order=2, horizon=0.5, h_t=0.005, h_tau=0.01)
         kit, grid_tau, tau = res.kit, res.tau_grid, res.tau_grid.nodes
         for k in (1, 2):
-            W_k0 = res.W[k].values[0]
+            W_k0 = -res.U[k].values[0]
             terms = forcing_terms(kit, k, res.U)
             W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W,
                             *layer_kernels(kit, grid_tau, 1))
             g = -profile_sum(kit, [(0, 0, state_mix(kit.P, W_k0))] + terms, tau) \
                 - reference_psi_k0(kit, res.W, k, grid_tau)
             expected = reference_march(kit, grid_tau, g, W_k0)
-            assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert np.abs(layer_values(W) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("make_model,field", [
         (make_model_a, None), (make_model_b, None), (make_mixed_model, make_mixed_field)])
@@ -496,29 +497,44 @@ class TestSolveWk:
         kit, grid_tau = res.kit, res.tau_grid
         kernels = layer_kernels(kit, grid_tau, 2)
         for k in (1, 2, 3):
-            W_k0 = res.W[k].values[0]
+            W_k0 = -res.U[k].values[0]
             terms = forcing_terms(kit, k, res.U)
             W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, *kernels)
             expected = reference_solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
-            assert np.abs(W.values - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert np.abs(layer_values(W) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("make_model,field", [
         (make_model_a, None), (make_model_b, None), (make_mixed_model, make_mixed_field)])
     def test_factor_reproduces_layer(self, monkeypatch, make_model, field):
         """Each order's factor G_k B_k is its layer, node 0 included, on an
-        orthonormal basis; the order-3 build lifts the tail bound as
+        orthonormal basis: it matches the full-width contraction of the
+        solve's kernel with its stacked vectors, node 0 pinned to W_k(0).
+        The order-3 build lifts the tail bound as
         test_matches_full_width_assembly does."""
         monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+        original = singular.layer_factor
+        full_width = []
+
+        def recording(kernel, vectors, W_k0):
+            W = kernel @ vectors
+            W[0] = W_k0
+            full_width.append(W)
+            return original(kernel, vectors, W_k0)
+        monkeypatch.setattr(singular, "layer_factor", recording)
         fld = field() if field else make_pm_field(UGrid(-6.0, 6.0, 65))
         res = build_expansion(make_model(), fld, PHI, order=3, horizon=0.5, h_t=0.005,
                               h_tau=0.01)
-        for k in (1, 2, 3):
+        for k, expected in zip((1, 2, 3), full_width, strict=True):
             W = res.W[k]
             rank = res.diagnostics["orders"][k]["layer_rank"]
-            assert W.coeffs.shape == W.values.shape[:2] + (rank,)
+            assert W.coeffs.shape == expected.shape[:2] + (rank,)
             assert W.basis.shape == (rank, fld.grid.n_points)
-            assert np.abs(W.coeffs @ W.basis - W.values).max() <= 1e-13 * np.abs(W.values).max()
+            assert np.abs(layer_values(W) - expected).max() <= 1e-13 * np.abs(expected).max()
             assert np.abs(W.basis @ W.basis.T - np.eye(rank)).max() <= 1e-13
+
+    def test_layer_is_its_factor(self):
+        """A layer is held only as its factor, never at full width."""
+        assert [f.name for f in dataclasses.fields(LayerSeries)] == ["coeffs", "basis"]
 
     def test_history_sums_run_at_basis_width(self, monkeypatch):
         """No layer sum convolves n_points columns: ψ^k_0 convolves, per lower
@@ -567,7 +583,7 @@ class TestSolveWk:
         res = build_expansion(m, fld, PHI, order=2, horizon=0.5, h_t=0.0025,
                               h_tau=0.01)
         for k in (1, 2):
-            assert sup_norm(res.W[k].values) < 1e-12
+            assert sup_norm(layer_values(res.W[k])) < 1e-12
 
     def test_t0_reproduction_order1(self, expansion_a):
         assert expansion_a.diagnostics["orders"][1]["renewal_t0"] < 1e-10
@@ -587,10 +603,32 @@ class TestSolveWk:
     def test_renewal_limit_closes_loop(self, expansion_a):
         """W_1 settling to zero validates c_1(0) = -ΠW_1(0) end to end."""
         res = expansion_a
-        tail = np.abs(res.W[1].values[-1]).max()
-        pi_w0 = res.kit.project_values(res.W[1].values[0])
+        W1 = layer_values(res.W[1])
+        tail = np.abs(W1[-1]).max()
+        pi_w0 = res.kit.project_values(W1[0])
         assert np.abs(res.c[1].values[0, 0] + pi_w0[0]).max() < 1e-4
         assert tail < 1e-4
+
+
+class TestLayerValue:
+    @pytest.mark.parametrize("tau", [0.0, 0.0012, 0.31, 7.777, 19.9971])
+    def test_cubic_interpolation_of_factor_rows(self, expansion_a, tau):
+        """layer_value interpolates the factor's coefficient rows, then applies
+        the basis: the same cubic as interpolating the layer's rows G B."""
+        res = expansion_a
+        grid_tau = res.tau_grid
+        assert tau < grid_tau.tau_max
+        p = tau / grid_tau.h_tau
+        base = min(max(int(np.floor(p)) - 1, 0), grid_tau.n_tau - 3)
+        rows = layer_values(res.W[1])[base:base + 4]
+        expected = np.tensordot(lagrange_weights(p - base, 4), rows, axes=(0, 0))
+        assert np.abs(res.layer_value(1, tau) - expected).max() <= 1e-15 * np.abs(rows).max()
+
+    def test_zero_beyond_window(self, expansion_a):
+        tau_max = expansion_a.tau_grid.tau_max
+        for tau in (tau_max, 2.0 * tau_max):
+            out = expansion_a.layer_value(2, tau)
+            assert out.shape == (2, GRID.n_points) and not out.any()
 
 
 class TestOrderThree:
@@ -620,7 +658,7 @@ class TestBoundaryRegularity:
         rhs = kit.model.mean_sojourns()[:, None] * (
             velocity_power_values(kit.fld, state_mix(kit.P, phi), 1)
             - state_mix(kit.P, expansion_a.U[0].derivative_values(1)[0]))
-        jump = state_mix(kit.P - np.eye(n), expansion_a.W[1].values[0])
+        jump = state_mix(kit.P - np.eye(n), layer_values(expansion_a.W[1])[0])
         assert sup_norm(jump - rhs) < 1e-6
 
     def test_collapse_residuals(self, expansion_collapse):
@@ -639,12 +677,14 @@ class TestTauGrid:
         assert surv < 1e-9
 
     def test_layer_integral_exact_for_cubics(self):
-        # composite Simpson integrates cubics exactly on the even tau grid
+        # composite Simpson integrates cubics exactly on the even tau grid; the
+        # layer is the cubic in both states on one unit u-vector of 5 points
         grid_tau = TauGrid(3.0, 60)
         tau = grid_tau.nodes
-        vals = np.broadcast_to((tau**3 - 2.0 * tau)[:, None, None], (len(tau), 2, 5))
-        J, _, _ = layer_time_integral(TimeSeries(vals, grid_tau.h_tau), grid_tau)
-        assert_allclose(J, 3.0**4 / 4 - 3.0**2, rtol=1e-14)
+        coeffs = np.broadcast_to((tau**3 - 2.0 * tau)[:, None, None], (len(tau), 2, 1))
+        basis = np.full((1, 5), 1.0 / math.sqrt(5.0))
+        J, _, _ = layer_time_integral(LayerSeries(coeffs, basis), grid_tau)
+        assert_allclose(J, (3.0**4 / 4 - 3.0**2) / math.sqrt(5.0), rtol=1e-14)
 
     def test_layer_integral_tail_bound(self, expansion_a):
         J, tail, _ = layer_time_integral(expansion_a.W[1], expansion_a.tau_grid)
