@@ -199,6 +199,8 @@ def config_from_document(doc: dict) -> RunConfig:
     if tau_max is not None and (type(tau_max) not in (int, float) or not 0 < tau_max < math.inf):
         raise ConfigError(f"layer.tau_max must be null or a number > 0, got {tau_max!r}")
     eps = tuple(_numbers(doc.get("epsilons", (0.2, 0.1, 0.05, 0.025)), "epsilons"))
+    if not eps:
+        raise ConfigError("epsilons must list at least one epsilon")
     for e in eps:
         if not 0.0 < e < 1.0:
             raise ConfigError(f"epsilon {e} outside (0, 1)")
@@ -222,6 +224,8 @@ def config_from_document(doc: dict) -> RunConfig:
                           f"got {oracle.n_samples!r}")
     if oracle.method not in ("direct", "mc"):
         raise ConfigError(f"oracle.method must be 'direct' or 'mc', got {oracle.method!r}")
+    if not oracle.t_eval:
+        raise ConfigError("oracle.t_eval must list at least one time")
     # the expansion's time step, by build_expansion's own rule
     step = horizon / time_steps(horizon, h_t)
     for t in oracle.t_eval:

@@ -3,11 +3,11 @@
 The evolution semigroup is composition with the characteristic flow, so the
 module provides exact flows for affine fields, RK4 for tabulated
 ones, and local Lagrange interpolation to evaluate grid data at flowed
-points.  Differentiation is 4th-order finite differences throughout.
+points.  The one derivative is the first in u, a 4th-order finite
+difference.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -155,67 +155,46 @@ def interp_eval(grid: UGrid, values: np.ndarray, positions: np.ndarray,
 # -- differentiation -----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _stencil(offset: int, width: int, order: int) -> np.ndarray:
-    """Unit-spacing weights of the order-th derivative at node offset of
-    width consecutive nodes."""
-    w = fornberg_weights(float(offset), np.arange(width, dtype=float), order)
-    w.setflags(write=False)
-    return w
-
-
-def fd_derivative(values: np.ndarray, h: float, order: int, axis: int,
-                  periodic: bool) -> np.ndarray:
-    """order-th derivative along one axis of data on a uniform grid of step h.
-
-    Node i takes the 4th-order Fornberg stencil on the order + 4 consecutive
-    nodes from clip(i - width//2, 0, n - width): one centred stencil in the
-    interior, applied as a weighted sum of shifted slices, and one-sided
-    stencils within half a width of an open end.  A periodic grid wraps
-    around, and its last node repeats the first.
-    """
-    values = np.asarray(values, dtype=float)
-    axis = axis % values.ndim
-    width = order + 4
-    lo = width // 2
-
-    def along(start, stop):
-        return (slice(None),) * axis + (slice(start, stop),)
-
-    n = values.shape[axis] - int(periodic)
-    if width > n:
-        raise ValueError(f"grid of {n} nodes too short for derivative order {order}")
-    v = values
-    if periodic:
-        core = values[along(0, n)]
-        v = np.concatenate([core[along(n - lo, n)], core,
-                            core[along(0, width - 1 - lo)]], axis=axis)
-
-    out = np.empty_like(values)
-    m = v.shape[axis] - width + 1   # rows of the centred stencil
-    first = 0 if periodic else lo
-    interior = out[along(first, first + m)]
-    w = _stencil(lo, width, order) / h**order
-    np.multiply(v[along(0, m)], w[0], out=interior)
-    for j in range(1, width):
-        if w[j] != 0.0:
-            interior += w[j] * v[along(j, j + m)]
-    if periodic:
-        out[along(n, n + 1)] = out[along(0, 1)]
-        return out
-    # each open end: its rows share the end's width nodes
-    for rows, start in ((range(lo), 0), (range(lo + m, n), n - width)):
-        w = np.array([_stencil(i - start, width, order) for i in rows]) / h**order
-        block = np.moveaxis(v[along(start, start + width)], axis, 0)
-        ends = np.einsum("rw,w...->r...", w, block)
-        out[along(rows.start, rows.stop)] = np.moveaxis(ends, 0, axis)
-    return out
+# unit-spacing weights of the first derivative at each node of five
+# consecutive nodes, row i for node i
+_STENCILS = np.array([fornberg_weights(float(i), np.arange(5.0), 1) for i in range(5)])
 
 
 def u_derivative_values(values: np.ndarray, grid: UGrid) -> np.ndarray:
-    """4th-order first derivative along the last axis."""
-    return fd_derivative(values, grid.spacing, 1, axis=-1,
-                         periodic=grid.boundary_mode == "periodic")
+    """4th-order first derivative along the last axis, on the grid's nodes.
+
+    Node i takes the Fornberg stencil on the five consecutive nodes from
+    clip(i - 2, 0, n - 5): one centred stencil in the interior, applied as a
+    weighted sum of shifted slices, and one-sided stencils within two nodes
+    of an open end.  A periodic grid wraps around, and its last node repeats
+    the first.
+    """
+    values = np.asarray(values, dtype=float)
+    periodic = grid.boundary_mode == "periodic"
+    n = values.shape[-1] - int(periodic)
+    v = values
+    if periodic:
+        core = values[..., :n]
+        v = np.concatenate([core[..., n - 2:], core, core[..., :2]], axis=-1)
+
+    out = np.empty_like(values)
+    m = v.shape[-1] - 4   # nodes of the centred stencil
+    first = 0 if periodic else 2
+    interior = out[..., first:first + m]
+    w = _STENCILS[2] / grid.spacing
+    np.multiply(v[..., :m], w[0], out=interior)
+    for j in range(1, 5):
+        if w[j] != 0.0:
+            interior += w[j] * v[..., j:j + m]
+    if periodic:
+        out[..., n] = out[..., 0]
+        return out
+    # each open end: its two nodes share the end's five
+    for nodes, start in ((slice(0, 2), 0), (slice(n - 2, n), n - 5)):
+        w = _STENCILS[nodes.start - start:nodes.stop - start] / grid.spacing
+        ends = np.einsum("rw,w...->r...", w, np.moveaxis(v[..., start:start + 5], -1, 0))
+        out[..., nodes] = np.moveaxis(ends, 0, -1)
+    return out
 
 
 # -- velocity fields -----------------------------------------------------------

@@ -18,11 +18,11 @@ S_{k+1} - L_1 c_k (see regular.projected_frak_L_series).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field import VelocityField, fd_derivative, u_derivative_values
+from .field import VelocityField, u_derivative_values
 from .model import SemiMarkovModel, embedded_stationary, generator, semi_markov_stationary
 
 
@@ -57,18 +57,15 @@ def state_mix(P: np.ndarray, values: np.ndarray) -> np.ndarray:
 # -- time series ----------------------------------------------------------------
 
 
-MAX_DERIVATIVE = 8  # highest time-derivative order a TimeSeries serves
-
-
 @dataclass
 class TimeSeries:
-    """(state, point) arrays sampled on a uniform time grid, with finite-difference
-    time derivatives (or an analytic derivative hook where one exists)."""
+    """(state, point) arrays on a uniform time grid, with the time derivatives
+    of the equation the series solves: rule(n) is the n-th derivative on the
+    whole grid, n >= 1.  A rule whose derivatives are read more than once
+    memoizes them where it is made."""
 
     values: np.ndarray  # (n_times, n_states, n_points)
-    h_t: float
-    derivative_hook: object = None  # optional: order -> values array
-    _deriv_cache: dict = dc_field(default_factory=dict, repr=False)
+    rule: object  # n -> (n_times, n_states, n_points)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -76,17 +73,7 @@ class TimeSeries:
             raise ValueError("TimeSeries values must be (time, state, point)")
 
     def derivative_values(self, order: int) -> np.ndarray:
-        if order == 0:
-            return self.values
-        if order > MAX_DERIVATIVE:
-            raise ValueError(f"derivative order {order} beyond cap {MAX_DERIVATIVE}")
-        if order not in self._deriv_cache:
-            if self.derivative_hook is not None:
-                self._deriv_cache[order] = self.derivative_hook(order)
-            else:
-                self._deriv_cache[order] = fd_derivative(
-                    self.values, self.h_t, order, axis=0, periodic=False)
-        return self._deriv_cache[order]
+        return self.values if order == 0 else self.rule(order)
 
 
 # -- operator kit ----------------------------------------------------------------
@@ -153,14 +140,20 @@ def velocity_power_values(fld: VelocityField, values: np.ndarray, power: int) ->
     return out
 
 
-def L_series_values(k: int, kit: OperatorKit, series: TimeSeries) -> np.ndarray:
-    """L_k applied to a whole series; returns (n_times, n_states, n_points)."""
+def L_series_values(k: int, kit: OperatorKit, series: TimeSeries,
+                    shift: int = 0) -> np.ndarray:
+    """L_k applied to the shift-th time derivative of a whole series; returns
+    (n_times, n_states, n_points).  The L_n have t-independent coefficients,
+    so this is (L_k U)^(shift).  The sum is taken in Horner form,
+    L_k U = V(... V(c_0 P U) + c_1 P U' ...) + c_k P U^(k) with
+    c_j = (-1)^(j+1) C(k, j), which costs k u-derivative passes, not
+    k(k+1)/2."""
     if k < 1:
         raise ValueError("L order must be >= 1")
-    out = 0.0
     for j in range(k + 1):
-        pu = state_mix(kit.P, series.derivative_values(j))
-        coeff = (-1.0) ** (j + 1) * math.comb(k, j)
-        out = out + coeff * velocity_power_values(kit.fld, pu, k - j)
+        term = state_mix(kit.P, series.derivative_values(j + shift))
+        term *= (-1.0) ** (j + 1) * math.comb(k, j)
+        if j:
+            term += velocity_power_values(kit.fld, out, 1)
+        out = term
     return out
-

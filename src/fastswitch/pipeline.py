@@ -6,6 +6,7 @@ transport solve, then the fast-time layer march with its decay checks.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .singular import (TauGrid, check_boundary_regularity, composite_kernels,
                        default_tau_grid, forcing_terms, initial_ck0, kernel_node_weights,
                        renewal_resolvent, solve_Wk)
 
-# high-order time derivatives of the solved series get noisy beyond this
+# an order-4 remainder stalls at the error of the 4th-order u-stencils
 MAX_ORDER = 3
 
 ADJUDICATIONS = {
@@ -117,23 +118,31 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
         resolvent = renewal_resolvent(
             kit.P, kernel_node_weights(model.sojourns, 0, grid_tau.nodes)[0])
         composites = composite_kernels(model.sojourns, grid_tau.nodes, resolvent, order - 1)
+    integrals = [None]   # each layer's (J, tail bound, advice), from solve_Wk
+    memos = [c0.rule]    # the memoized derivative rules of c_k and U_k^R
     for k in range(1, order + 1):
         rhs_vals = system_rhs_values(kit, result.U, k)
-        U_Rk, defect = regular_term(kit, rhs_vals, c0.h_t)
+        U_Rk, defect = regular_term(kit, result.U, k, rhs_vals)
         terms = forcing_terms(kit, k, result.U)
 
         pi_w_r0 = -state_mix(kit.P - np.eye(kit.model.n_states), U_Rk.values[0])
-        ck0, ck0_tail_bound = initial_ck0(kit, k, terms, pi_w_r0, result.W, grid_tau)
-        source = transport_sources(kit, result.U, U_Rk, k)
-        c_k = solve_ck(kit, ck0, source, times, flow_table)
-        U_k = TimeSeries(c_k.values + U_Rk.values, c0.h_t)
+        ck0, ck0_tail_bound = initial_ck0(kit, k, terms, pi_w_r0, integrals)
+        sources = functools.partial(transport_sources, kit, result.U, U_Rk, k)
+        c_k = solve_ck(kit, ck0, sources, times, flow_table)
+        U_k = TimeSeries(c_k.values + U_Rk.values,
+                         lambda n, c=c_k, r=U_Rk: c.derivative_values(n) + r.derivative_values(n))
         result.c.append(c_k)
         result.U.append(U_k)
+        memos += [U_Rk.rule, c_k.rule]
+        if k == order:   # the last source read the last derivative: free the memos
+            for memo in memos:
+                memo.cache_clear()
 
         W_k0 = -U_k.values[0]
         W_series, w_info = solve_Wk(kit, k, grid_tau, W_k0, terms, result.W,
                                      resolvent, composites)
         result.W.append(W_series)
+        integrals.append(w_info["time_integral"])
 
         reg = check_boundary_regularity(kit, U_k.values[0], W_k0, w_info["t0_residual"])
         orders_diag[k] = {

@@ -15,6 +15,8 @@ fixed number of stencil gathers.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .field import TestFunction, UGrid, flow_positions, interp_apply, interp_weights
@@ -131,6 +133,21 @@ def averaged_flow_table(kit: OperatorKit, times: np.ndarray):
     return interp_weights(kit.fld.grid, flow_positions(kit.vhat, 0, times))
 
 
+def transport_series(kit: OperatorKit, values: np.ndarray, sources=None) -> TimeSeries:
+    """A solution of the averaged transport equation ∂_t c = vhat ∂_u c + g,
+    with the equation's time derivatives c^(n) = vhat ∂_u c^(n-1) + g^(n-1),
+    memoized.  sources(m) is g^(m), shape (n_times, n_points); None is g = 0.
+    The values repeat one row over the states, so the rule runs on one row."""
+    @functools.cache
+    def rule(n: int) -> np.ndarray:
+        out = velocity_power_values(kit.vhat, series.derivative_values(n - 1)[:, :1], 1)
+        if sources is not None:
+            out += sources(n - 1)[:, None, :]
+        return np.repeat(out, kit.model.n_states, axis=1)
+    series = TimeSeries(values, rule)
+    return series
+
+
 def solve_c0(kit: OperatorKit, phi: TestFunction, times: np.ndarray,
              flow_table) -> TimeSeries:
     """Averaged transport solution c0(t, u) = φ(flow of vhat from u over t);
@@ -141,22 +158,17 @@ def solve_c0(kit: OperatorKit, phi: TestFunction, times: np.ndarray,
     phi_vals = phi(grid.nodes)
     vals = np.repeat(interp_apply(phi_vals, idx, wts)[:, None, :], n, axis=1)
     vals[0] = phi_vals[None, :]
-    h_t = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    series = TimeSeries(vals, h_t)
-    # analytic time derivatives: d^n/dt^n c = vhat d/du of the cached (n-1)-th
-    series.derivative_hook = lambda order: velocity_power_values(
-        kit.vhat, series.derivative_values(order - 1), 1)
-    return series
+    return transport_series(kit, vals)
 
 
-def solve_ck(kit: OperatorKit, c_k0: np.ndarray, source: np.ndarray,
-             times: np.ndarray, flow_table) -> TimeSeries:
-    """Inhomogeneous averaged transport with initial data c_k0.
-
-    source has shape (n_times, n_points); the solution is
-    c(t_i, u) = c_k0(pos_i(u)) + ∫_0^{t_i} source(s, pos_{i-s}(u)) ds
+def solve_ck(kit: OperatorKit, c_k0: np.ndarray, sources, times: np.ndarray,
+             flow_table) -> TimeSeries:
+    """Inhomogeneous averaged transport with initial data c_k0 and source
+    g = sources(0), shape (n_times, n_points), whose time derivatives
+    sources(m) the solution's own read (transport_series).  The solution is
+    c(t_i, u) = c_k0(pos_i(u)) + ∫_0^{t_i} g(s, pos_{i-s}(u)) ds
     with composite Simpson over the shared time grid, S[i, j] = α(j) + β(i, j)
-    (simpson_split).  The α part is one FFT time convolution of α·source over
+    (simpson_split).  The α part is one FFT time convolution of α·g over
     each node's stencil window (window_convolution), O(n_points · D ·
     n_times log n_times) for a window of D columns; β's three lag diagonals
     and column 0 are one stencil gather each.
@@ -165,7 +177,7 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, source: np.ndarray,
     h_t = float(times[1] - times[0]) if n_t > 1 else 1.0
     idx, wts = flow_table
     c_k0 = np.asarray(c_k0, dtype=float).reshape(-1)
-    source = np.asarray(source, dtype=float)
+    source = np.asarray(sources(0), dtype=float)
     alpha, lags = simpson_split(n_t, h_t)
     duhamel = window_convolution(alpha[:, None] * source, idx, wts, kit.fld.grid)
     for lag, beta in enumerate(lags):
@@ -175,41 +187,46 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, source: np.ndarray,
     out = np.repeat((interp_apply(c_k0, idx, wts) + duhamel)[:, None, :],
                     kit.model.n_states, axis=1)
     out[0] = c_k0[None, :]
-    return TimeSeries(out, h_t)
+    return transport_series(kit, out, lambda m: source if m == 0 else sources(m))
 
 
-def system_rhs_values(kit: OperatorKit, U_list: list, k: int) -> np.ndarray:
-    """S_k(t) = Σ_{n=1..k} μ_n(x) L_n U_{k-n}(t)."""
+def system_rhs_values(kit: OperatorKit, U_list: list, k: int, shift: int = 0) -> np.ndarray:
+    """S_k^(shift)(t) = Σ_{n=1..k} μ_n(x) L_n U_{k-n}^(shift)(t)."""
     total = 0.0
     for n in range(1, k + 1):
-        total = total + kit.mu(n)[None, :, None] * L_series_values(n, kit, U_list[k - n])
+        total = total + kit.mu(n)[None, :, None] * L_series_values(
+            n, kit, U_list[k - n], shift)
     return total
 
 
-def regular_term(kit: OperatorKit, rhs_values: np.ndarray, h_t: float):
+def regular_term(kit: OperatorKit, U_list: list, k: int, rhs_values: np.ndarray):
     """Range component U_k^R = R0 S_k of U_k = c_k ⊗ 1 + U_k^R from the
-    order-k right side S_k, with its projected defect |Π U_k^R|."""
-    u_r_vals = np.einsum("xy,tyu->txu", kit.R0, rhs_values)
-    defect = float(np.abs(kit.project_values(u_r_vals)).max())
-    return TimeSeries(u_r_vals, h_t), defect
+    order-k right side S_k = system_rhs_values(kit, U_list, k), passed as
+    rhs_values, with its projected defect |Π U_k^R|.  Its time derivatives
+    (U_k^R)^(n) = R0 S_k^(n) are memoized."""
+    def range_part(rhs):
+        return np.einsum("xy,tyu->txu", kit.R0, rhs)
+    series = TimeSeries(range_part(rhs_values), functools.cache(
+        lambda n: range_part(system_rhs_values(kit, U_list, k, n))))
+    return series, float(np.abs(kit.project_values(series.values)).max())
 
 
 def projected_frak_L_series(kit: OperatorKit, U_list: list, U_Rk: TimeSeries,
-                            k: int) -> np.ndarray:
-    """Σ_{j=1..k} (Π script-L_j c_{k-j})(t), shape (n_times, n_points).
+                            k: int, shift: int = 0) -> np.ndarray:
+    """Σ_{j=1..k} (Π script-L_j c_{k-j})^(shift)(t), shape (n_times, n_points).
 
     With U_m = Σ_i A_i c_{m-i}, A_0 = I and A_i = R0 Σ_{n=1..i} μ_n L_n A_{i-n},
     induction turns the recursion script-L_j = Σ_{n=1..j} μ_n L_n R0 script-L_{j-n}
     + μ_{j+1} L_{j+1} (script-L_0 = L_1) into script-L_j = Σ_{n=1..j+1} μ_n L_n A_{j+1-n}.
     Summed over j, that is S_{k+1} - L_1 c_k (μ_1 = 1): the order-(k+1)
     right side with U_k^R in place of U_k."""
-    rhs = system_rhs_values(kit, U_list[:k] + [U_Rk], k + 1)
+    rhs = system_rhs_values(kit, U_list[:k] + [U_Rk], k + 1, shift)
     return kit.project_values(rhs)[:, 0, :]
 
 
 def transport_sources(kit: OperatorKit, U_list: list, U_Rk: TimeSeries,
-                      k: int) -> np.ndarray:
+                      k: int, shift: int = 0) -> np.ndarray:
     """Source of the order-k coefficient equation, the solvability condition
-    Π S_{k+1} = 0 of the next order:
+    Π S_{k+1} = 0 of the next order, or its shift-th time derivative:
     g_k(t) = - Σ_{j=1..k} (Π script-L_j c_{k-j})(t), shape (n_times, n_points)."""
-    return -projected_frak_L_series(kit, U_list, U_Rk, k)
+    return -projected_frak_L_series(kit, U_list, U_Rk, k, shift)

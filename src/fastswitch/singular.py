@@ -126,11 +126,7 @@ def forcing_terms(kit: OperatorKit, k: int, U: list) -> list:
              for r in range(k) for n in range(int(r == 0), k - r + 1)]
     terms = [(r, n, velocity_power_values(kit.fld, state_mix(kit.P, v), r))
              for r, n, v in terms]
-    # every row of U_0(0) is φ; P mixes the first broadcast over the states,
-    # as einsum rounds the state sum of a broadcast operand differently
-    # from that of contiguous rows once there are three states
-    phi = np.broadcast_to(U[0].values[0, 0], U[0].values[0].shape)
-    vk_phi = velocity_power_values(kit.fld, state_mix(kit.P, phi), k)
+    vk_phi = velocity_power_values(kit.fld, state_mix(kit.P, U[0].values[0]), k)
     return terms + [(k - n, n, vk_phi / math.factorial(n)) for n in range(1, k + 1)]
 
 
@@ -297,7 +293,9 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     layer_factor carries the layer onto an orthonormal basis of the stacked
     vectors' span, never forming it at full width.
     Returns the LayerSeries and (t0 residual, sup norm, decay ratio, worst
-    state, monotone-tail flag).
+    state, monotone-tail flag, time integral): the time integral is
+    layer_time_integral's (J, tail bound, advice), from the one sup-norm
+    profile the checks read.
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
@@ -366,12 +364,14 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
                     "sup": float(profile.max()),
                     "decay_ratio": float(decay_ratio),
                     "decay_worst_state": worst_state,
-                    "monotone_tail": monotone}
+                    "monotone_tail": monotone,
+                    "time_integral": layer_time_integral(series, grid_tau, profile)}
 
 
-def layer_time_integral(series: LayerSeries, grid_tau: TauGrid):
+def layer_time_integral(series: LayerSeries, grid_tau: TauGrid, profile: np.ndarray):
     """J = ∫_0^∞ W(θ) dθ over the window, a bound on the truncated tail, and
-    advice naming the layer setting that shrinks that bound.
+    advice naming the layer setting that shrinks that bound; profile is
+    series.sup_profile().
 
     The decay rate is fitted over the clean decay decade of the sup-norm
     profile (between the initial transient and the quadrature-bias floor);
@@ -385,7 +385,6 @@ def layer_time_integral(series: LayerSeries, grid_tau: TauGrid):
     n_nodes = len(tau)
     w = cumulative_simpson_weights(grid_tau.n_tau, grid_tau.h_tau)
     J = np.tensordot(w, series.coeffs, axes=(0, 0)) @ series.basis
-    profile = series.sup_profile()
     end = profile[-1]
     top = profile[0]
     if end <= 0 or top <= 0:
@@ -417,13 +416,14 @@ _TAIL_BOUND_MAX = 1e-6
 
 
 def initial_ck0(kit: OperatorKit, k: int, terms: list, PI_W_R0: np.ndarray,
-                W_lower: list, grid_tau: TauGrid):
+                integrals: list):
     """c_k(0) from the renewal-theorem limit of the order-k layer equation:
     the ρ-weighted fast-time integrals of the order's forcing_terms and of
     the lower layers' history part, plus the boundary mismatch.
 
     PI_W_R0 is (P - I) W_k(0) = -(P - I) U_k^R(0), which never involves
-    c_k(0) itself.  Returns (c_k0 1-d array, tail bound of the truncated
+    c_k(0) itself.  integrals[j] is layer W_j's layer_time_integral, for
+    0 < j < k.  Returns (c_k0 1-d array, tail bound of the truncated
     lower-layer integrals).
     """
     rho = kit.rho
@@ -434,7 +434,7 @@ def initial_ck0(kit: OperatorKit, k: int, terms: list, PI_W_R0: np.ndarray,
     # ∫_0^∞ of psi_k0: the kernel's mass times each lower layer's integral J
     tail_bound, advice = 0.0, ""
     for r in range(1, k):
-        J, tail, layer_advice = layer_time_integral(W_lower[k - r], grid_tau)
+        J, tail, layer_advice = integrals[k - r]
         if tail > tail_bound:
             tail_bound, advice = tail, layer_advice
         vrpj = velocity_power_values(kit.fld, state_mix(kit.P, J), r)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fastswitch.field import StateVelocity, TestFunction, UGrid, VelocityField
+from fastswitch.field import StateVelocity, TestFunction, UGrid, VelocityField, fornberg_weights
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.pipeline import build_expansion
 
@@ -87,6 +87,52 @@ def layer_values(layer) -> np.ndarray:
 def make_collapse_field(grid=GRID) -> VelocityField:
     return VelocityField(grid, (StateVelocity("constant", value=0.7),
                                 StateVelocity("constant", value=0.7)))
+
+
+def reference_fd_derivative(values, h, order, axis, periodic):
+    """order-th derivative along one axis of data on a uniform grid of step h,
+    the finite-difference rule that once served u and time derivatives alike.
+
+    Node i takes the 4th-order Fornberg stencil on the order + 4 consecutive
+    nodes from clip(i - width//2, 0, n - width): one centred stencil in the
+    interior, each term added as one full-width product, and one-sided
+    stencils within half a width of an open end.  A periodic grid wraps
+    around, and its last node repeats the first."""
+    values = np.asarray(values, dtype=float)
+    axis = axis % values.ndim
+    width = order + 4
+    lo = width // 2
+
+    def along(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    def stencil(offset):
+        return fornberg_weights(float(offset), np.arange(width, dtype=float), order)
+
+    n = values.shape[axis] - int(periodic)
+    v = values
+    if periodic:
+        core = values[along(0, n)]
+        v = np.concatenate([core[along(n - lo, n)], core,
+                            core[along(0, width - 1 - lo)]], axis=axis)
+    out = np.empty_like(values)
+    m = v.shape[axis] - width + 1
+    first = 0 if periodic else lo
+    interior = out[along(first, first + m)]
+    w = stencil(lo) / h**order
+    np.multiply(v[along(0, m)], w[0], out=interior)
+    for j in range(1, width):
+        if w[j] != 0.0:
+            interior += w[j] * v[along(j, j + m)]
+    if periodic:
+        out[along(n, n + 1)] = out[along(0, 1)]
+        return out
+    for rows, start in ((range(lo), 0), (range(lo + m, n), n - width)):
+        w = np.array([stencil(i - start) for i in rows]) / h**order
+        block = np.moveaxis(v[along(start, start + width)], axis, 0)
+        ends = np.einsum("rw,w...->r...", w, block)
+        out[along(rows.start, rows.stop)] = np.moveaxis(ends, 0, axis)
+    return out
 
 
 def random_model(rng: np.random.Generator, n_max: int = 20) -> SemiMarkovModel:

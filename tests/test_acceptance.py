@@ -1,10 +1,12 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line with its measured numbers."""
 import json
+import math
 import time
 
 import numpy as np
 
+from fastswitch import singular
 from fastswitch.cli import main
 from fastswitch.field import StateVelocity, TestFunction, UGrid, VelocityField
 from fastswitch.model import (SemiMarkovModel, SojournDistribution, generator,
@@ -156,6 +158,23 @@ def test_remainder_inside_boundary_layer(expansion_a, expansion_b):
             slope = float(np.polyfit(np.log(eps_list), np.log(e), 1)[0])
             print(f"layer remainder {name} N={n} tau={tau}: slope {slope:.2f}")
             assert slope >= n + 0.75, f"{name} N={n} tau={tau}: slope {slope:.2f}"
+
+
+def test_time_step_study(monkeypatch):
+    """Halving h_t moves the order-3 U_1..U_3 on the shared time nodes by less
+    than 1e-8: every time derivative comes from the equation its series
+    solves, so nothing amplifies rounding by h_t^-n.  The layer's tail bound
+    is lifted, as the study is about h_t alone."""
+    monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+    fld = make_pm_field(UGrid(-6.0, 6.0, 129))
+    for name, model in (("A", make_model_a()), ("B", make_model_b())):
+        coarse, fine = (build_expansion(model, fld, PHI, order=3, horizon=0.5, h_t=h_t,
+                                        h_tau=0.01) for h_t in (0.004, 0.002))
+        moves = [float(np.abs(coarse.U[k].values - fine.U[k].values[::2]).max())
+                 for k in (1, 2, 3)]
+        print(f"time-step study {name} h_t 0.004 -> 0.002: U_1..U_3 move "
+              + " ".join(f"{m:.1e}" for m in moves))
+        assert max(moves) < 1e-8, f"{name}: {moves}"
 
 
 def test_criterion_6_cross_oracle():

@@ -27,8 +27,9 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
     n_times: solve_c0 one, and each solve_ck at most five (its initial data,
     Simpson's end corrections on lags 0-2 and column 0; the rest of its
     Duhamel integral is an FFT convolution).  Each order forms its transport
-    source in one closed-form call.  The layer march's resolvent is the same
-    at every order and is built once."""
+    source in one closed-form call, and the order-1 coefficient's second time
+    derivative reads that source's first in one more.  The layer march's
+    resolvent is the same at every order and is built once."""
     from fastswitch import pipeline, regular, singular
     from fastswitch.field import UGrid
     from conftest import PHI, make_model_a, make_pm_field
@@ -56,7 +57,7 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
     assert 0 < calls.pop("interp_apply") <= 1 + 5 * 2
     assert calls.pop("initial_ck0") == 2
     assert calls == {"solve_Wk": 2, "psi_k0": 2, "averaged_flow_table": 1,
-                     "solve_c0": 1, "solve_ck": 2, "projected_frak_L_series": 2,
+                     "solve_c0": 1, "solve_ck": 2, "projected_frak_L_series": 3,
                      "renewal_resolvent": 1}
 
 

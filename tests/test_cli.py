@@ -106,6 +106,7 @@ class TestConfig:
         ("model.sojourns[0]", "rate", "2"), ("grid", "n_points", "129"),
         ("time", "horizon", "1"), ("", "epsilons", ["0.2"]),
         ("", "epsilons", [0.2, 0.2]), ("", "epsilons", [0.2, 0.1, 0.05, 0.1]),
+        ("", "epsilons", []), ("oracle", "t_eval", []),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, section, key, value):
         # small_config: horizon 0.5, h_t 0.005

@@ -5,14 +5,23 @@ from numpy.testing import assert_allclose
 from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField,
                               interp_apply, sup_norm, u_derivative_values)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
-from fastswitch.operators import L_series_values, TimeSeries, build_kit, velocity_power_values
+from fastswitch.operators import L_series_values, build_kit, velocity_power_values
 from fastswitch.regular import (averaged_flow_table, cumulative_simpson_weights, regular_term,
                                solve_c0, solve_ck, system_rhs_values)
 
-from conftest import GRID, PHI, layer_values, make_model_a, make_pm_field
+from conftest import GRID, PHI, layer_values, make_model_a, make_pm_field, reference_fd_derivative
 
 
 TIMES = np.linspace(0.0, 1.0, 501)
+
+
+def values_only(source):
+    """source as solve_ck's sources, for a test that reads only the
+    solution's values: no time derivative of this source is defined."""
+    def sources(m):
+        assert m == 0, "no time derivative of this source"
+        return source
+    return sources
 
 
 def reference_duhamel(c_k0, source, times, flow_table):
@@ -78,7 +87,7 @@ class TestSolveC0:
         c0 = solve_c0(kit_a, PHI, TIMES, averaged_flow_table(kit_a, TIMES))
         d1 = c0.derivative_values(1)
         expected = kit_a.vhat.values[0] * u_derivative_values(c0.values, GRID)[0, 0]
-        # hook returns vhat * d/du applied to every slice
+        # the rule returns vhat * d/du applied to every slice
         assert np.abs(d1[0] - kit_a.vhat.values * u_derivative_values(c0.values[0], GRID)).max() < 1e-14
 
 
@@ -86,7 +95,8 @@ class TestSolveCk:
     def test_homogeneous_matches_c0_machinery(self, kit_a):
         psi = TestFunction("gaussian", center=0.5, width=0.8)
         source = np.zeros((len(TIMES), GRID.n_points))
-        ck = solve_ck(kit_a, psi(GRID.nodes), source, TIMES, averaged_flow_table(kit_a, TIMES))
+        ck = solve_ck(kit_a, psi(GRID.nodes), values_only(source), TIMES,
+                      averaged_flow_table(kit_a, TIMES))
         c0_like = solve_c0(kit_a, psi, TIMES, averaged_flow_table(kit_a, TIMES))
         assert sup_norm(ck.values - c0_like.values) < 1e-14
 
@@ -97,7 +107,8 @@ class TestSolveCk:
         kit = build_kit(m, fld)
         g_of_u = np.sin(GRID.nodes)
         source = np.repeat(g_of_u[None, :], len(TIMES), axis=0)
-        ck = solve_ck(kit, PHI(GRID.nodes), source, TIMES, averaged_flow_table(kit, TIMES))
+        ck = solve_ck(kit, PHI(GRID.nodes), values_only(source), TIMES,
+                      averaged_flow_table(kit, TIMES))
         for i in (100, 250, 500):
             expected = PHI(GRID.nodes) + TIMES[i] * g_of_u
             assert np.abs(ck.values[i, 0] - expected).max() < 1e-10
@@ -105,7 +116,7 @@ class TestSolveCk:
     def test_exact_initial_value(self, kit_a):
         init = np.cos(GRID.nodes) * np.exp(-0.1 * GRID.nodes**2)
         source = np.random.default_rng(0).normal(size=(len(TIMES), GRID.n_points))
-        ck = solve_ck(kit_a, init, source, TIMES, averaged_flow_table(kit_a, TIMES))
+        ck = solve_ck(kit_a, init, values_only(source), TIMES, averaged_flow_table(kit_a, TIMES))
         assert_allclose(ck.values[0, 0], init, atol=1e-15)
 
 
@@ -118,7 +129,7 @@ class TestSolveCk:
         npts = kit.fld.grid.n_points
         init, source = rng.normal(size=npts), rng.normal(size=(len(times), npts))
         table = averaged_flow_table(kit, times)
-        got = solve_ck(kit, init, source, times, table).values
+        got = solve_ck(kit, init, values_only(source), times, table).values
         expected = reference_duhamel(init, source, times, table)
         return np.abs(got - expected[:, None, :]).max() / np.abs(expected).max()
 
@@ -204,13 +215,29 @@ class TestDerivativesAtZero:
 
     def test_fd_cross_check_of_hook(self, kit_a):
         # finite differences in t recover the true derivative almost exactly;
-        # the hook applies the discrete advection operator, so they agree only
+        # the rule applies the discrete advection operator, so they agree only
         # to the O(h_u^4) derivative truncation level
         c0 = solve_c0(kit_a, PHI, TIMES, averaged_flow_table(kit_a, TIMES))
-        plain = TimeSeries(c0.values.copy(), c0.h_t)
-        fd = plain.derivative_values(1)[0]
+        fd = reference_fd_derivative(c0.values, TIMES[1] - TIMES[0], 1, axis=0,
+                                     periodic=False)[0]
         analytic = c0.derivative_values(1)[0]
         assert np.abs(fd - analytic).max() < 5e-5
+
+    @pytest.mark.parametrize("fixture", ["expansion_a", "expansion_b"])
+    def test_rule_matches_fd_reference(self, request, fixture):
+        """Every U_k^(n)(0) the build reads, k + n <= order + 1, from the
+        equations against the finite-difference rule on the solved series.
+        They agree to the reference's accuracy: it differentiates series
+        whose cubic interpolation error changes as flowed points cross grid
+        cells, which at n = 3 is a few percent of the derivative."""
+        res = request.getfixturevalue(fixture)
+        rel_tol = {1: 3e-4, 2: 3e-3, 3: 0.2}
+        for k in range(res.order + 1):
+            for n in range(1, res.order + 2 - k):
+                rule = res.U[k].derivative_values(n)[0]
+                fd = reference_fd_derivative(res.U[k].values, res.h_t, n, axis=0,
+                                             periodic=False)[0]
+                assert np.abs(rule - fd).max() < rel_tol[n] * np.abs(rule).max(), (k, n)
 
     def test_hook_chains_one_advection_pass(self, kit_a):
         # the n-th derivative is one vhat ∂_u pass on the cached (n-1)-th,
@@ -226,6 +253,15 @@ class TestSystem15:
         d = expansion_a.diagnostics["orders"]
         assert d[1]["system15_residual"] < 1e-5
         assert d[2]["system15_residual"] < 1e-5
+
+    @pytest.mark.parametrize("fixture", ["expansion_a", "expansion_b", "expansion_collapse"])
+    def test_residuals_hold_by_construction(self, request, fixture):
+        """Q U_k - S_k = -Π S_k = g_{k-1} + v̂ ∂_u c_{k-1} - c'_{k-1}, and
+        renewal_t0 is built from the lower orders' Taylor data: with each
+        time derivative read from its equation, both are identities."""
+        for d in request.getfixturevalue(fixture).diagnostics["orders"].values():
+            assert d["system15_residual"] <= 1e-13
+            assert d["renewal_t0"] <= 1e-13
 
     def test_direct_substitution_order1(self, expansion_a):
         kit = expansion_a.kit
@@ -243,7 +279,7 @@ class TestViews:
         assert len(res.c) == len(res.U) == len(res.W) == 3
         kit = res.kit
         for k in (1, 2):
-            U_Rk = regular_term(kit, system_rhs_values(kit, res.U, k), res.h_t)[0]
+            U_Rk = regular_term(kit, res.U, k, system_rhs_values(kit, res.U, k))[0]
             assert np.abs(res.U[k].values - res.c[k].values - U_Rk.values).max() \
                 <= 1e-15 * np.abs(res.U[k].values).max()
         orders = res.diagnostics["orders"]

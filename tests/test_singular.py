@@ -44,9 +44,10 @@ def psi_k_values(kit, k, tau):
     """ψ^k from the order-k forcing terms alone: with U_0 = φ constant in time
     and every higher order zero, the only nonzero terms are those of -ψ^k."""
     shape = (8, kit.model.n_states, kit.fld.grid.n_points)
-    phi = TimeSeries(np.broadcast_to(PHI(kit.fld.grid.nodes), shape), 0.1)
-    phi.derivative_hook = lambda n: np.zeros(shape)
-    terms = forcing_terms(kit, k, [phi] + [TimeSeries(np.zeros(shape), 0.1)] * (k - 1))
+    def steady(values):
+        return TimeSeries(values, lambda n: np.zeros(shape))
+    phi = steady(np.broadcast_to(PHI(kit.fld.grid.nodes), shape))
+    terms = forcing_terms(kit, k, [phi] + [steady(np.zeros(shape))] * (k - 1))
     return -profile_sum(kit, terms, tau)
 
 
@@ -212,9 +213,7 @@ class TestNegativeExtension:
         U = []
         for _ in range(k + 1):
             vals = rng.normal(size=(1, 2, GRID.n_points))
-            series = TimeSeries(vals, 1.0)
-            series.derivative_hook = lambda n, v=vals: velocity_power_values(kit.vhat, v, n)
-            U.append(series)
+            U.append(TimeSeries(vals, lambda n, v=vals: velocity_power_values(kit.vhat, v, n)))
         return U
 
     @staticmethod
@@ -683,13 +682,31 @@ class TestTauGrid:
         tau = grid_tau.nodes
         coeffs = np.broadcast_to((tau**3 - 2.0 * tau)[:, None, None], (len(tau), 2, 1))
         basis = np.full((1, 5), 1.0 / math.sqrt(5.0))
-        J, _, _ = layer_time_integral(LayerSeries(coeffs, basis), grid_tau)
+        layer = LayerSeries(coeffs, basis)
+        J, _, _ = layer_time_integral(layer, grid_tau, layer.sup_profile())
         assert_allclose(J, (3.0**4 / 4 - 3.0**2) / math.sqrt(5.0), rtol=1e-14)
 
     def test_layer_integral_tail_bound(self, expansion_a):
-        J, tail, _ = layer_time_integral(expansion_a.W[1], expansion_a.tau_grid)
+        layer = expansion_a.W[1]
+        J, tail, _ = layer_time_integral(layer, expansion_a.tau_grid, layer.sup_profile())
         assert tail < 1e-6
         assert np.isfinite(J).all()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_one_profile_per_layer(self, monkeypatch, order):
+        """An order-k build forms each layer's sup-norm profile once: the
+        decay checks and the time integral that c_k(0) reads share it."""
+        calls = []
+        original = LayerSeries.sup_profile
+
+        def counted(self):
+            calls.append(id(self))
+            return original(self)
+        monkeypatch.setattr(LayerSeries, "sup_profile", counted)
+        monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+        res = build_expansion(make_model_b(), make_pm_field(UGrid(-6.0, 6.0, 65)), PHI,
+                              order=order, horizon=0.5, h_t=0.01, h_tau=0.01)
+        assert sorted(calls) == sorted(id(layer) for layer in res.W[1:])
 
     def test_tail_on_quadrature_floor_names_h_tau(self):
         # the order-1 layer settles on a flat O(h_tau^2) floor long before the
