@@ -288,23 +288,21 @@ def flow_map(fld: VelocityField, x: int, t):
     return np.exp(a * t), (b / a) * np.expm1(a * t)
 
 
-def flow(fld: VelocityField, x: int, u0, t, h_flow: float | None = None,
-         check: bool = True) -> np.ndarray:
+def flow(fld: VelocityField, x: int, u0, t, check: bool = True) -> np.ndarray:
     """Characteristic position u_x(t) started from u0.
 
     t is a scalar or an array that broadcasts against u0 (one duration per
     element).  Affine fields apply their flow_map, u0 * scale + shift;
-    tabulated ones take RK4, each element its own n = max(1, ceil(|t|/h_flow))
-    steps of t/n, so a short duration never pays for the longest one.
+    tabulated ones take RK4, each element its own n = max(1, ceil(|t|/h))
+    steps of t/n with h a quarter of the grid spacing, so a short duration
+    never pays for the longest one.
     """
     u0 = np.asarray(u0, dtype=float)
     if fld.specs[x].kind != "tabulated":
         scale, shift = flow_map(fld, x, t)
         out = u0 * scale + shift
     else:
-        if h_flow is None:
-            h_flow = fld.grid.spacing / 4.0
-        n_steps = np.maximum(1, np.ceil(np.abs(t) / h_flow)).astype(np.int64)
+        n_steps = np.maximum(1, np.ceil(np.abs(t) / (fld.grid.spacing / 4.0))).astype(np.int64)
         out, dt, n_steps = np.broadcast_arrays(u0, t / n_steps, n_steps)
         shortest = n_steps.min()  # >= 1, so out is a fresh array after these
         for _ in range(shortest):
@@ -325,12 +323,12 @@ def _rk4_step(fld: VelocityField, x: int, u: np.ndarray, dt) -> np.ndarray:
     return u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def flow_positions(fld: VelocityField, x: int, times: np.ndarray,
-                   h_flow: float | None = None, check: bool = True) -> np.ndarray:
+def flow_positions(fld: VelocityField, x: int, times: np.ndarray) -> np.ndarray:
     """u_x(t) from every grid node, for each t in an increasing time array.
 
     Affine fields evaluate every time in one call; tabulated fields
-    advance incrementally so the cost stays linear in len(times).
+    advance incrementally so the cost stays linear in len(times).  Every
+    position is checked to lie inside the grid.
     """
     times = np.asarray(times, dtype=float)
     nodes = fld.grid.nodes
@@ -343,11 +341,10 @@ def flow_positions(fld: VelocityField, x: int, times: np.ndarray,
         for i, t in enumerate(times):
             dt = float(t) - prev
             if dt > 0:
-                pos = flow(fld, x, pos, dt, h_flow, check=False)
+                pos = flow(fld, x, pos, dt, check=False)
             out[i] = pos
             prev = float(t)
-    if check:
-        fld.grid.check_inside(out, context=f"state {x}, horizon {times[-1]:.4g}")
+    fld.grid.check_inside(out, context=f"state {x}, horizon {times[-1]:.4g}")
     return out
 
 

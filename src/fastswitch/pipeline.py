@@ -17,9 +17,8 @@ from .operators import OperatorKit, TimeSeries, build_kit, state_mix
 from .oracle import _check_horizon
 from .regular import (averaged_flow_table, regular_term, solve_c0, solve_ck,
                       system_rhs_values, transport_sources)
-from .singular import (TauGrid, check_boundary_regularity, composite_kernels,
-                       default_tau_grid, forcing_terms, initial_ck0, kernel_node_weights,
-                       renewal_resolvent, solve_Wk)
+from .singular import (TauGrid, check_boundary_regularity, default_tau_grid, forcing_terms,
+                       initial_ck0, kernel_node_weights, renewal_resolvent, solve_Wk)
 
 # an order-4 remainder stalls at the error of the 4th-order u-stencils
 MAX_ORDER = 3
@@ -113,11 +112,9 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
 
     orders_diag: dict = {}
     if order > 0:
-        # the layer march's resolvent and its composites R ⋆ K_r are the
-        # same at every order
+        # the layer march's resolvent is the same at every order
         resolvent = renewal_resolvent(
             kit.P, kernel_node_weights(model.sojourns, 0, grid_tau.nodes)[0])
-        composites = composite_kernels(model.sojourns, grid_tau.nodes, resolvent, order - 1)
     integrals = [None]   # each layer's (J, tail bound, advice), from solve_Wk
     memos = [c0.rule]    # the memoized derivative rules of c_k and U_k^R
     for k in range(1, order + 1):
@@ -139,8 +136,7 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
                 memo.cache_clear()
 
         W_k0 = -U_k.values[0]
-        W_series, w_info = solve_Wk(kit, k, grid_tau, W_k0, terms, result.W,
-                                     resolvent, composites)
+        W_series, w_info = solve_Wk(kit, k, grid_tau, W_k0, terms, result.W, resolvent)
         result.W.append(W_series)
         integrals.append(w_info["time_integral"])
 

@@ -15,16 +15,16 @@ fast-time integrals (term_integral).
 The march is linear with a convolution kernel, so it is applied as its
 discrete resolvent R, the power-series inverse of that kernel, which
 renewal_resolvent builds by Newton doubling in O(n_tau log n_tau n_states³).
-Every Volterra sum of the layer is a history_convolution: each separable
-term's τ-profile is convolved with R once, and the history part of ψ^k_0,
-Σ_r K_r ⋆ V^r P W_{k-r}, through the composite kernel R ⋆ K_r (psi_k0),
-which composite_kernels builds once per expansion, like R.
+Every Volterra sum of the layer is a history_convolution: the history part
+of ψ^k_0, Σ_r K_r ⋆ V^r P W_{k-r}, is one per r (psi_k0), and R meets the
+order's whole forcing (the separable terms' τ-profiles, a node-0 δ and
+that history) in one more.
 Every forcing vector is φ, or a lower order's value at τ = 0, pushed
 through V, P and ∂_u, so each layer lies in a span of few u-vectors and
 lives only as τ-coefficients on an orthonormal basis of it (LayerSeries,
 layer_factor), never at full width.  ψ^k_0 convolves the lower layers'
-coefficients, rank-many columns per source state, so no layer sum runs at
-n_points width: each costs O(n_tau log n_tau n_states² r).
+coefficients, rank-many columns, so no layer sum runs at n_points width:
+each costs O(n_tau log n_tau n_states² r).
 """
 from __future__ import annotations
 
@@ -184,35 +184,20 @@ def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(prod, length)[..., :n_nodes].transpose(2, 0, 1)
 
 
-def composite_kernels(sojourns, tau: np.ndarray, resolvent: np.ndarray,
-                      r_max: int) -> list:
-    """The composite kernels R ⋆ K_r for r = 1..r_max, entry r - 1, that
-    psi_k0 reads: K_r is diag of the r-th kernel's node weights and R the
-    march's resolvent.  Each depends on r alone, not on the order, so a
-    build makes each once; each costs one history sum of n_states columns."""
-    n = resolvent.shape[1]
-    out = []
-    for r in range(1, r_max + 1):
-        w = kernel_node_weights(sojourns, r, tau)[0]
-        out.append(history_convolution(resolvent, w.T[:, :, None] * np.eye(n)))
-    return out
+def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid):
+    """The [0, τ] part of ψ^k_0(τ) = Σ_{r=1..k-1} ∫_0^∞ s^r/r! F(ds) V^r P W_{k-r}(τ-s)
+    as a forcing, Σ_r K_r ⋆ V^r P W_{k-r}, factored state-diagonally like the
+    closed-form profiles: τ-coefficients (N, n_states, m) and u-vectors
+    (m, n_points) whose contraction over m is the forcing.
 
-
-def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid,
-           composites: list):
-    """The march's response Σ_{r=1..k-1} (R ⋆ K_r) ⋆ V^r P W_{k-r} to the [0, τ]
-    part of ψ^k_0(τ) = Σ_{r=1..k-1} ∫_0^∞ s^r/r! F(ds) V^r P W_{k-r}(τ-s),
-    as a factor: τ-coefficients (N, n_states, m) and u-vectors (m, n_points)
-    whose contraction over m is the response.
-
-    composites[r - 1] is R ⋆ K_r (composite_kernels), at least k - 1 of
-    them.  Each lower layer is read as its factor G B (LayerSeries), so
-    V^r P W_{k-r}(τ)[y] = Σ_c (P G)[τ, y, c] (v_y ∂_u)^r B_c: per source
-    state y the composite kernel's column y is convolved with (P G)[:, y],
-    r_{k-r} columns, and the vectors are (v_y ∂_u)^r B, one set per y.  So
-    each r costs n_states history sums of r_{k-r} columns, O(n_tau log n_tau
-    n_states² r_{k-r}), and nothing runs at n_points width.  The left-cell
-    weights and the (τ, ∞) part ride with the (r, 0) terms of forcing_terms.
+    Each lower layer is read as its factor G B (LayerSeries), so
+    V^r P W_{k-r}(τ)[y] = Σ_c (P G)[τ, y, c] (v_y ∂_u)^r B_c: K_r, the diagonal
+    of the r-th kernel's node weights w_r, is convolved with P G, r_{k-r}
+    columns, less its left cell a_r ⊗ (P G)[0], so the forcing is 0 at τ = 0;
+    column c of state y carries the vector (v_y ∂_u)^r B_c.  Each r costs one
+    history sum, O(n_tau log n_tau n_states² r_{k-r}), and nothing runs at
+    n_points width.  The (τ, ∞) part rides with the (r, 0) terms of
+    forcing_terms.
     """
     tau = grid_tau.nodes
     n = kit.model.n_states
@@ -220,11 +205,13 @@ def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid,
     coeffs, vectors = [np.zeros((len(tau), n, 0))], [np.zeros((0, n_points))]
     for r in range(1, k):
         lower = W_lower[k - r]
-        composite = composites[r - 1]
-        pg = state_mix(kit.P, lower.coeffs)
-        coeffs += [history_convolution(composite[:, :, y, None], pg[:, y, None])
-                   for y in range(n)]
         rank = len(lower.basis)
+        w, a = kernel_node_weights(kit.model.sojourns, r, tau)
+        pg = state_mix(kit.P, lower.coeffs)
+        block = np.zeros((len(tau), n, n, rank))
+        block[:, np.arange(n), np.arange(n)] = \
+            history_convolution(w.T[:, :, None] * np.eye(n), pg) - a.T[:, :, None] * pg[0]
+        coeffs.append(block.reshape(len(tau), n, n * rank))
         vr_basis = velocity_power_values(
             kit.fld, np.broadcast_to(lower.basis[:, None], (rank, n, n_points)), r)
         vectors.append(vr_basis.transpose(1, 0, 2).reshape(n * rank, n_points))
@@ -277,21 +264,19 @@ def layer_factor(kernel: np.ndarray, vectors: np.ndarray, W_k0: np.ndarray):
 
 
 def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
-             terms: list, W_lower: list, resolvent: np.ndarray, composites: list):
+             terms: list, W_lower: list, resolvent: np.ndarray):
     """Solve the standard-form fast-time renewal equation
 
         ∫_0^τ F(ds) P W_k(τ-s) - W_k(τ) = ψ^k - ψ^k_0 - ψ^k_1
 
     by product integration with an implicit diagonal correction.  The
     forcing is the τ-profiles of the order's forcing_terms and of
-    (0, 0, P W_k(0)), plus the history part of ψ^k_0.  The march is applied
-    as its discrete resolvent (renewal_resolvent on the r = 0 node weights)
-    convolved with the forcing: each separable term's τ-profile is convolved
-    once, and psi_k0 returns the history part already convolved with the
-    composites R ⋆ K_r (composite_kernels, built once per expansion), as
-    coefficients on u-vectors read from the lower layers' factors.
-    layer_factor carries the layer onto an orthonormal basis of the stacked
-    vectors' span, never forming it at full width.
+    (0, 0, P W_k(0)), plus the history part of ψ^k_0 (psi_k0), all factored
+    as τ-coefficients on u-vectors.  The march is applied as its discrete
+    resolvent (renewal_resolvent on the r = 0 node weights): the stacked
+    coefficients, a node-0 δ among them, are one history_convolution with
+    it.  layer_factor carries the layer onto an orthonormal basis of the
+    stacked vectors' span, never forming it at full width.
     Returns the LayerSeries and (t0 residual, sup norm, decay ratio, worst
     state, monotone-tail flag, time integral): the time integral is
     layer_time_integral's (J, tail bound, advice), from the one sup-norm
@@ -307,26 +292,22 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     vectors = [vec for _, _, vec in terms]
     f0 = sum(prof[0, :, None] * vec for prof, vec in zip(profiles, vectors))
     t0_residual = sup_norm(f0 - W_k0)
-    # the history part's response, factored like the separable part
-    history, history_vectors = psi_k0(kit, W_lower, k, grid_tau, composites)
+    history, history_vectors = psi_k0(kit, W_lower, k, grid_tau)
 
     # node i >= 1 of the march solves A W_i - Σ_{m=1..i} diag(w_m) P W_{i-m}
     # = f_i - diag(a_i) P W_0; with right side A W_0 at i = 0 this holds at
     # every node, so W is the march's resolvent convolved with the right side:
-    # f at i >= 1 and at node 0 a δ whose convolution is the resolvent itself.
-    # Each history sum K_r ⋆ V^r P W_{k-r} (r = 0 is the march's own) takes
-    # its left-cell term -a_r ⊗ V^r P W_{k-r}(0) in the profile of the (r, 0)
-    # term, which carries that vector, and its node-0 value off the δ
-    delta = W_k0.copy()
-    for t, (r, m, vec) in enumerate(terms):
-        if m == 0:
-            a = kernel_node_weights(kit.model.sojourns, r, tau)[1]
-            profiles[t] = profiles[t] - a.T
-            delta -= a[:, 0, None] * vec
-    diag = np.zeros((n_nodes, n, n * len(profiles)))
+    # f at i >= 1, its left-cell term -a ⊗ P W_0 in the profile of the
+    # (0, 0, P W_0) term, and at node 0 a δ carrying A W_0 (the history part
+    # is 0 there)
+    a = kernel_node_weights(kit.model.sojourns, 0, tau)[1]
+    profiles[0] = profiles[0] - a.T
+    delta = W_k0 - a[:, 0, None] * vectors[0]
+    forcing = np.zeros((n_nodes, n, n * (len(profiles) + 1)))
     for t, prof in enumerate(profiles):
-        diag[1:, np.arange(n), t * n + np.arange(n)] = prof[1:]
-    kernel = np.concatenate((history_convolution(resolvent, diag), resolvent, history), axis=2)
+        forcing[1:, np.arange(n), t * n + np.arange(n)] = prof[1:]
+    forcing[0, np.arange(n), len(profiles) * n + np.arange(n)] = 1.0
+    kernel = history_convolution(resolvent, np.concatenate((forcing, history), axis=2))
     vectors = np.concatenate(vectors + [delta, history_vectors])
     series = LayerSeries(*layer_factor(kernel, vectors, W_k0))
     profile = series.sup_profile()

@@ -12,10 +12,10 @@ from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import TimeSeries, build_kit, state_mix, velocity_power_values
 from fastswitch.pipeline import build_expansion
 from fastswitch.regular import cumulative_simpson_weights
-from fastswitch import singular
+from fastswitch import pipeline, singular
 from fastswitch.config import load_config
-from fastswitch.singular import (LayerSeries, LayerWindowError, TauGrid, composite_kernels,
-                                 default_tau_grid, fft_length, forcing_terms, history_convolution,
+from fastswitch.singular import (LayerSeries, LayerWindowError, TauGrid, default_tau_grid,
+                                 fft_length, forcing_terms, history_convolution,
                                  kernel_node_weights, layer_time_integral,
                                  negative_extension, psi_k0, renewal_resolvent,
                                  solve_Wk, term_integral, term_profile)
@@ -142,11 +142,10 @@ def random_layer(rng, grid, grid_tau, n_states, rank):
     return LayerSeries(coeffs, basis)
 
 
-def layer_kernels(kit, grid_tau, r_max):
-    """The march's resolvent R and its composites R ⋆ K_r, r = 1..r_max."""
-    resolvent = renewal_resolvent(kit.P, kernel_node_weights(kit.model.sojourns, 0,
-                                                             grid_tau.nodes)[0])
-    return resolvent, composite_kernels(kit.model.sojourns, grid_tau.nodes, resolvent, r_max)
+def march_resolvent(kit, grid_tau):
+    """The march's resolvent R, from the r = 0 node weights."""
+    return renewal_resolvent(kit.P, kernel_node_weights(kit.model.sojourns, 0,
+                                                        grid_tau.nodes)[0])
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +349,7 @@ class TestPsiK0:
     def test_k1_is_empty(self, kit_a):
         grid_tau = TauGrid(2.0, 400)
         assert np.abs(reference_psi_k0(kit_a, [None], 1, grid_tau)).max() == 0.0
-        coeffs, vectors = psi_k0(kit_a, [None], 1, grid_tau, [])
+        coeffs, vectors = psi_k0(kit_a, [None], 1, grid_tau)
         assert coeffs.shape == (401, 2, 0) and vectors.shape == (0, GRID.n_points)
 
     def test_k2_against_brute_force(self, expansion_a):
@@ -394,23 +393,16 @@ class TestPsiK0:
         assert np.abs(out - expected).max() < 5e-5
 
     @pytest.mark.parametrize("k", (2, 3))
-    def test_composite_kernel_is_resolvent_of_history_sums(self, k):
-        """psi_k0 is R ⋆ Σ_r K_r ⋆ V^r P W_{k-r}: the reference forcing with its
-        left-cell terms added back, convolved with the march's resolvent.  The
-        lower layers are factored, and the reference reads their values."""
+    def test_factor_is_reference_history_forcing(self, k):
+        """psi_k0's factor is Σ_r K_r ⋆ V^r P W_{k-r}, left cells included: the
+        reference forcing, which reads the factored lower layers' values."""
         kit = build_kit(make_mixed_model(), make_mixed_field())
         grid_tau = TauGrid(4.0, 200)
         rng = np.random.default_rng(k)
         W = [None] + [random_layer(rng, kit.fld.grid, grid_tau, 3, rank)
                       for rank in (5, 11)[:k - 1]]
-        resolvent, composites = layer_kernels(kit, grid_tau, k - 1)
-        history = reference_psi_k0(kit, W, k, grid_tau)
-        for r in range(1, k):
-            a = kernel_node_weights(kit.model.sojourns, r, grid_tau.nodes)[1]
-            history += a.T[:, :, None] * velocity_power_values(
-                kit.fld, state_mix(kit.P, layer_values(W[k - r])[0]), r)
-        expected = history_convolution(resolvent, history)
-        coeffs, vectors = psi_k0(kit, W, k, grid_tau, composites)
+        expected = reference_psi_k0(kit, W, k, grid_tau)
+        coeffs, vectors = psi_k0(kit, W, k, grid_tau)
         out = coeffs @ vectors
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -470,14 +462,18 @@ class TestForcingTerms:
 
 
 class TestSolveWk:
-    def test_matches_step_by_step_march(self):
-        res = build_expansion(make_mixed_model(), make_mixed_field(), PHI, order=2, horizon=0.5, h_t=0.005, h_tau=0.01)
+    def test_matches_step_by_step_march(self, monkeypatch):
+        """Orders 1-3, so the K_2 history sum is checked too; the order-3
+        build lifts the tail bound as test_matches_full_width_assembly does."""
+        monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+        res = build_expansion(make_mixed_model(), make_mixed_field(), PHI, order=3,
+                              horizon=0.5, h_t=0.005, h_tau=0.01)
         kit, grid_tau, tau = res.kit, res.tau_grid, res.tau_grid.nodes
-        for k in (1, 2):
+        resolvent = march_resolvent(kit, grid_tau)
+        for k in (1, 2, 3):
             W_k0 = -res.U[k].values[0]
             terms = forcing_terms(kit, k, res.U)
-            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W,
-                            *layer_kernels(kit, grid_tau, 1))
+            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, resolvent)
             g = -profile_sum(kit, [(0, 0, state_mix(kit.P, W_k0))] + terms, tau) \
                 - reference_psi_k0(kit, res.W, k, grid_tau)
             expected = reference_march(kit, grid_tau, g, W_k0)
@@ -494,11 +490,11 @@ class TestSolveWk:
         res = build_expansion(make_model(), fld, PHI, order=3, horizon=0.5, h_t=0.005,
                               h_tau=0.01)
         kit, grid_tau = res.kit, res.tau_grid
-        kernels = layer_kernels(kit, grid_tau, 2)
+        resolvent = march_resolvent(kit, grid_tau)
         for k in (1, 2, 3):
             W_k0 = -res.U[k].values[0]
             terms = forcing_terms(kit, k, res.U)
-            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, *kernels)
+            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, resolvent)
             expected = reference_solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
             assert np.abs(layer_values(W) - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -536,32 +532,61 @@ class TestSolveWk:
         assert [f.name for f in dataclasses.fields(LayerSeries)] == ["coeffs", "basis"]
 
     def test_history_sums_run_at_basis_width(self, monkeypatch):
-        """No layer sum convolves n_points columns: ψ^k_0 convolves, per lower
-        layer r and per source state, the r_{k-r} coefficient columns of
-        that layer's factor, so each ψ sum is n_states × r_{k-r} wide.  The
-        composite kernels R ⋆ K_r depend on r alone, so an order-3 build
-        convolves R with K_1 and with K_2 once each."""
+        """Each order's layer is one history_convolution with the march's
+        resolvent, after one K_r sum per lower layer r (psi_k0), which
+        convolves that layer's r_{k-r} coefficient columns; no sum is n_points
+        wide.  The resolvent's forcing is 0 at τ = 0 but for the δ, and the
+        separable terms' profiles enter it as term_profile gives them, bar
+        the march's own left cell in the (0, 0) term's: the r >= 1 left cells
+        live in psi_k0."""
         monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
         fld = make_pm_field(UGrid(-6.0, 6.0, 65))
-        original = singular.history_convolution
-        calls = []
+        calls, resolvents = [], []   # calls: history sums, each order's solve_Wk marked by k
+        original_convolution = singular.history_convolution
+        original_solve = pipeline.solve_Wk
+        original_resolvent = pipeline.renewal_resolvent
 
         def counted(kernel, values):
-            calls.append((kernel.shape[2], values.shape[2], values.copy()))
-            return original(kernel, values)
+            calls.append((kernel, values.copy()))
+            return original_convolution(kernel, values)
+
+        def marked(kit, k, *args):
+            calls.append(k)
+            return original_solve(kit, k, *args)
+
+        def kept(*args):
+            resolvents.append(original_resolvent(*args))
+            return resolvents[-1]
         monkeypatch.setattr(singular, "history_convolution", counted)
+        monkeypatch.setattr(pipeline, "solve_Wk", marked)
+        monkeypatch.setattr(pipeline, "renewal_resolvent", kept)
         res = build_expansion(make_model_a(), fld, PHI, order=3, horizon=0.5, h_t=0.01,
                               h_tau=0.01)
+        kit, tau = res.kit, res.tau_grid.nodes
         rank = [None] + [res.diagnostics["orders"][k]["layer_rank"] for k in (1, 2, 3)]
-        n = res.kit.model.n_states
-        assert all(width != fld.grid.n_points for _, width, _ in calls)
-        # the ψ sums are the ones with one source state per kernel
-        psi_widths = [width for n_in, width, _ in calls if n_in == 1]
-        assert psi_widths == [rank[1]] * n + [rank[2]] * n + [rank[1]] * n
-        for r in (1, 2):
-            w = kernel_node_weights(res.kit.model.sojourns, r, res.tau_grid.nodes)[0]
-            diag_r = w.T[:, :, None] * np.eye(n)
-            assert sum(np.array_equal(values, diag_r) for _, _, values in calls) == 1
+        n = kit.model.n_states
+        [resolvent] = resolvents
+        sums = [call for call in calls if not isinstance(call, int)]
+        assert all(values.shape[2] != fld.grid.n_points for _, values in sums)
+        marks = [calls.index(k) for k in (1, 2, 3)] + [len(calls)]
+        for k in (1, 2, 3):
+            order_calls = calls[marks[k - 1] + 1:marks[k]]
+            assert len(order_calls) == k
+            for r, (kernel, values) in enumerate(order_calls[:-1], start=1):
+                w = kernel_node_weights(kit.model.sojourns, r, tau)[0]
+                assert np.array_equal(kernel, w.T[:, :, None] * np.eye(n))
+                assert values.shape[2] == rank[k - r]
+            kernel, forcing = order_calls[-1]
+            assert kernel is resolvent
+            terms = forcing_terms(kit, k, res.U)
+            n_sep = n * (len(terms) + 2)   # (0, 0) term, forcing_terms, δ
+            assert np.count_nonzero(forcing[0, :, :n_sep]) == n
+            history = np.abs(forcing[:, :, n_sep:])
+            assert history[0].max(initial=0.0) <= 1e-14 * history.max(initial=0.0)
+            for t, (r, m, _) in enumerate(terms, start=1):
+                np.testing.assert_array_equal(
+                    forcing[1:, np.arange(n), t * n + np.arange(n)],
+                    term_profile(kit.model.sojourns, r, m, tau)[1:])
 
     def test_vanishing_layer_has_no_worst_state(self):
         """configs/deterministic.json: every layer is rounding noise, whose
