@@ -148,36 +148,45 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _diagnostics_lines(diag: dict) -> list:
+    lines = ["== expansion diagnostics =="]
+    for section in ("model", "operator"):
+        for key, val in sorted(diag.get(section, {}).items()):
+            lines.append(f"{section}.{key}: {val}")
+    for k, entry in sorted(diag.get("orders", {}).items()):
+        for key, val in sorted(entry.items()):
+            lines.append(f"order{k}.{key}: {val}")
+    lines.append("== adjudications ==")
+    for key, val in sorted(diag.get("adjudications", {}).items()):
+        lines.append(f"{key}: {val}")
+    return lines
+
+
+def _remainder_lines(rem: dict) -> list:
+    lines = ["== remainder slopes =="]
+    for s in rem["slopes"]:
+        slope_txt = "n/a" if s["slope"] is None else f"{s['slope']:.3f}"
+        lines.append(f"order {s['order']} @ t={s['t']}: slope {slope_txt} [{s['status']}]")
+    return lines
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
-    diag_path = out / "diagnostics.json"
-    rem_path = out / "remainder.json"
-    if not diag_path.exists() and not rem_path.exists():
+    readers = [(out / "diagnostics.json", _diagnostics_lines),
+               (out / "remainder.json", _remainder_lines)]
+    readers = [(path, lines_of) for path, lines_of in readers if path.exists()]
+    if not readers:
         print("nothing to report: run expand and/or compare first", file=sys.stderr)
         return 1
     lines = []
-    if diag_path.exists():
-        with open(diag_path) as fh:
-            diag = json.load(fh)
-        lines.append("== expansion diagnostics ==")
-        for key, val in sorted(diag.get("model", {}).items()):
-            lines.append(f"model.{key}: {val}")
-        for key, val in sorted(diag.get("operator", {}).items()):
-            lines.append(f"operator.{key}: {val}")
-        for k, entry in sorted(diag.get("orders", {}).items()):
-            for key, val in sorted(entry.items()):
-                lines.append(f"order{k}.{key}: {val}")
-        lines.append("== adjudications ==")
-        for key, val in sorted(diag.get("adjudications", {}).items()):
-            lines.append(f"{key}: {val}")
-    if rem_path.exists():
-        with open(rem_path) as fh:
-            rem = json.load(fh)
-        lines.append("== remainder slopes ==")
-        for s in rem["slopes"]:
-            slope_txt = "n/a" if s["slope"] is None else f"{s['slope']:.3f}"
-            lines.append(f"order {s['order']} @ t={s['t']}: slope {slope_txt} "
-                         f"[{s['status']}]")
+    for path, lines_of in readers:
+        # the file comes from outside the program: one that is not JSON, or
+        # not of the shape expand and compare write, is named in the error
+        try:
+            with open(path) as fh:
+                lines += lines_of(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path} is not an output file of fastswitch: {exc!r}") from None
     text = "\n".join(lines) + "\n"
     with open(out / "summary.txt", "w") as fh:
         fh.write(text)

@@ -20,8 +20,9 @@ of ψ^k_0, Σ_r K_r ⋆ V^r P W_{k-r}, is one per r (psi_k0), and R meets the
 order's whole forcing (the separable terms' τ-profiles, a node-0 δ and
 that history) in one more.
 Every forcing vector is φ, or a lower order's value at τ = 0, pushed
-through V, P and ∂_u, so each layer lies in a span of few u-vectors and
-lives only as τ-coefficients on an orthonormal basis of it (LayerSeries,
+through V, P and ∂_u, so each layer lies in a span of few u-vectors: the
+forcing is projected onto an orthonormal basis of that span before R
+meets it, and the layer lives only as τ-coefficients on it (LayerSeries,
 layer_factor), never at full width.  ψ^k_0 convolves the lower layers'
 coefficients, rank-many columns, so no layer sum runs at n_points width:
 each costs O(n_tau log n_tau n_states² r).
@@ -186,9 +187,9 @@ def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid):
     """The [0, τ] part of ψ^k_0(τ) = Σ_{r=1..k-1} ∫_0^∞ s^r/r! F(ds) V^r P W_{k-r}(τ-s)
-    as a forcing, Σ_r K_r ⋆ V^r P W_{k-r}, factored state-diagonally like the
-    closed-form profiles: τ-coefficients (N, n_states, m) and u-vectors
-    (m, n_points) whose contraction over m is the forcing.
+    as a forcing, Σ_r K_r ⋆ V^r P W_{k-r}, factored per state: τ-coefficients
+    (N, n_states, m) and u-vectors (n_states, m, n_points) whose contraction
+    over m, state by state, is the forcing.
 
     Each lower layer is read as its factor G B (LayerSeries), so
     V^r P W_{k-r}(τ)[y] = Σ_c (P G)[τ, y, c] (v_y ∂_u)^r B_c: K_r, the diagonal
@@ -202,20 +203,17 @@ def psi_k0(kit: OperatorKit, W_lower: list, k: int, grid_tau: TauGrid):
     tau = grid_tau.nodes
     n = kit.model.n_states
     n_points = kit.fld.grid.n_points
-    coeffs, vectors = [np.zeros((len(tau), n, 0))], [np.zeros((0, n_points))]
+    coeffs, vectors = [np.zeros((len(tau), n, 0))], [np.zeros((n, 0, n_points))]
     for r in range(1, k):
         lower = W_lower[k - r]
-        rank = len(lower.basis)
         w, a = kernel_node_weights(kit.model.sojourns, r, tau)
         pg = state_mix(kit.P, lower.coeffs)
-        block = np.zeros((len(tau), n, n, rank))
-        block[:, np.arange(n), np.arange(n)] = \
-            history_convolution(w.T[:, :, None] * np.eye(n), pg) - a.T[:, :, None] * pg[0]
-        coeffs.append(block.reshape(len(tau), n, n * rank))
+        coeffs.append(history_convolution(w.T[:, :, None] * np.eye(n), pg)
+                      - a.T[:, :, None] * pg[0])
         vr_basis = velocity_power_values(
-            kit.fld, np.broadcast_to(lower.basis[:, None], (rank, n, n_points)), r)
-        vectors.append(vr_basis.transpose(1, 0, 2).reshape(n * rank, n_points))
-    return np.concatenate(coeffs, axis=2), np.concatenate(vectors)
+            kit.fld, np.broadcast_to(lower.basis[:, None], (len(lower.basis), n, n_points)), r)
+        vectors.append(vr_basis.swapaxes(0, 1))
+    return np.concatenate(coeffs, axis=2), np.concatenate(vectors, axis=1)
 
 
 # -- the renewal solve --------------------------------------------------------------
@@ -243,21 +241,11 @@ def renewal_resolvent(P: np.ndarray, w: np.ndarray) -> np.ndarray:
 _RANK_TOL = 1e-15
 
 
-def layer_factor(kernel: np.ndarray, vectors: np.ndarray, W_k0: np.ndarray):
-    """The factor of the layer W = kernel @ vectors (kernel (N, n_states, m),
-    vectors (m, n_points)) with node 0 pinned to W_k0: τ-coefficients G
-    (N, n_states, r) on an orthonormal u-basis B (r, n_points), W ≈ G B.
-
-    A thin QR of the vectors gives an orthonormal basis Q of their span and
-    the coefficients kernel @ (vectors Q), row 0 W_k0 Q, so W is never
-    formed at full width; an SVD of them drops directions at rounding level.
-    The raw factor, the kernel's columns on the vectors, would not do: they
-    do not decay while their sum does, so FFT sums that read them round
-    with |G_c|·|B_c|, not |W|.  On an orthonormal basis |G| is |W|.
-    """
-    q = np.linalg.qr(vectors.T)[0]
-    coeffs = kernel @ (vectors @ q)
-    coeffs[0] = W_k0 @ q
+def layer_factor(coeffs: np.ndarray, q: np.ndarray):
+    """The factor of the layer W = coeffs @ q.T, coeffs (N, n_states, m) on
+    the orthonormal columns of q (n_points, m): an SVD of the coefficients
+    drops directions at rounding level, which leaves τ-coefficients G
+    (N, n_states, r) on an orthonormal u-basis B (r, n_points), W ≈ G B."""
     u, s, yt = np.linalg.svd(coeffs.reshape(-1, q.shape[1]), full_matrices=False)
     rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
     return (u[:, :rank] * s[:rank]).reshape(coeffs.shape[:2] + (rank,)), yt[:rank] @ q.T
@@ -270,13 +258,14 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
         ∫_0^τ F(ds) P W_k(τ-s) - W_k(τ) = ψ^k - ψ^k_0 - ψ^k_1
 
     by product integration with an implicit diagonal correction.  The
-    forcing is the τ-profiles of the order's forcing_terms and of
-    (0, 0, P W_k(0)), plus the history part of ψ^k_0 (psi_k0), all factored
-    as τ-coefficients on u-vectors.  The march is applied as its discrete
-    resolvent (renewal_resolvent on the r = 0 node weights): the stacked
-    coefficients, a node-0 δ among them, are one history_convolution with
-    it.  layer_factor carries the layer onto an orthonormal basis of the
-    stacked vectors' span, never forming it at full width.
+    forcing, the τ-profiles of the order's forcing_terms and of
+    (0, 0, P W_k(0)), a node-0 δ and the history part of ψ^k_0 (psi_k0), is
+    assembled as coefficients on q, a thin QR's orthonormal basis of all
+    their u-vectors, never at full width.  The march is linear, so its
+    discrete resolvent (renewal_resolvent on the r = 0 node weights) meets
+    them in one history_convolution, and layer_factor cuts their rank.  On
+    the raw vectors the coefficients would not decay while their sum does,
+    so FFT sums that read them round with |G_c|·|B_c|; on q, |G| is |W|.
     Returns the LayerSeries and (t0 residual, sup norm, decay ratio, worst
     state, monotone-tail flag, time integral): the time integral is
     layer_time_integral's (J, tail bound, advice), from the one sup-norm
@@ -284,7 +273,6 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
-    n = kit.model.n_states
     # forcing f = -(ψ^k - ψ^k_0 - ψ^k_1): separable τ-profiles (N, n) times
     # (n, n_points) vectors, plus the history part, which is 0 at τ = 0
     terms = [(0, 0, state_mix(kit.P, W_k0)), *terms]
@@ -298,18 +286,20 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     # = f_i - diag(a_i) P W_0; with right side A W_0 at i = 0 this holds at
     # every node, so W is the march's resolvent convolved with the right side:
     # f at i >= 1, its left-cell term -a ⊗ P W_0 in the profile of the
-    # (0, 0, P W_0) term, and at node 0 a δ carrying A W_0 (the history part
-    # is 0 there)
+    # (0, 0, P W_0) term, and A W_0 = W_0 - diag(a_0) P W_0 at node 0 (the
+    # history part is 0 there)
     a = kernel_node_weights(kit.model.sojourns, 0, tau)[1]
     profiles[0] = profiles[0] - a.T
     delta = W_k0 - a[:, 0, None] * vectors[0]
-    forcing = np.zeros((n_nodes, n, n * (len(profiles) + 1)))
-    for t, prof in enumerate(profiles):
-        forcing[1:, np.arange(n), t * n + np.arange(n)] = prof[1:]
-    forcing[0, np.arange(n), len(profiles) * n + np.arange(n)] = 1.0
-    kernel = history_convolution(resolvent, np.concatenate((forcing, history), axis=2))
-    vectors = np.concatenate(vectors + [delta, history_vectors])
-    series = LayerSeries(*layer_factor(kernel, vectors, W_k0))
+    q = np.linalg.qr(np.concatenate(vectors + [delta, *history_vectors]).T)[0]
+    # every column's τ-coefficients (N, n, c) and u-vectors (n, c, n_points)
+    columns = np.concatenate((np.stack(profiles, axis=2), history), axis=2)
+    column_vectors = np.concatenate((np.stack(vectors, axis=1), history_vectors), axis=1)
+    forcing = (columns.swapaxes(0, 1) @ (column_vectors @ q)).swapaxes(0, 1)
+    forcing[0] = delta @ q
+    coeffs = history_convolution(resolvent, forcing)
+    coeffs[0] = W_k0 @ q
+    series = LayerSeries(*layer_factor(coeffs, q))
     profile = series.sup_profile()
     norm0 = sup_norm(W_k0)
     # a numerically vanishing layer has no meaningful decay ratio or worst state

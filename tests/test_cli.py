@@ -470,6 +470,18 @@ class TestReportCommand:
     def test_missing_inputs_exit_one(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 1
 
+    @pytest.mark.parametrize("name,text", [
+        ("remainder.json", "{}"), ("diagnostics.json", "[1, 2]"),
+        ("remainder.json", '{"slopes": [{"order": 1}]}'), ("diagnostics.json", '{"orders": 3}'),
+        ("diagnostics.json", '{"model": {"a"')])
+    def test_malformed_output_file_exit_one(self, tmp_path, capsys, name, text):
+        """A malformed output file gives an error line naming it, no traceback."""
+        (tmp_path / name).write_text(text)
+        assert main(["report", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / name) in err
+        assert "Traceback" not in err and not (tmp_path / "summary.txt").exists()
+
     def test_rerun_identical_bytes(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "out"

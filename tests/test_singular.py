@@ -101,17 +101,24 @@ def reference_psi_k0(kit, W_lower, k, grid_tau):
     return out
 
 
-def reference_solve_Wk(kit, k, grid_tau, W_k0, terms, W_lower):
-    """The layer from the full-width forcing: every term's τ-profile times its
-    vector summed into one (N, n_states, n_points) right side, corrected at
-    node 0 and in the left cell, then convolved with the march's resolvent."""
+def reference_march_forcing(kit, k, grid_tau, W_k0, terms, W_lower):
+    """The march's full-width right side: every term's τ-profile times its
+    vector summed into one (N, n_states, n_points) array with the history
+    forcing, corrected in the left cell, and A W_k(0) at node 0."""
     tau = grid_tau.nodes
     pw0 = state_mix(kit.P, W_k0)
     f = profile_sum(kit, [(0, 0, pw0)] + terms, tau) + reference_psi_k0(kit, W_lower, k, grid_tau)
     w, a = kernel_node_weights(kit.model.sojourns, 0, tau)
     f -= a.T[:, :, None] * pw0
     f[0] = W_k0 - w[:, 0, None] * pw0
-    W = history_convolution(renewal_resolvent(kit.P, w), f)
+    return f
+
+
+def reference_solve_Wk(kit, k, grid_tau, W_k0, terms, W_lower):
+    """The layer from the full-width forcing, convolved with the march's
+    resolvent."""
+    f = reference_march_forcing(kit, k, grid_tau, W_k0, terms, W_lower)
+    W = history_convolution(march_resolvent(kit, grid_tau), f)
     W[0] = W_k0
     return W
 
@@ -350,7 +357,7 @@ class TestPsiK0:
         grid_tau = TauGrid(2.0, 400)
         assert np.abs(reference_psi_k0(kit_a, [None], 1, grid_tau)).max() == 0.0
         coeffs, vectors = psi_k0(kit_a, [None], 1, grid_tau)
-        assert coeffs.shape == (401, 2, 0) and vectors.shape == (0, GRID.n_points)
+        assert coeffs.shape == (401, 2, 0) and vectors.shape == (2, 0, GRID.n_points)
 
     def test_k2_against_brute_force(self, expansion_a):
         """ψ^2_0 = Q^1 W_1: check the product-integration history part plus
@@ -394,8 +401,9 @@ class TestPsiK0:
 
     @pytest.mark.parametrize("k", (2, 3))
     def test_factor_is_reference_history_forcing(self, k):
-        """psi_k0's factor is Σ_r K_r ⋆ V^r P W_{k-r}, left cells included: the
-        reference forcing, which reads the factored lower layers' values."""
+        """psi_k0's factor, contracted state by state, is Σ_r K_r ⋆ V^r P W_{k-r},
+        left cells included: the reference forcing, which reads the factored
+        lower layers' values."""
         kit = build_kit(make_mixed_model(), make_mixed_field())
         grid_tau = TauGrid(4.0, 200)
         rng = np.random.default_rng(k)
@@ -403,7 +411,9 @@ class TestPsiK0:
                       for rank in (5, 11)[:k - 1]]
         expected = reference_psi_k0(kit, W, k, grid_tau)
         coeffs, vectors = psi_k0(kit, W, k, grid_tau)
-        out = coeffs @ vectors
+        assert coeffs.shape == (201, 3, (5, 16)[k - 2])
+        assert vectors.shape == (3, (5, 16)[k - 2], kit.fld.grid.n_points)
+        out = np.einsum("iyc,ycu->iyu", coeffs, vectors)
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_refinement_stability(self):
@@ -480,7 +490,8 @@ class TestSolveWk:
             assert np.abs(layer_values(W) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("make_model,field", [
-        (make_model_a, None), (make_model_b, None), (make_mixed_model, make_mixed_field)])
+        (make_model_a, None), (make_model_b, None), (make_mixed_model, make_mixed_field),
+        (make_model_b, lambda: make_pm_field(UGrid(-6.0, 6.0, 65, boundary_mode="periodic")))])
     def test_matches_full_width_assembly(self, monkeypatch, make_model, field):
         """Orders 1-3 against the full-width forcing assembly.  The comparison
         needs the order-3 inputs, not their accuracy, so the layer-window tail
@@ -499,22 +510,21 @@ class TestSolveWk:
             assert np.abs(layer_values(W) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("make_model,field", [
-        (make_model_a, None), (make_model_b, None), (make_mixed_model, make_mixed_field)])
+        (make_model_a, None), (make_model_b, None), (make_mixed_model, make_mixed_field),
+        (make_model_b, lambda: make_pm_field(UGrid(-6.0, 6.0, 65, boundary_mode="periodic")))])
     def test_factor_reproduces_layer(self, monkeypatch, make_model, field):
         """Each order's factor G_k B_k is its layer, node 0 included, on an
-        orthonormal basis: it matches the full-width contraction of the
-        solve's kernel with its stacked vectors, node 0 pinned to W_k(0).
-        The order-3 build lifts the tail bound as
-        test_matches_full_width_assembly does."""
+        orthonormal basis: it matches the solve's coefficients before the
+        rank cut on their basis q, contracted with q.T at full width.  The
+        order-3 build lifts the tail bound as test_matches_full_width_assembly
+        does."""
         monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
         original = singular.layer_factor
         full_width = []
 
-        def recording(kernel, vectors, W_k0):
-            W = kernel @ vectors
-            W[0] = W_k0
-            full_width.append(W)
-            return original(kernel, vectors, W_k0)
+        def recording(coeffs, q):
+            full_width.append(coeffs @ q.T)
+            return original(coeffs, q)
         monkeypatch.setattr(singular, "layer_factor", recording)
         fld = field() if field else make_pm_field(UGrid(-6.0, 6.0, 65))
         res = build_expansion(make_model(), fld, PHI, order=3, horizon=0.5, h_t=0.005,
@@ -535,16 +545,16 @@ class TestSolveWk:
         """Each order's layer is one history_convolution with the march's
         resolvent, after one K_r sum per lower layer r (psi_k0), which
         convolves that layer's r_{k-r} coefficient columns; no sum is n_points
-        wide.  The resolvent's forcing is 0 at τ = 0 but for the δ, and the
-        separable terms' profiles enter it as term_profile gives them, bar
-        the march's own left cell in the (0, 0) term's: the r >= 1 left cells
-        live in psi_k0."""
+        wide.  The resolvent's forcing is the full-width march forcing
+        projected on the solve's orthonormal basis q, row 0 included, and no
+        (state, column) series of it is all zeros: nothing is padded."""
         monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
         fld = make_pm_field(UGrid(-6.0, 6.0, 65))
-        calls, resolvents = [], []   # calls: history sums, each order's solve_Wk marked by k
+        calls, resolvents, bases = [], [], []   # calls: history sums, each solve_Wk marked by k
         original_convolution = singular.history_convolution
         original_solve = pipeline.solve_Wk
         original_resolvent = pipeline.renewal_resolvent
+        original_factor = singular.layer_factor
 
         def counted(kernel, values):
             calls.append((kernel, values.copy()))
@@ -557,19 +567,24 @@ class TestSolveWk:
         def kept(*args):
             resolvents.append(original_resolvent(*args))
             return resolvents[-1]
+
+        def factored(coeffs, q):
+            bases.append(q)
+            return original_factor(coeffs, q)
         monkeypatch.setattr(singular, "history_convolution", counted)
         monkeypatch.setattr(pipeline, "solve_Wk", marked)
         monkeypatch.setattr(pipeline, "renewal_resolvent", kept)
+        monkeypatch.setattr(singular, "layer_factor", factored)
         res = build_expansion(make_model_a(), fld, PHI, order=3, horizon=0.5, h_t=0.01,
                               h_tau=0.01)
-        kit, tau = res.kit, res.tau_grid.nodes
+        kit, grid_tau, tau = res.kit, res.tau_grid, res.tau_grid.nodes
         rank = [None] + [res.diagnostics["orders"][k]["layer_rank"] for k in (1, 2, 3)]
         n = kit.model.n_states
         [resolvent] = resolvents
         sums = [call for call in calls if not isinstance(call, int)]
         assert all(values.shape[2] != fld.grid.n_points for _, values in sums)
         marks = [calls.index(k) for k in (1, 2, 3)] + [len(calls)]
-        for k in (1, 2, 3):
+        for k, q in zip((1, 2, 3), bases, strict=True):
             order_calls = calls[marks[k - 1] + 1:marks[k]]
             assert len(order_calls) == k
             for r, (kernel, values) in enumerate(order_calls[:-1], start=1):
@@ -578,15 +593,14 @@ class TestSolveWk:
                 assert values.shape[2] == rank[k - r]
             kernel, forcing = order_calls[-1]
             assert kernel is resolvent
-            terms = forcing_terms(kit, k, res.U)
-            n_sep = n * (len(terms) + 2)   # (0, 0) term, forcing_terms, δ
-            assert np.count_nonzero(forcing[0, :, :n_sep]) == n
-            history = np.abs(forcing[:, :, n_sep:])
-            assert history[0].max(initial=0.0) <= 1e-14 * history.max(initial=0.0)
-            for t, (r, m, _) in enumerate(terms, start=1):
-                np.testing.assert_array_equal(
-                    forcing[1:, np.arange(n), t * n + np.arange(n)],
-                    term_profile(kit.model.sojourns, r, m, tau)[1:])
+            assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+            W_k0 = -res.U[k].values[0]
+            f = reference_march_forcing(kit, k, grid_tau, W_k0, forcing_terms(kit, k, res.U),
+                                        res.W)
+            expected = f @ q
+            assert np.abs(forcing - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert np.abs(forcing[0] - expected[0]).max() <= 1e-13 * np.abs(expected[0]).max()
+            assert np.all(np.abs(forcing).max(axis=0) > 0.0)
 
     def test_vanishing_layer_has_no_worst_state(self):
         """configs/deterministic.json: every layer is rounding noise, whose
