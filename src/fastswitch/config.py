@@ -232,6 +232,8 @@ def config_from_document(doc: dict) -> RunConfig:
         if not (0.0 < t <= horizon and grid_index(t, step) is not None):
             raise ConfigError(f"oracle.t_eval {t} must lie in (0, {horizon}] on the "
                               f"time grid of step {step:.6g}")
+        if oracle.t_eval.count(t) > 1:
+            raise ConfigError(f"oracle.t_eval repeats {t}: each time gets one row per epsilon")
 
     outdoc = _known(doc.get("output", {}), ("t_stride", "tau_stride", "u_stride"), "output")
     output = OutputConfig(**{key: _positive(outdoc, key, default, "output", int)

@@ -149,9 +149,10 @@ class DirectSolverCost(RuntimeError):
 
 
 def march_steps(t_eval, eps: float, h_s: float, richardson: bool) -> dict:
-    """Step index -> time of each requested time on the march grid of step
-    eps*h_s; raises ValueError when some time is not a whole number of steps,
-    with richardson of the coarse march's steps 2*eps*h_s."""
+    """Step index on the march grid of step eps*h_s -> each requested time,
+    kept as requested so that every epsilon reports the same t; raises
+    ValueError when some time is not a whole number of steps, with
+    richardson of the coarse march's steps 2*eps*h_s."""
     h_phys = eps * h_s
     stride, factor = (2, "2*") if richardson else (1, "")
     keep = {}
@@ -161,7 +162,7 @@ def march_steps(t_eval, eps: float, h_s: float, richardson: bool) -> dict:
             raise ValueError(f"t={t:g} is not a whole number of march steps {factor}eps*"
                              f"oracle.h_s = {factor}{eps:g}*{h_s:g}; choose oracle.h_s so "
                              f"that t / ({factor}eps*h_s) is an integer")
-        keep[stride * i] = stride * i * h_phys
+        keep[stride * i] = t
     return keep
 
 

@@ -17,8 +17,8 @@ from .operators import OperatorKit, TimeSeries, build_kit, state_mix
 from .oracle import _check_horizon
 from .regular import (averaged_flow_table, regular_term, solve_c0, solve_ck,
                       system_rhs_values, transport_sources)
-from .singular import (TauGrid, check_boundary_regularity, default_tau_grid, forcing_terms,
-                       initial_ck0, kernel_node_weights, renewal_resolvent, solve_Wk)
+from .singular import (TauGrid, default_tau_grid, forcing_terms, initial_ck0,
+                       kernel_node_weights, renewal_resolvent, solve_Wk)
 
 # an order-4 remainder stalls at the error of the 4th-order u-stencils
 MAX_ORDER = 3
@@ -135,25 +135,17 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
             for memo in memos:
                 memo.cache_clear()
 
-        W_k0 = -U_k.values[0]
-        W_series, w_info = solve_Wk(kit, k, grid_tau, W_k0, terms, result.W, resolvent)
+        W_series, integral, w_diag = solve_Wk(kit, k, grid_tau, -U_k.values[0], terms,
+                                              result.W, resolvent)
         result.W.append(W_series)
-        integrals.append(w_info["time_integral"])
-
-        reg = check_boundary_regularity(kit, U_k.values[0], W_k0, w_info["t0_residual"])
+        integrals.append(integral)
         orders_diag[k] = {
             "range_projection_defect": defect,
             "system15_residual": system15_residual(kit, result.U, k, rhs_vals),
             "ck0_sup": float(np.abs(ck0).max()),
             "ck0_tail_bound": ck0_tail_bound,
-            "w_decay_ratio": w_info["decay_ratio"],
-            "w_decay_worst_state": (None if w_info["decay_worst_state"] is None
-                                    else str(w_info["decay_worst_state"])),
-            "w_monotone_tail": w_info["monotone_tail"],
-            "w_sup": w_info["sup"],
-            "layer_rank": len(W_series.basis),
             "u_sup": float(sup_norm(U_k.values)),
-            **reg,
+            **w_diag,
         }
 
     result.diagnostics = {

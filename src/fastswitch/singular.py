@@ -17,8 +17,8 @@ discrete resolvent R, the power-series inverse of that kernel, which
 renewal_resolvent builds by Newton doubling in O(n_tau log n_tau n_states³).
 Every Volterra sum of the layer is a history_convolution: the history part
 of ψ^k_0, Σ_r K_r ⋆ V^r P W_{k-r}, is one per r (psi_k0), and R meets the
-order's whole forcing (the separable terms' τ-profiles, a node-0 δ and
-that history) in one more.
+order's whole forcing (the separable terms' τ-profiles and that history)
+in one more, node 0 an ordinary node of it.
 Every forcing vector is φ, or a lower order's value at τ = 0, pushed
 through V, P and ∂_u, so each layer lies in a span of few u-vectors: the
 forcing is projected onto an orthonormal basis of that span before R
@@ -259,17 +259,18 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
 
     by product integration with an implicit diagonal correction.  The
     forcing, the τ-profiles of the order's forcing_terms and of
-    (0, 0, P W_k(0)), a node-0 δ and the history part of ψ^k_0 (psi_k0), is
-    assembled as coefficients on q, a thin QR's orthonormal basis of all
-    their u-vectors, never at full width.  The march is linear, so its
-    discrete resolvent (renewal_resolvent on the r = 0 node weights) meets
-    them in one history_convolution, and layer_factor cuts their rank.  On
-    the raw vectors the coefficients would not decay while their sum does,
-    so FFT sums that read them round with |G_c|·|B_c|; on q, |G| is |W|.
-    Returns the LayerSeries and (t0 residual, sup norm, decay ratio, worst
-    state, monotone-tail flag, time integral): the time integral is
-    layer_time_integral's (J, tail bound, advice), from the one sup-norm
-    profile the checks read.
+    (0, 0, P W_k(0)) and the history part of ψ^k_0 (psi_k0), is assembled
+    as coefficients on q, a thin QR's orthonormal basis of all their
+    u-vectors, never at full width.  The march is linear, so its discrete
+    resolvent (renewal_resolvent on the r = 0 node weights) meets them in
+    one history_convolution, and layer_factor cuts their rank.  On the raw
+    vectors the coefficients would not decay while their sum does, so FFT
+    sums that read them round with |G_c|·|B_c|; on q, |G| is |W|.
+    Returns the LayerSeries, its layer_time_integral (J, tail bound,
+    advice) and its diagnostics under their diagnostics.json names; the
+    boundary residuals renewal_t0, regularity_PI and regularity_I_minus_Pi
+    read G_0 B - W_k(0) = U_k(0) + W_k(0) off the factor, as it is and
+    under P - I and I - Π.
     """
     tau = grid_tau.nodes
     n_nodes = len(tau)
@@ -278,28 +279,23 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     terms = [(0, 0, state_mix(kit.P, W_k0)), *terms]
     profiles = [term_profile(kit.model.sojourns, r, m, tau) for r, m, _ in terms]
     vectors = [vec for _, _, vec in terms]
-    f0 = sum(prof[0, :, None] * vec for prof, vec in zip(profiles, vectors))
-    t0_residual = sup_norm(f0 - W_k0)
     history, history_vectors = psi_k0(kit, W_lower, k, grid_tau)
 
-    # node i >= 1 of the march solves A W_i - Σ_{m=1..i} diag(w_m) P W_{i-m}
-    # = f_i - diag(a_i) P W_0; with right side A W_0 at i = 0 this holds at
-    # every node, so W is the march's resolvent convolved with the right side:
-    # f at i >= 1, its left-cell term -a ⊗ P W_0 in the profile of the
-    # (0, 0, P W_0) term, and A W_0 = W_0 - diag(a_0) P W_0 at node 0 (the
-    # history part is 0 there)
+    # node i of the march solves A W_i - Σ_{m=1..i} diag(w_m) P W_{i-m}
+    # = f_i - diag(a_i) P W_0, A = I - diag(w_0) P, so W is the march's
+    # resolvent convolved with that right side; its left-cell term
+    # -a ⊗ P W_0 rides in the profile of the (0, 0, P W_0) term.  At node 0
+    # the profiles sum to W_0, so the right side there is A W_0 and R_0 = A⁻¹
+    # returns W_0 to the residual renewal_t0 reports
     a = kernel_node_weights(kit.model.sojourns, 0, tau)[1]
     profiles[0] = profiles[0] - a.T
-    delta = W_k0 - a[:, 0, None] * vectors[0]
-    q = np.linalg.qr(np.concatenate(vectors + [delta, *history_vectors]).T)[0]
+    q = np.linalg.qr(np.concatenate([*vectors, *history_vectors]).T)[0]
     # every column's τ-coefficients (N, n, c) and u-vectors (n, c, n_points)
     columns = np.concatenate((np.stack(profiles, axis=2), history), axis=2)
     column_vectors = np.concatenate((np.stack(vectors, axis=1), history_vectors), axis=1)
     forcing = (columns.swapaxes(0, 1) @ (column_vectors @ q)).swapaxes(0, 1)
-    forcing[0] = delta @ q
-    coeffs = history_convolution(resolvent, forcing)
-    coeffs[0] = W_k0 @ q
-    series = LayerSeries(*layer_factor(coeffs, q))
+    series = LayerSeries(*layer_factor(history_convolution(resolvent, forcing), q))
+    combo = series.coeffs[0] @ series.basis - W_k0   # U_k(0) + W_k(0)
     profile = series.sup_profile()
     norm0 = sup_norm(W_k0)
     # a numerically vanishing layer has no meaningful decay ratio or worst state
@@ -310,7 +306,7 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
         # with the worst to rounding of the solve report the first of them
         terminal_by_state = np.abs(series.coeffs[-1] @ series.basis).max(axis=1)
         level = terminal_by_state >= terminal_by_state.max() - 1e-12 * norm0
-        worst_state = kit.model.states[int(np.argmax(level))]
+        worst_state = str(kit.model.states[int(np.argmax(level))])
     if decay_ratio > 0.1:
         # a layer that retains 10% of its initial size signals an
         # inconsistent initial coefficient, a sign error, or a short window
@@ -331,12 +327,15 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     if live.sum() > 2:
         seg = samples[live]
         monotone = bool(np.all(np.diff(seg) <= 0.05 * seg[:-1] + 1e-12))
-    return series, {"t0_residual": float(t0_residual),
-                    "sup": float(profile.max()),
-                    "decay_ratio": float(decay_ratio),
-                    "decay_worst_state": worst_state,
-                    "monotone_tail": monotone,
-                    "time_integral": layer_time_integral(series, grid_tau, profile)}
+    return series, layer_time_integral(series, grid_tau, profile), {
+        "w_sup": float(profile.max()),
+        "w_decay_ratio": float(decay_ratio),
+        "w_decay_worst_state": worst_state,
+        "w_monotone_tail": monotone,
+        "layer_rank": len(series.basis),
+        "renewal_t0": sup_norm(combo),
+        "regularity_PI": sup_norm(state_mix(kit.P - np.eye(kit.model.n_states), combo)),
+        "regularity_I_minus_Pi": sup_norm(combo - kit.project_values(combo))}
 
 
 def layer_time_integral(series: LayerSeries, grid_tau: TauGrid, profile: np.ndarray):
@@ -414,20 +413,3 @@ def initial_ck0(kit: OperatorKit, k: int, terms: list, PI_W_R0: np.ndarray,
         raise LayerWindowError(
             f"layer-window tail bound {tail_bound:.3e} exceeds {_TAIL_BOUND_MAX:.1e}; {advice}")
     return total / kit.m_hat, float(tail_bound)
-
-
-def check_boundary_regularity(kit: OperatorKit, U_k0: np.ndarray, W_k0: np.ndarray,
-                              t0_residual: float) -> dict:
-    """Residual report for the boundary-condition identities at fast time 0.
-
-    regularity_PI and regularity_I_minus_Pi read 0 by construction, because
-    the build sets W_k(0) = -U_k(0) and both measure U_k(0) + W_k(0);
-    renewal_t0, the layer forcing's mismatch with W_k(0) at τ = 0, is the
-    residual that can actually fail.  Both keys stay because the benchmark's
-    output check (perfbench/worker.check_expand) reads them.
-    """
-    combo = U_k0 + W_k0
-    res_pi = sup_norm(state_mix(kit.P - np.eye(kit.model.n_states), combo))
-    res_proj = sup_norm(combo - kit.project_values(combo))
-    return {"regularity_PI": float(res_pi), "regularity_I_minus_Pi": float(res_proj),
-            "renewal_t0": float(t0_residual)}

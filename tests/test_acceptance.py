@@ -116,7 +116,7 @@ def test_criterion_4_system_residuals(expansion_a):
                     for k in (1, 2))
     ok = worst_sys < 1e-5 and worst_reg < 1e-6 and time.perf_counter() - t0 < 60.0
     _report("4 system residuals", ok,
-            f"system{rounding_band(worst_sys)} regularity={worst_reg:.2e}", t0)
+            f"system{rounding_band(worst_sys)} regularity{rounding_band(worst_reg)}", t0)
 
 
 def test_criterion_5_remainder_order(expansion_a, expansion_b):

@@ -107,6 +107,7 @@ class TestConfig:
         ("time", "horizon", "1"), ("", "epsilons", ["0.2"]),
         ("", "epsilons", [0.2, 0.2]), ("", "epsilons", [0.2, 0.1, 0.05, 0.1]),
         ("", "epsilons", []), ("oracle", "t_eval", []),
+        ("oracle", "t_eval", [0.25, 0.5, 0.25]),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, section, key, value):
         # small_config: horizon 0.5, h_t 0.005
@@ -373,6 +374,30 @@ class TestCompareCommand:
             doc = json.load(fh)
         orders = {s["order"] for s in doc["slopes"]}
         assert orders == {0, 1}
+
+    def test_one_slope_row_per_order_and_time(self, tmp_path):
+        """t = 0.75 is a whole number of march steps eps*h_s at every epsilon,
+        but the step count times the step rounds to 0.7500000000000001 at some
+        of them; each row reports the requested t, so every (order, t) gets
+        one slope, fitted on all four epsilons."""
+        eps = [0.2, 0.15, 0.1, 0.075]
+        path = small_config(tmp_path, epsilons=eps, time={"horizon": 1.0, "h_t": 0.005})
+        doc = json.loads(path.read_text())
+        doc["oracle"].update(h_s=0.025, t_eval=[0.75])
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "slopes.csv") as fh:
+            slope_rows = [line.split(",")[:2] for line in fh.read().splitlines()[1:]]
+        assert slope_rows == [["0", "0.75"], ["1", "0.75"]]
+        with open(out / "remainder.json") as fh:
+            rem = json.load(fh)
+        for s in rem["slopes"]:
+            rows = [r for r in rem["rows"] if r["order"] == s["order"]]
+            assert [r["t"] for r in rows] == [0.75] * 4
+            assert [r["eps"] for r in rows] == eps and not any(r["noise_limited"] for r in rows)
+            fit = np.polyfit(*np.log([[r["eps"] for r in rows], [r["error"] for r in rows]]), 1)
+            assert s["slope"] == pytest.approx(fit[0], rel=1e-12)
 
     def test_off_grid_oracle_time_exits_one(self, tmp_path, capsys, monkeypatch):
         # eps 0.2 * h_s 0.03 = 0.006 does not divide t = 0.25; the check

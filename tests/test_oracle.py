@@ -456,6 +456,14 @@ class TestDirectSolver:
         assert bad in msg and "oracle.h_s" in msg and f"{eps:g}" in msg
         assert ("2*eps*oracle.h_s" in msg) == richardson
 
+    @pytest.mark.parametrize("eps", [0.2, 0.15, 0.1, 0.075])
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_march_steps_keep_the_requested_time(self, eps, richardson):
+        # 0.75 is 150 to 400 steps eps*0.025; at eps 0.2 and 0.1 the grid time
+        # i*eps*h_s rounds to 0.7500000000000001, which the estimate must not report
+        steps = oracle.march_steps([0.75, 0.3], eps, 0.025, richardson)
+        assert steps == {round(0.3 / (eps * 0.025)): 0.3, round(0.75 / (eps * 0.025)): 0.75}
+
     def test_cost_guardrail(self):
         m = make_model_a()
         fld = make_pm_field()

@@ -255,10 +255,12 @@ class TestSystem15:
         assert d[2]["system15_residual"] < 1e-5
 
     @pytest.mark.parametrize("fixture", ["expansion_a", "expansion_b", "expansion_collapse"])
-    def test_residuals_hold_by_construction(self, request, fixture):
-        """Q U_k - S_k = -Π S_k = g_{k-1} + v̂ ∂_u c_{k-1} - c'_{k-1}, and
-        renewal_t0 is built from the lower orders' Taylor data: with each
-        time derivative read from its equation, both are identities."""
+    def test_residuals_at_rounding(self, request, fixture):
+        """Q U_k - S_k = -Π S_k = g_{k-1} + v̂ ∂_u c_{k-1} - c'_{k-1}, an
+        identity with each time derivative read from its equation; and the
+        solved layer's node 0 meets W_k(0) = -U_k(0) (renewal_t0) to rounding,
+        since the forcing's profiles, built from the lower orders' Taylor data
+        read from the same equations, sum to W_k(0) at τ = 0."""
         for d in request.getfixturevalue(fixture).diagnostics["orders"].values():
             assert d["system15_residual"] <= 1e-13
             assert d["renewal_t0"] <= 1e-13

@@ -118,9 +118,7 @@ def reference_solve_Wk(kit, k, grid_tau, W_k0, terms, W_lower):
     """The layer from the full-width forcing, convolved with the march's
     resolvent."""
     f = reference_march_forcing(kit, k, grid_tau, W_k0, terms, W_lower)
-    W = history_convolution(march_resolvent(kit, grid_tau), f)
-    W[0] = W_k0
-    return W
+    return history_convolution(march_resolvent(kit, grid_tau), f)
 
 
 def reference_resolvent(P, w):
@@ -483,7 +481,7 @@ class TestSolveWk:
         for k in (1, 2, 3):
             W_k0 = -res.U[k].values[0]
             terms = forcing_terms(kit, k, res.U)
-            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, resolvent)
+            W = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, resolvent)[0]
             g = -profile_sum(kit, [(0, 0, state_mix(kit.P, W_k0))] + terms, tau) \
                 - reference_psi_k0(kit, res.W, k, grid_tau)
             expected = reference_march(kit, grid_tau, g, W_k0)
@@ -505,7 +503,7 @@ class TestSolveWk:
         for k in (1, 2, 3):
             W_k0 = -res.U[k].values[0]
             terms = forcing_terms(kit, k, res.U)
-            W, _ = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, resolvent)
+            W = solve_Wk(kit, k, grid_tau, W_k0, terms, res.W, resolvent)[0]
             expected = reference_solve_Wk(kit, k, grid_tau, W_k0, terms, res.W)
             assert np.abs(layer_values(W) - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -704,6 +702,42 @@ class TestBoundaryRegularity:
             d = expansion_collapse.diagnostics["orders"][k]
             assert d["regularity_PI"] < 1e-8
             assert d["regularity_I_minus_Pi"] < 1e-8
+
+    @pytest.mark.parametrize("make_model,field", [
+        (make_mixed_model, make_mixed_field),
+        (make_model_b, lambda: make_pm_field(UGrid(-6.0, 6.0, 65, boundary_mode="periodic")))],
+        ids=["mixed", "b-periodic"])
+    def test_order_three_residuals(self, monkeypatch, make_model, field):
+        """Three states with mixed laws and non-constant velocities, and a
+        periodic u-axis: the solved layer's node 0 meets -U_k(0) to rounding
+        at every order.  The order-3 build lifts the tail bound as
+        TestSolveWk.test_matches_full_width_assembly does."""
+        monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+        res = build_expansion(make_model(), field(), PHI, order=3, horizon=0.5, h_t=0.005,
+                              h_tau=0.01)
+        for k in (1, 2, 3):
+            d = res.diagnostics["orders"][k]
+            for key in ("renewal_t0", "regularity_PI", "regularity_I_minus_Pi"):
+                assert d[key] < 1e-12, (k, key)
+
+    def test_residuals_read_the_solved_factor(self, monkeypatch):
+        """The three residuals measure the factor the solve returns, not the
+        W_k(0) it was given: a relative error of 1e-8 in its node-0
+        coefficients shows in each of them."""
+        original = singular.layer_factor
+
+        def perturbed(coeffs, q):
+            G, B = original(coeffs, q)
+            G[0] *= 1.0 + 1e-8
+            return G, B
+        monkeypatch.setattr(singular, "layer_factor", perturbed)
+        res = build_expansion(make_model_a(), make_pm_field(UGrid(-6.0, 6.0, 65)), PHI,
+                              order=2, horizon=0.5, h_t=0.005, h_tau=0.01)
+        for k in (1, 2):
+            d = res.diagnostics["orders"][k]
+            floor = 1e-9 * sup_norm(res.U[k].values[0])
+            for key in ("renewal_t0", "regularity_PI", "regularity_I_minus_Pi"):
+                assert d[key] >= floor, (k, key, d[key], floor)
 
 
 class TestTauGrid:
