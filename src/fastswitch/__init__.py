@@ -12,8 +12,7 @@ from .operators import OperatorKit, PotentialData, TimeSeries, build_kit, potent
 from .oracle import OracleEstimate, direct_solve_phi, mc_expectation
 from .pipeline import ExpansionResult, build_expansion
 from .regular import solve_c0, solve_ck
-from .singular import (LayerSeries, TauGrid, forcing_terms, initial_ck0,
-                       negative_extension, psi_k0, solve_Wk)
+from .singular import LayerSeries, TauGrid, forcing_terms, initial_ck0, psi_k0, solve_Wk
 
 __all__ = [
     "remainder_compare",
@@ -26,7 +25,7 @@ __all__ = [
     "OracleEstimate", "direct_solve_phi", "mc_expectation",
     "ExpansionResult", "build_expansion",
     "solve_c0", "solve_ck",
-    "LayerSeries", "TauGrid", "forcing_terms", "initial_ck0", "negative_extension", "psi_k0",
+    "LayerSeries", "TauGrid", "forcing_terms", "initial_ck0", "psi_k0",
     "solve_Wk",
 ]
 __version__ = "0.1.0"

@@ -82,28 +82,6 @@ class SojournDistribution:
             return 1.0
         return self.moment(k) / (math.factorial(k) * self.moment(1))
 
-    def nu_coefficient(self, k: int) -> float:
-        """ν_k = (-1)^(k+1) (μ_(k+1) - m_k).
-
-        For the erlang family the rational prefactor is evaluated exactly, so
-        ν_1 of an exponential is a true zero, not a rounding residue.
-        """
-        if k < 1:
-            raise ValueError("nu order must be >= 1")
-        if self.family == "uniform":
-            return (-1) ** (k + 1) * (self.reduced_moment(k + 1) - self.moment(k))
-        from fractions import Fraction
-
-        m = self.shape
-        rising = 1
-        for i in range(m + 1, m + k + 1):
-            rising *= i
-        falling = 1
-        for i in range(m, m + k):
-            falling *= i
-        coeff = Fraction(rising, math.factorial(k + 1)) - falling
-        return (-1) ** (k + 1) * float(coeff) / self.rate**k
-
     def partial_moment(self, n: int, tau) -> np.ndarray:
         """M_n(τ) = ∫_τ^∞ s^n F(ds), exact per family, vectorized in τ.
 
@@ -199,9 +177,6 @@ class SemiMarkovModel:
 
     def reduced_moments(self, k: int) -> np.ndarray:
         return np.array([d.reduced_moment(k) for d in self.sojourns])
-
-    def nu_coefficients(self, k: int) -> np.ndarray:
-        return np.array([d.nu_coefficient(k) for d in self.sojourns])
 
 
 @dataclass

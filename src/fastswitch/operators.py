@@ -104,9 +104,6 @@ class OperatorKit:
     def mu(self, n: int) -> np.ndarray:
         return self.model.reduced_moments(n)
 
-    def nu(self, n: int) -> np.ndarray:
-        return self.model.nu_coefficients(n)
-
     def m(self, n: int) -> np.ndarray:
         return self.model.moments(n)
 

@@ -26,7 +26,7 @@ MAX_ORDER = 3
 ADJUDICATIONS = {
     "transport_family_form": "binomial C(k,n) coefficients from the epsilon bookkeeping",
     "negative_extension_factorial": "1/n! Taylor factors kept at every order",
-    "pi_normalization": "normalized pi; no extra 1/m_hat division in the nu sums",
+    "pi_normalization": "initial_ck0 sums rho-weighted integrals and divides by m_hat once",
     "layer_integral_sign": "lower-layer time integral enters c_k(0) with + sign",
 }
 

@@ -1,6 +1,5 @@
-"""Boundary-layer part of the expansion: the fast-time renewal solves, the
-polynomial extension to negative fast time, and the initial-condition
-algorithm for the null-space coefficients.
+"""Boundary-layer part of the expansion: the fast-time renewal solves and
+the initial-condition algorithm for the null-space coefficients.
 
 All integrals against the sojourn laws use product integration with exact
 cell moments (the smooth factor is interpolated linearly, the measure is
@@ -21,11 +20,12 @@ order's whole forcing (the separable terms' τ-profiles and that history)
 in one more, node 0 an ordinary node of it.
 Every forcing vector is φ, or a lower order's value at τ = 0, pushed
 through V, P and ∂_u, so each layer lies in a span of few u-vectors: the
-forcing is projected onto an orthonormal basis of that span before R
-meets it, and the layer lives only as τ-coefficients on it (LayerSeries,
-layer_factor), never at full width.  ψ^k_0 convolves the lower layers'
-coefficients, rank-many columns, so no layer sum runs at n_points width:
-each costs O(n_tau log n_tau n_states² r).
+forcing is projected onto an orthonormal basis of that span, cut at its
+numerical rank by one SVD, before R meets it, and the layer lives only as
+τ-coefficients on it (LayerSeries), never at full width.  R's sum runs at
+the layer's rank and ψ^k_0's at the lower layers' ranks, so no layer sum
+runs at n_points width or at the stacked vectors' count: each costs
+O(n_tau log n_tau n_states² r).
 """
 from __future__ import annotations
 
@@ -131,17 +131,6 @@ def forcing_terms(kit: OperatorKit, k: int, U: list) -> list:
     return terms + [(k - n, n, vk_phi / math.factorial(n)) for n in range(1, k + 1)]
 
 
-def negative_extension(U: list, k: int, tau) -> np.ndarray:
-    """W_k(τ) for τ < 0: -Σ_{n=0..k} τ^n/n! U^(n)_{k-n}(0), which is
-    W_k(0) = -U_k(0) at τ = 0."""
-    tau = np.asarray(tau, dtype=float)
-    out = 0.0
-    for n in range(k + 1):
-        coeff = tau**n / math.factorial(n)
-        out = out - coeff.reshape(tau.shape + (1, 1)) * U[k - n].derivative_values(n)[0]
-    return out
-
-
 # -- product-integration kernels ---------------------------------------------------
 
 
@@ -172,8 +161,9 @@ def history_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     kernel is (N, n_out, n_in) and values (N, n_in, n_cols); the sums are one
     zero-padded real-FFT convolution with fast time as the contiguous
     transform axis, the frequency product summed over the n_in source
-    states.  Every caller convolves few columns (n_states, or n_states times
-    a term count or a layer rank), so the temporaries stay small.
+    states.  Every caller convolves few columns (n_states in the resolvent's
+    doubling, a layer's rank in the layer sums), so the temporaries stay
+    small.
     """
     n_nodes = kernel.shape[0]
     length = fft_length(2 * n_nodes - 1)  # no wrap-around
@@ -236,19 +226,12 @@ def renewal_resolvent(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     return R
 
 
-# singular values of a layer's coefficients at or below this fraction of the
-# largest are rounding, and their directions are dropped from its basis
-_RANK_TOL = 1e-15
-
-
-def layer_factor(coeffs: np.ndarray, q: np.ndarray):
-    """The factor of the layer W = coeffs @ q.T, coeffs (N, n_states, m) on
-    the orthonormal columns of q (n_points, m): an SVD of the coefficients
-    drops directions at rounding level, which leaves τ-coefficients G
-    (N, n_states, r) on an orthonormal u-basis B (r, n_points), W ≈ G B."""
-    u, s, yt = np.linalg.svd(coeffs.reshape(-1, q.shape[1]), full_matrices=False)
-    rank = int(np.count_nonzero(s > _RANK_TOL * s[0]))
-    return (u[:, :rank] * s[:rank]).reshape(coeffs.shape[:2] + (rank,)), yt[:rank] @ q.T
+# singular values of the stacked forcing u-vectors at or below this fraction
+# of the largest are rounding: the layer's basis keeps only the directions
+# above it.  The cut sits in the gap between the vectors' numerical rank and
+# their rounding, which reaches 1.4e-13 on the three-state mixed model at
+# order 3 (257 points), whose smallest kept value is 5e-8
+_RANK_TOL = 1e-12
 
 
 def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
@@ -260,12 +243,14 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     by product integration with an implicit diagonal correction.  The
     forcing, the τ-profiles of the order's forcing_terms and of
     (0, 0, P W_k(0)) and the history part of ψ^k_0 (psi_k0), is assembled
-    as coefficients on q, a thin QR's orthonormal basis of all their
-    u-vectors, never at full width.  The march is linear, so its discrete
-    resolvent (renewal_resolvent on the r = 0 node weights) meets them in
-    one history_convolution, and layer_factor cuts their rank.  On the raw
-    vectors the coefficients would not decay while their sum does, so FFT
-    sums that read them round with |G_c|·|B_c|; on q, |G| is |W|.
+    as coefficients on the layer's u-basis, never at full width: one SVD of
+    all their u-vectors keeps the right singular vectors above _RANK_TOL of
+    the largest, the numerical rank of the span.  The march is linear, so
+    its discrete resolvent (renewal_resolvent on the r = 0 node weights)
+    meets those coefficients in one history_convolution at the layer's
+    rank, and the result is the layer's factor.  On the raw vectors the
+    coefficients would not decay while their sum does, so FFT sums that
+    read them round with |G_c|·|B_c|; on an orthonormal basis, |G| is |W|.
     Returns the LayerSeries, its layer_time_integral (J, tail bound,
     advice) and its diagnostics under their diagnostics.json names; the
     boundary residuals renewal_t0, regularity_PI and regularity_I_minus_Pi
@@ -289,12 +274,13 @@ def solve_Wk(kit: OperatorKit, k: int, grid_tau: TauGrid, W_k0: np.ndarray,
     # returns W_0 to the residual renewal_t0 reports
     a = kernel_node_weights(kit.model.sojourns, 0, tau)[1]
     profiles[0] = profiles[0] - a.T
-    q = np.linalg.qr(np.concatenate([*vectors, *history_vectors]).T)[0]
+    s, vt = np.linalg.svd(np.concatenate([*vectors, *history_vectors]), full_matrices=False)[1:]
+    basis = vt[:np.count_nonzero(s > _RANK_TOL * s[0])]
     # every column's τ-coefficients (N, n, c) and u-vectors (n, c, n_points)
     columns = np.concatenate((np.stack(profiles, axis=2), history), axis=2)
     column_vectors = np.concatenate((np.stack(vectors, axis=1), history_vectors), axis=1)
-    forcing = (columns.swapaxes(0, 1) @ (column_vectors @ q)).swapaxes(0, 1)
-    series = LayerSeries(*layer_factor(history_convolution(resolvent, forcing), q))
+    forcing = (columns.swapaxes(0, 1) @ (column_vectors @ basis.T)).swapaxes(0, 1)
+    series = LayerSeries(history_convolution(resolvent, forcing), basis)
     combo = series.coeffs[0] @ series.basis - W_k0   # U_k(0) + W_k(0)
     profile = series.sup_profile()
     norm0 = sup_norm(W_k0)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,39 @@ def integrated_survival(dist: SojournDistribution, k: int, tau) -> np.ndarray:
     """F̄^(k)(τ) = ∫_τ^∞ s^(k-1)/(k-1)! F̄(s) ds = [M_k(τ) - τ^k F̄(τ)] / k!."""
     tau = np.maximum(np.asarray(tau, dtype=float), 0.0)
     return (dist.partial_moment(k, tau) - tau**k * dist.survival(tau)) / math.factorial(k)
+
+
+def nu_coefficient(dist: SojournDistribution, k: int) -> float:
+    """ν_k = (-1)^(k+1) (μ_(k+1) - m_k), the sojourn-law coefficient of the
+    ν-weighted form of c_k(0); the library divides by m̂ once instead.
+
+    For the erlang family the rational prefactor is evaluated exactly, so
+    ν_1 of an exponential is a true zero, not a rounding residue.
+    """
+    if dist.family == "uniform":
+        return (-1) ** (k + 1) * (dist.reduced_moment(k + 1) - dist.moment(k))
+    m = dist.shape
+    rising = math.prod(range(m + 1, m + k + 1))
+    falling = math.prod(range(m, m + k))
+    coeff = Fraction(rising, math.factorial(k + 1)) - falling
+    return (-1) ** (k + 1) * float(coeff) / dist.rate**k
+
+
+def nu_coefficients(model: SemiMarkovModel, k: int) -> np.ndarray:
+    """ν_k of each state's sojourn law."""
+    return np.array([nu_coefficient(d, k) for d in model.sojourns])
+
+
+def negative_extension(U: list, k: int, tau) -> np.ndarray:
+    """W_k(τ) for τ < 0: -Σ_{n=0..k} τ^n/n! U^(n)_{k-n}(0), which is
+    W_k(0) = -U_k(0) at τ = 0.  The library's forcing_terms meets this
+    extension in closed form and never evaluates it."""
+    tau = np.asarray(tau, dtype=float)
+    out = 0.0
+    for n in range(k + 1):
+        coeff = tau**n / math.factorial(n)
+        out = out - coeff.reshape(tau.shape + (1, 1)) * U[k - n].derivative_values(n)[0]
+    return out
 
 
 def sample_sojourns(dist: SojournDistribution, rng: np.random.Generator, size) -> np.ndarray:

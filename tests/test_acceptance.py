@@ -15,7 +15,8 @@ from fastswitch.operators import potential_build
 from fastswitch.oracle import direct_solve_phi, mc_expectation
 from fastswitch.pipeline import build_expansion
 
-from conftest import GRID, PHI, make_model_a, make_model_b, make_pm_field, random_model
+from conftest import (GRID, PHI, make_model_a, make_model_b, make_pm_field, nu_coefficients,
+                      random_model)
 
 
 def _report(name: str, passed: bool, detail: str, t0: float):
@@ -72,7 +73,7 @@ def test_criterion_2_exponential_special_case():
     fld = VelocityField(grid, (StateVelocity("constant", value=1.0),
                                StateVelocity("constant", value=-0.5),
                                StateVelocity("constant", value=0.25)))
-    nu1 = m.nu_coefficients(1)
+    nu1 = nu_coefficients(m, 1)
     res = build_expansion(m, fld, TestFunction("gaussian"), order=1,
                           horizon=0.5, h_t=0.005, h_tau=0.02)
     ck0_sup = float(np.abs(res.c[1].values[0, 0]).max())

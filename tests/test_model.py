@@ -9,8 +9,8 @@ from fastswitch.model import (ModelError, SemiMarkovModel, SojournDistribution,
                               embedded_stationary, generator,
                               semi_markov_stationary, validate_model)
 
-from conftest import (integrated_survival, make_model_a, random_model, sample_sojourns,
-                      sojourn_density)
+from conftest import (integrated_survival, make_model_a, nu_coefficient, random_model,
+                      sample_sojourns, sojourn_density)
 
 
 def quadrature_moment(dist: SojournDistribution, k: int) -> float:
@@ -114,22 +114,22 @@ class TestMoments:
 
     def test_nu_exponential_vanishes(self):
         for lam in (0.3, 1.0, 4.2):
-            assert SojournDistribution("exponential", rate=lam).nu_coefficient(1) == 0.0
+            assert nu_coefficient(SojournDistribution("exponential", rate=lam), 1) == 0.0
 
     def test_nu_erlang(self):
         # mu_2 - m_1 = 1.5 - 2, cross-checked by the quadrature oracle
         dist = SojournDistribution("erlang", rate=1.0, shape=2)
         m1 = quadrature_moment(dist, 1)
         m2 = quadrature_moment(dist, 2)
-        assert_allclose(dist.nu_coefficient(1), m2 / (2 * m1) - m1, rtol=1e-8)
-        assert_allclose(dist.nu_coefficient(1), -0.5, rtol=1e-12)
+        assert_allclose(nu_coefficient(dist, 1), m2 / (2 * m1) - m1, rtol=1e-8)
+        assert_allclose(nu_coefficient(dist, 1), -0.5, rtol=1e-12)
 
     def test_nu_uniform(self):
         dist = SojournDistribution("uniform", a=0.0, b=1.0)
         m1 = quadrature_moment(dist, 1)
         m2 = quadrature_moment(dist, 2)
-        assert_allclose(dist.nu_coefficient(1), m2 / (2 * m1) - m1, rtol=1e-8)
-        assert_allclose(dist.nu_coefficient(1), -1.0 / 6.0, rtol=1e-12)
+        assert_allclose(nu_coefficient(dist, 1), m2 / (2 * m1) - m1, rtol=1e-8)
+        assert_allclose(nu_coefficient(dist, 1), -1.0 / 6.0, rtol=1e-12)
 
 
 class TestPartialMoments:
@@ -191,7 +191,7 @@ class TestExponentialIsErlangOne:
                                       np.where(t < 0, 0.0, lam * np.exp(-lam * tp)))
         for k in range(8):
             assert dist.moment(k) == math.factorial(k) / lam**k
-        assert dist.nu_coefficient(1) == 0.0
+        assert nu_coefficient(dist, 1) == 0.0
         assert dist.n_uniforms == 1
         assert dist.cramer_margin() == (1.0 - 1e-6) * lam
         assert dist.decay_point(1e-10) == -math.log(1e-10) / lam

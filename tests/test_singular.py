@@ -12,16 +12,16 @@ from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import TimeSeries, build_kit, state_mix, velocity_power_values
 from fastswitch.pipeline import build_expansion
 from fastswitch.regular import cumulative_simpson_weights
-from fastswitch import pipeline, singular
+from fastswitch import pipeline, regular, singular
 from fastswitch.config import load_config
 from fastswitch.singular import (LayerSeries, LayerWindowError, TauGrid, default_tau_grid,
                                  fft_length, forcing_terms, history_convolution,
-                                 kernel_node_weights, layer_time_integral,
-                                 negative_extension, psi_k0, renewal_resolvent,
-                                 solve_Wk, term_integral, term_profile)
+                                 kernel_node_weights, layer_time_integral, psi_k0,
+                                 renewal_resolvent, solve_Wk, term_integral, term_profile)
 
 from conftest import (GRID, PHI, integrated_survival, layer_values, make_mixed_model,
-                      make_model_a, make_model_b, make_pm_field, sojourn_density)
+                      make_model_a, make_model_b, make_pm_field, negative_extension,
+                      nu_coefficients, sojourn_density)
 
 DETERMINISTIC = Path(__file__).resolve().parent.parent / "configs" / "deterministic.json"
 
@@ -447,7 +447,7 @@ class TestInitialCk0:
         phi = np.broadcast_to(PHI(GRID.nodes), (2, GRID.n_points))
         l1u0 = state_mix(kit.P, res.U[0].derivative_values(1)[0]) - \
             velocity_power_values(kit.fld, state_mix(kit.P, phi), 1)
-        expected = np.einsum("x,x,xu->u", kit.pi, kit.nu(1), l1u0)
+        expected = np.einsum("x,x,xu->u", kit.pi, nu_coefficients(kit.model, 1), l1u0)
         assert np.abs(res.c[1].values[0, 0] - expected).max() < 1e-12
 
 
@@ -512,28 +512,26 @@ class TestSolveWk:
         (make_model_b, lambda: make_pm_field(UGrid(-6.0, 6.0, 65, boundary_mode="periodic")))])
     def test_factor_reproduces_layer(self, monkeypatch, make_model, field):
         """Each order's factor G_k B_k is its layer, node 0 included, on an
-        orthonormal basis: it matches the solve's coefficients before the
-        rank cut on their basis q, contracted with q.T at full width.  The
-        order-3 build lifts the tail bound as test_matches_full_width_assembly
-        does."""
+        orthonormal basis of layer_rank rows: the full-width assembly lies
+        in the basis's span and matches the factor, so the rank cut drops
+        nothing above rounding.  The order-3 build lifts the tail bound as
+        test_matches_full_width_assembly does."""
         monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
-        original = singular.layer_factor
-        full_width = []
-
-        def recording(coeffs, q):
-            full_width.append(coeffs @ q.T)
-            return original(coeffs, q)
-        monkeypatch.setattr(singular, "layer_factor", recording)
         fld = field() if field else make_pm_field(UGrid(-6.0, 6.0, 65))
         res = build_expansion(make_model(), fld, PHI, order=3, horizon=0.5, h_t=0.005,
                               h_tau=0.01)
-        for k, expected in zip((1, 2, 3), full_width, strict=True):
+        kit, grid_tau = res.kit, res.tau_grid
+        for k in (1, 2, 3):
             W = res.W[k]
             rank = res.diagnostics["orders"][k]["layer_rank"]
+            expected = reference_solve_Wk(kit, k, grid_tau, -res.U[k].values[0],
+                                          forcing_terms(kit, k, res.U), res.W)
             assert W.coeffs.shape == expected.shape[:2] + (rank,)
             assert W.basis.shape == (rank, fld.grid.n_points)
-            assert np.abs(layer_values(W) - expected).max() <= 1e-13 * np.abs(expected).max()
             assert np.abs(W.basis @ W.basis.T - np.eye(rank)).max() <= 1e-13
+            off_span = expected - expected @ W.basis.T @ W.basis
+            assert np.abs(off_span).max() <= 1e-12 * np.abs(expected).max()
+            assert np.abs(layer_values(W) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_layer_is_its_factor(self):
         """A layer is held only as its factor, never at full width."""
@@ -544,15 +542,15 @@ class TestSolveWk:
         resolvent, after one K_r sum per lower layer r (psi_k0), which
         convolves that layer's r_{k-r} coefficient columns; no sum is n_points
         wide.  The resolvent's forcing is the full-width march forcing
-        projected on the solve's orthonormal basis q, row 0 included, and no
-        (state, column) series of it is all zeros: nothing is padded."""
+        projected on the layer's orthonormal basis, row 0 included, at the
+        layer's rank, and no (state, column) series of it is all zeros:
+        nothing is padded."""
         monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
         fld = make_pm_field(UGrid(-6.0, 6.0, 65))
-        calls, resolvents, bases = [], [], []   # calls: history sums, each solve_Wk marked by k
+        calls, resolvents = [], []   # calls: history sums, each solve_Wk marked by k
         original_convolution = singular.history_convolution
         original_solve = pipeline.solve_Wk
         original_resolvent = pipeline.renewal_resolvent
-        original_factor = singular.layer_factor
 
         def counted(kernel, values):
             calls.append((kernel, values.copy()))
@@ -565,14 +563,9 @@ class TestSolveWk:
         def kept(*args):
             resolvents.append(original_resolvent(*args))
             return resolvents[-1]
-
-        def factored(coeffs, q):
-            bases.append(q)
-            return original_factor(coeffs, q)
         monkeypatch.setattr(singular, "history_convolution", counted)
         monkeypatch.setattr(pipeline, "solve_Wk", marked)
         monkeypatch.setattr(pipeline, "renewal_resolvent", kept)
-        monkeypatch.setattr(singular, "layer_factor", factored)
         res = build_expansion(make_model_a(), fld, PHI, order=3, horizon=0.5, h_t=0.01,
                               h_tau=0.01)
         kit, grid_tau, tau = res.kit, res.tau_grid, res.tau_grid.nodes
@@ -582,7 +575,8 @@ class TestSolveWk:
         sums = [call for call in calls if not isinstance(call, int)]
         assert all(values.shape[2] != fld.grid.n_points for _, values in sums)
         marks = [calls.index(k) for k in (1, 2, 3)] + [len(calls)]
-        for k, q in zip((1, 2, 3), bases, strict=True):
+        for k in (1, 2, 3):
+            q = res.W[k].basis.T
             order_calls = calls[marks[k - 1] + 1:marks[k]]
             assert len(order_calls) == k
             for r, (kernel, values) in enumerate(order_calls[:-1], start=1):
@@ -591,7 +585,8 @@ class TestSolveWk:
                 assert values.shape[2] == rank[k - r]
             kernel, forcing = order_calls[-1]
             assert kernel is resolvent
-            assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+            assert forcing.shape == (len(tau), n, rank[k])
+            assert np.abs(q.T @ q - np.eye(rank[k])).max() <= 1e-13
             W_k0 = -res.U[k].values[0]
             f = reference_march_forcing(kit, k, grid_tau, W_k0, forcing_terms(kit, k, res.U),
                                         res.W)
@@ -644,6 +639,49 @@ class TestSolveWk:
         pi_w0 = res.kit.project_values(W1[0])
         assert np.abs(res.c[1].values[0, 0] + pi_w0[0]).max() < 1e-4
         assert tail < 1e-4
+
+
+class TestLayerRank:
+    # (model, field, h_tau); the mixed model's velocities are linear in two states
+    CASES = {
+        "A": (make_model_a, make_pm_field, 0.0025),
+        "B": (make_model_b, make_pm_field, 0.0025),
+        "mixed": (make_mixed_model,
+                  lambda: VelocityField(GRID, (StateVelocity("linear", slope=-0.1, intercept=1.0),
+                                               StateVelocity("constant", value=-1.0),
+                                               StateVelocity("linear", slope=0.05,
+                                                             intercept=0.3))),
+                  0.005)}
+
+    @staticmethod
+    def ranks(make_model, make_field, h_tau):
+        res = build_expansion(make_model(), make_field(), PHI, order=3, horizon=0.25, h_t=0.002,
+                              h_tau=h_tau)
+        return [res.diagnostics["orders"][k]["layer_rank"] for k in (1, 2, 3)]
+
+    def test_stable_under_rounding(self, monkeypatch):
+        """layer_rank is a counter of the layer, not of the last bits of its
+        inputs: relative noise of 1e-15 on every L_n series of the order-3
+        right sides, three draws, moves no rank on 257 points.  The ranks
+        need neither a long horizon nor the window's accuracy, so the builds
+        stop at t = 0.25 and lift the tail bound as
+        TestSolveWk.test_matches_full_width_assembly does."""
+        monkeypatch.setattr(singular, "_TAIL_BOUND_MAX", math.inf)
+        original = regular.L_series_values
+        line = []
+        for name, case in self.CASES.items():
+            clean = self.ranks(*case)
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+
+                def noisy(*args):
+                    values = original(*args)
+                    return values * (1.0 + 1e-15 * rng.standard_normal(values.shape))
+                monkeypatch.setattr(regular, "L_series_values", noisy)
+                assert self.ranks(*case) == clean, (name, seed)
+            monkeypatch.setattr(regular, "L_series_values", original)
+            line.append(f"{name} {'/'.join(map(str, clean))}")
+        print("layer rank " + " ".join(line))
 
 
 class TestLayerValue:
@@ -724,13 +762,10 @@ class TestBoundaryRegularity:
         """The three residuals measure the factor the solve returns, not the
         W_k(0) it was given: a relative error of 1e-8 in its node-0
         coefficients shows in each of them."""
-        original = singular.layer_factor
-
-        def perturbed(coeffs, q):
-            G, B = original(coeffs, q)
-            G[0] *= 1.0 + 1e-8
-            return G, B
-        monkeypatch.setattr(singular, "layer_factor", perturbed)
+        def perturbed(coeffs, basis):
+            coeffs[0] *= 1.0 + 1e-8
+            return LayerSeries(coeffs, basis)
+        monkeypatch.setattr(singular, "LayerSeries", perturbed)
         res = build_expansion(make_model_a(), make_pm_field(UGrid(-6.0, 6.0, 65)), PHI,
                               order=2, horizon=0.5, h_t=0.005, h_tau=0.01)
         for k in (1, 2):
