@@ -211,6 +211,14 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     linear or tabulated state) gathers its flowed stencils, built once per
     state with the lag weights folded in, as flat offsets into that block:
     one gather and one einsum sum per state and step.
+
+    The history-free first-jump terms of all steps are formed before the
+    march.  A translation state takes them, at the nodes that clip or wrap
+    at no lag 0..n_steps, from the same per-lag stencils over its own
+    offset range: one product with the sliding windows of φ and (P φ)_x.
+    Full flowed stencils, (n_steps+1) x INTERP_ORDER per column, are built
+    only for the other columns, and the history's gathered end columns are
+    a subset of them.
     """
     from .singular import kernel_node_weights
 
@@ -234,19 +242,34 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     first = np.empty((n_steps + 1, n, npts))   # history-free part of each rhs
     cols, lag_idx, lag_w, dense = [], [], [], []
     for x in range(n):
-        idx, w = interp_weights(grid, flow_positions(fld, x, times_phys),
-                                order=INTERP_ORDER)
-        first[:, x] = surv[x, :, None] * np.einsum("iuq,iuq->iu", phi_row[idx], w)
+        jc = j_cut[x]
+        pos = flow_positions(fld, x, times_phys)
+        edge = slice(None)   # columns that take their own flowed stencils
+        stencils = _lag_kernel(fld, x, times_phys, np.ones(n_steps + 1))
+        if stencils is not None:
+            # the nodes that clip or wrap at no lag 0..n_steps read φ and
+            # (P φ)_x through the per-lag stencils: row d of each window is
+            # its row shifted by d_min + d columns
+            S, d_min, inner = stencils
+            edge = np.r_[0:inner.start, inner.stop:npts]
+            phi_win, p_phi_win = np.lib.stride_tricks.sliding_window_view(
+                np.stack([phi_row, p_phi[x]])[:, inner.start + d_min:],
+                inner.stop - inner.start, axis=1)[:, :len(S)]
+            np.matmul(surv[x, :, None] * S.T, phi_win, out=first[:, x, inner])
+            first[1:jc + 1, x, inner] -= (left_w[x, 1:jc + 1, None] * S.T[1:jc + 1]) @ p_phi_win
+        idx, w = interp_weights(grid, pos[:, edge], order=INTERP_ORDER)
+        del pos
+        first[:, x, edge] = surv[x, :, None] * np.einsum("iuq,iuq->iu", phi_row[idx], w)
         # cells i <= J start beyond the integration bound; their left-node
         # part is already in the exact first-jump tail
-        jc = j_cut[x]
-        first[1:jc + 1, x] -= left_w[x, 1:jc + 1, None] * np.einsum(
+        first[1:jc + 1, x, edge] -= left_w[x, 1:jc + 1, None] * np.einsum(
             "iuq,iuq->iu", p_phi[x][idx[1:jc + 1]], w[1:jc + 1])
         kernel = _lag_kernel(fld, x, times_phys[1:jc + 1], weights[x, 1:jc + 1])
-        col = slice(None)
+        col, sub = edge, slice(None)   # gathered columns, and their place in edge
         if kernel is not None:
             K, d_min, inner = kernel
             col = np.r_[0:inner.start, inner.stop:npts]
+            sub = np.searchsorted(np.arange(npts)[edge], col)
             # rows d of G[d, u + d_min + d], for u in inner, as a strided view
             G = np.empty((K.shape[0], npts))
             diag = np.lib.stride_tricks.as_strided(
@@ -258,11 +281,11 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
         cols.append(col)
         # (lag, stencil, point) layout: a lag prefix is contiguous; each raw
         # stencil array is freed once folded
-        w = w[1:jc + 1, col].transpose(0, 2, 1)
+        w = w[1:jc + 1, sub].transpose(0, 2, 1)
         lag_w.append(np.multiply(weights[x, 1:jc + 1, None, None], w,
                                  out=np.empty(w.shape)))
         del w
-        idx = idx[1:jc + 1, col].transpose(0, 2, 1)
+        idx = idx[1:jc + 1, sub].transpose(0, 2, 1)
         lag_idx.append(np.add(idx, npts * np.arange(jc)[:, None, None],
                               out=np.empty(idx.shape, dtype=np.intp)))
         del idx
@@ -284,8 +307,8 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
                 rhs[x, inner] += diag.sum(axis=0)
             rhs[x, cols[x]] += np.einsum("lqc,lqc->c", block.reshape(-1)[lag_idx[x][:jm]],
                                          lag_w[x][:jm])
-        cur = np.tensordot(A_inv, rhs, axes=(1, 0))
-        hist[:, row - 1] = np.einsum("xy,yu->xu", model.P, cur)
+        cur = A_inv @ rhs
+        np.matmul(model.P, cur, out=hist[:, row - 1])
         if i in keep:
             out[i] = cur
     return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,12 @@ REFERENCE_CASES = {
     "lag_cutoff_periodic": lambda: (_fast_model(),
                                     make_pm_field(UGrid(-4.0, 4.0, 65, "periodic")),
                                     [0.5, 1.0], 0.2, {"h_s": 0.01}),
+    # unequal drifts: each state has its own offset range, and its drift
+    # clips it at one end only
+    "unequal_drifts": lambda: (make_model_a(),
+                               VelocityField(_SMALL, (StateVelocity("constant", value=2.0),
+                                                      StateVelocity("constant", value=-0.5))),
+                               [0.5, 1.0], 0.2, {}),
 }
 
 
@@ -436,6 +443,62 @@ class TestDirectSolver:
         m, (fld, _) = make_mixed_model(), _mixed_fields(_SMALL)
         kernels = self._lag_kernels(m, fld, 1.0, 0.2, 0.02)
         assert [k is None for k in kernels] == [True, False, True]
+
+    @staticmethod
+    def _stencil_columns(monkeypatch, case):
+        """Position columns of each oracle.interp_weights call of the case's
+        direct solve, the attribute the traced run wraps."""
+        widths = []
+        original = oracle.interp_weights
+
+        def counted(grid, positions, *args, **kwargs):
+            widths.append(np.shape(positions)[-1])
+            return original(grid, positions, *args, **kwargs)
+        monkeypatch.setattr(oracle, "interp_weights", counted)
+        m, fld, t_eval, eps, kwargs = REFERENCE_CASES[case]()
+        direct_solve_phi(m, fld, PHI, t_eval, eps, **kwargs)
+        return widths
+
+    def test_translations_build_stencils_per_lag(self, monkeypatch):
+        """A translation state's first-jump term reads per-lag stencils: full
+        stencils are built only for the columns that clip at some lag
+        0..n_steps, far fewer than the grid's."""
+        m, fld, t_eval, eps, _ = REFERENCE_CASES["model_a"]()
+        grid, npts = fld.grid, fld.grid.n_points
+        n_steps = round(max(t_eval) / (eps * 0.02))
+        clipped = []
+        for x in range(m.n_states):
+            p = (flow_positions(fld, x, eps * 0.02 * np.arange(n_steps + 1))
+                 - grid.u_min) / grid.spacing
+            low = np.floor(p) - (oracle.INTERP_ORDER // 2 - 1)
+            clipped.append(int(((low < 0) | (low + oracle.INTERP_ORDER > npts))
+                               .any(axis=0).sum()))
+        assert self._stencil_columns(monkeypatch, "model_a") == clipped
+        assert max(clipped) < npts // 4
+
+    def test_linear_states_build_stencils_for_every_column(self, monkeypatch):
+        widths = self._stencil_columns(monkeypatch, "mixed_linear")
+        # states 0 and 2 are linear, state 1 a translation
+        assert widths[0] == widths[2] == _SMALL.n_points > widths[1]
+
+    def test_march_memory(self):
+        """A translation march holds little beyond its two (n_steps + 1) x
+        n_states x n_points arrays, the first-jump terms and the history of
+        P Φ: no full-grid stencils over every lag."""
+        m, fld = make_model_a(), make_pm_field(GRID)
+        eps, h_s, t = 0.05, 0.02, 1.0
+        n_steps = round(t / (eps * h_s))
+        direct_solve_phi(m, fld, PHI, [0.01], eps, h_s=h_s)   # imports outside the trace
+        tracemalloc.start()
+        try:
+            direct_solve_phi(m, fld, PHI, [t], eps, h_s=h_s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = 2 * (n_steps + 1) * m.n_states * GRID.n_points * 8
+        print(f"direct march memory: peak {peak / 2**20:.1f} MB = {peak / arrays:.2f} x "
+              f"first + hist ({n_steps} steps, {GRID.n_points} points)")
+        assert peak < 3 * arrays
 
     # the plain cases keep the ids they had before eps and richardson were parameters
     @pytest.mark.parametrize("h_s,t_eval,bad,eps,richardson", [
