@@ -152,12 +152,43 @@ def interp_eval(grid: UGrid, values: np.ndarray, positions: np.ndarray,
     return interp_apply(values, idx, w)
 
 
+def lag_kernel(fld: VelocityField, x: int, lag_times: np.ndarray,
+               lag_weights: np.ndarray, order: int):
+    """Dense lag kernel of a state whose flow is a translation, u + b·t.
+
+    Lag j moves every node by the same c_j = b·t_j / spacing columns, so a
+    node u whose width-order stencils neither clip nor wrap reads lag j at
+    the columns u + d_min + d with the weight K[d, j]: the lag weight times
+    the Lagrange weight of c_j.  Returns (K, d_min, inner), inner the slice
+    of those nodes, or None for any other flow or when no node qualifies.
+    """
+    b = fld.specs[x].drift
+    if b is None:
+        return None
+    grid = fld.grid
+    c = b * lag_times / grid.spacing
+    base = np.floor(c).astype(np.intp) - (order // 2 - 1)
+    d_min = int(base.min())
+    d_max = int(base.max()) + order - 1
+    # a periodic grid's last node repeats the first: columns beyond n - 2 wrap
+    last = grid.n_points - 1 - (grid.boundary_mode == "periodic")
+    inner = slice(max(0, -d_min), last - d_max + 1)
+    if inner.stop <= inner.start:
+        return None
+    K = np.zeros((d_max - d_min + 1, len(c)))
+    K[base[:, None] - d_min + np.arange(order), np.arange(len(c))[:, None]] = (
+        lag_weights[:, None] * lagrange_weights(c - base, order))
+    return K, d_min, inner
+
+
 # -- differentiation -----------------------------------------------------------
 
 
 # unit-spacing weights of the first derivative at each node of five
 # consecutive nodes, row i for node i
 _STENCILS = np.array([fornberg_weights(float(i), np.arange(5.0), 1) for i in range(5)])
+# elements of u_derivative_values' per-block temporaries
+_FD_BLOCK = 1 << 14
 
 
 def u_derivative_values(values: np.ndarray, grid: UGrid) -> np.ndarray:
@@ -165,9 +196,10 @@ def u_derivative_values(values: np.ndarray, grid: UGrid) -> np.ndarray:
 
     Node i takes the Fornberg stencil on the five consecutive nodes from
     clip(i - 2, 0, n - 5): one centred stencil in the interior, applied as a
-    weighted sum of shifted slices, and one-sided stencils within two nodes
-    of an open end.  A periodic grid wraps around, and its last node repeats
-    the first.
+    weighted sum of shifted slices over blocks of flattened rows, and
+    one-sided stencils within two nodes of an open end, which overwrite what
+    that sum leaves there.  A periodic grid wraps around, padded and then
+    sliced, and its last node repeats the first.
     """
     values = np.asarray(values, dtype=float)
     periodic = grid.boundary_mode == "periodic"
@@ -177,18 +209,20 @@ def u_derivative_values(values: np.ndarray, grid: UGrid) -> np.ndarray:
         core = values[..., :n]
         v = np.concatenate([core[..., n - 2:], core, core[..., :2]], axis=-1)
 
-    out = np.empty_like(values)
-    m = v.shape[-1] - 4   # nodes of the centred stencil
-    first = 0 if periodic else 2
-    interior = out[..., first:first + m]
+    rows = v.reshape(-1, v.shape[-1])   # a view unless v's rows are scattered
+    out = np.empty(rows.shape)
     w = _STENCILS[2] / grid.spacing
-    np.multiply(v[..., :m], w[0], out=interior)
-    for j in range(1, 5):
-        if w[j] != 0.0:
-            interior += w[j] * v[..., j:j + m]
+    step = max(1, _FD_BLOCK // rows.shape[1])
+    for r in range(0, len(rows), step):
+        src = np.ascontiguousarray(rows[r:r + step]).reshape(-1)
+        part = out[r:r + step].reshape(-1)[2:-2]
+        np.multiply(src[:-4], w[0], out=part)
+        for j in range(1, 5):
+            if w[j] != 0.0:
+                part += w[j] * src[j:j + part.size]
+    out = out.reshape(v.shape)
     if periodic:
-        out[..., n] = out[..., 0]
-        return out
+        return np.concatenate([out[..., 2:n + 2], out[..., 2:3]], axis=-1)
     # each open end: its two nodes share the end's five
     for nodes, start in ((slice(0, 2), 0), (slice(n - 2, n), n - 5)):
         w = _STENCILS[nodes.start - start:nodes.stop - start] / grid.spacing

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (VelocityField, flow, flow_map, flow_positions, grid_index,
-                    interp_weights, lagrange_weights)
+                    interp_weights, lag_kernel)
 from .model import SemiMarkovModel
 
 
@@ -166,35 +166,6 @@ def march_steps(t_eval, eps: float, h_s: float, richardson: bool) -> dict:
     return keep
 
 
-def _lag_kernel(fld: VelocityField, x: int, lag_times: np.ndarray,
-                lag_weights: np.ndarray):
-    """Dense lag kernel of a state whose flow is a translation, u + b·t.
-
-    Lag j moves every node by the same c_j = b·t_j / spacing columns, so a
-    node u whose stencils neither clip nor wrap reads lag j at the columns
-    u + d_min + d with the weight K[d, j-1]: the lag weight times the
-    Lagrange weight of c_j.  Returns (K, d_min, inner), inner the slice of
-    those nodes, or None for any other flow or when no node qualifies.
-    """
-    b = fld.specs[x].drift
-    if b is None:
-        return None
-    grid = fld.grid
-    c = b * lag_times / grid.spacing
-    base = np.floor(c).astype(np.intp) - (INTERP_ORDER // 2 - 1)
-    d_min = int(base.min())
-    d_max = int(base.max()) + INTERP_ORDER - 1
-    # a periodic grid's last node repeats the first: columns beyond n - 2 wrap
-    last = grid.n_points - 1 - (grid.boundary_mode == "periodic")
-    inner = slice(max(0, -d_min), last - d_max + 1)
-    if inner.stop <= inner.start:
-        return None
-    K = np.zeros((d_max - d_min + 1, len(c)))
-    K[base[:, None] - d_min + np.arange(INTERP_ORDER), np.arange(len(c))[:, None]] = (
-        lag_weights[:, None] * lagrange_weights(c - base, INTERP_ORDER))
-    return K, d_min, inner
-
-
 def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
            eps: float, h_s: float, n_steps: int, keep: dict) -> dict:
     """Product-integration march of the first-jump identity; keep maps
@@ -203,7 +174,7 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     The history of P Φ is kept reversed (step m in row n_steps - m), so the
     lags 1..jm of step i are one contiguous block.  For a state whose flow
     is a translation, the nodes whose stencils neither clip nor wrap share
-    one lag kernel K (see _lag_kernel): their history sums are the shifted
+    one lag kernel K (see field.lag_kernel): their history sums are the shifted
     diagonals of the BLAS product G = K[:, :jm] @ block, O(n_steps J
     n_points D) flops for D column offsets.  A dense product gives the sums
     a blocked FFT would, up to summation order, with far less code.  Every
@@ -245,7 +216,7 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
         jc = j_cut[x]
         pos = flow_positions(fld, x, times_phys)
         edge = slice(None)   # columns that take their own flowed stencils
-        stencils = _lag_kernel(fld, x, times_phys, np.ones(n_steps + 1))
+        stencils = lag_kernel(fld, x, times_phys, np.ones(n_steps + 1), INTERP_ORDER)
         if stencils is not None:
             # the nodes that clip or wrap at no lag 0..n_steps read φ and
             # (P φ)_x through the per-lag stencils: row d of each window is
@@ -264,7 +235,7 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
         # part is already in the exact first-jump tail
         first[1:jc + 1, x, edge] -= left_w[x, 1:jc + 1, None] * np.einsum(
             "iuq,iuq->iu", p_phi[x][idx[1:jc + 1]], w[1:jc + 1])
-        kernel = _lag_kernel(fld, x, times_phys[1:jc + 1], weights[x, 1:jc + 1])
+        kernel = lag_kernel(fld, x, times_phys[1:jc + 1], weights[x, 1:jc + 1], INTERP_ORDER)
         col, sub = edge, slice(None)   # gathered columns, and their place in edge
         if kernel is not None:
             K, d_min, inner = kernel

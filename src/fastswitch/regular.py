@@ -8,10 +8,11 @@ and the homogeneous part is pure composition with the flow.
 
 The Duhamel integral uses cumulative-Simpson weights S[i, j] = α(j) + β(i, j):
 α is the composite rule's interior weight, β the few end corrections (lags
-0-2 and column 0).  The α part is a causal time convolution per u-node over
-the window of D grid columns that the node's flowed stencils touch at any
-lag, summed by FFT in O(n_points · D · n_times log n_times); β takes a
-fixed number of stencil gathers.
+0-2 and column 0).  The α part is a causal time convolution over the window
+of D grid columns that a node's flowed stencils touch at any lag, summed by
+FFT in O(n_points · D · n_times log n_times), with one kernel shared by the
+nodes that never clip or wrap when vhat is a translation (field.lag_kernel);
+β takes a fixed number of stencil gathers.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import functools
 
 import numpy as np
 
-from .field import TestFunction, UGrid, flow_positions, interp_apply, interp_weights
+from .field import TestFunction, UGrid, flow_positions, interp_apply, interp_weights, lag_kernel
 from .operators import L_series_values, OperatorKit, TimeSeries, velocity_power_values
 
 
@@ -86,45 +87,65 @@ _WINDOW_BLOCK = 1 << 15
 
 
 def window_convolution(values: np.ndarray, idx: np.ndarray, wts: np.ndarray,
-                       grid: UGrid) -> np.ndarray:
+                       grid: UGrid, kernel) -> np.ndarray:
     """Causal sums out[i, u] = Σ_{l<=i} Σ_s wts[l, u, s] values[i-l, idx[l, u, s]].
 
     values is (n_t, n_points) and (idx, wts) a flow table over the same
     times, whose stencils are consecutive columns from idx[l, u, 0] (wrapped
-    on a periodic grid, as interp_weights builds them).  The columns that
-    node u's stencils touch at any lag lie in a window of D consecutive
-    columns (modulo the period on a periodic grid, taking each stencil's
-    shift the short way round the seam), so the sums are
-    Σ_d K[u, d] ⋆ values[:, col(u, d)] with the lag weights scattered into a
-    per-node kernel K[u, d, l]: zero-padded real-FFT convolutions over time,
-    taken over blocks of nodes that bound the temporaries.
+    on a periodic grid, as interp_weights builds them).  kernel, the
+    table's field.lag_kernel or None, gives its inner nodes the sums
+    Σ_d K[d] ⋆ values[:, u + d_min + d]; every other node takes its own
+    kernel (_node_convolution).  All are zero-padded real-FFT convolutions
+    over time, over blocks of nodes that bound the temporaries.
     """
-    n_t, n_p, order = idx.shape
+    n_t, n_p, _ = idx.shape
     length = fft_length(2 * n_t - 1)  # no wrap-around
     v_hat = np.fft.rfft(np.ascontiguousarray(values.T), length)   # (column, freq)
+    out = np.empty((n_t, n_p))
+    rest = slice(None)   # the nodes of the per-node path
+    if kernel is not None:
+        K, d_min, inner = kernel
+        k_hat = np.fft.rfft(K, length)
+        block = max(1, _WINDOW_BLOCK // k_hat.shape[1])
+        for c in range(inner.start, inner.stop, block):
+            n_b, prod = min(block, inner.stop - c), 0
+            for d, k in enumerate(k_hat, c + d_min):
+                prod += k * v_hat[d:d + n_b]
+            out[:, c:c + n_b] = np.fft.irfft(prod, length)[:, :n_t].T
+        rest = np.r_[0:inner.start, inner.stop:n_p]
+    _node_convolution(v_hat, length, idx, wts, grid, rest, out)
+    return out
+
+
+def _node_convolution(v_hat, length: int, idx, wts, grid: UGrid, rest, out: np.ndarray):
+    """window_convolution at the nodes rest (a slice or an index array):
+    node u's stencils touch a window of D columns at all lags (modulo the
+    period, each shift taken the short way round the seam), so its sums are
+    Σ_d K[u, d] ⋆ values[:, col(u, d)], the lag weights scattered into K."""
+    n_t, n_p, order = idx.shape
     period = n_p - 1 if grid.boundary_mode == "periodic" else None
-    shift = idx[:, :, 0] - idx[0, :, 0]   # each stencil's start, from t = 0
+    shift = idx[:, rest, 0] - idx[0, rest, 0]   # each stencil's start, from t = 0
     if period is not None:
         shift = (shift + period // 2) % period - period // 2
     low = shift.min(axis=0)
     width = int((shift.max(axis=0) - low).max()) + order
     block = max(1, _WINDOW_BLOCK // (width * v_hat.shape[1]))
     lag = np.arange(n_t)[:, None]
-    out = np.empty((n_t, n_p))
-    for c in range(0, n_p, block):
-        nodes = slice(c, c + block)
+    node_ids = np.arange(n_p)[rest]
+    for c in range(0, len(node_ids), block):
+        sub = slice(c, c + block)
+        nodes = node_ids[sub]
         # node-major (node, lag, stencil) layout, so the scatter runs in order
-        d = (shift[:, nodes] - low[nodes]).T[:, :, None] + np.arange(order)
+        d = (shift[:, sub] - low[sub]).T[:, :, None] + np.arange(order)
         n_b = len(d)
         kernel = np.zeros((n_b, width, n_t))
         np.put(kernel, (np.arange(n_b)[:, None, None] * width + d) * n_t + lag,
                wts[:, nodes].transpose(1, 0, 2))
         # offsets past a node's own window have zero kernel rows, so
         # wrapping them on an open grid reads a harmless column
-        window = ((idx[0, nodes, 0] + low[nodes])[:, None] + np.arange(width)) % (period or n_p)
+        window = ((idx[0, nodes, 0] + low[sub])[:, None] + np.arange(width)) % (period or n_p)
         prod = np.einsum("udf,udf->uf", np.fft.rfft(kernel, length), v_hat[window])
         out[:, nodes] = np.fft.irfft(prod, length)[:, :n_t].T
-    return out
 
 
 def averaged_flow_table(kit: OperatorKit, times: np.ndarray):
@@ -170,8 +191,9 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, sources, times: np.ndarray,
     with composite Simpson over the shared time grid, S[i, j] = α(j) + β(i, j)
     (simpson_split).  The α part is one FFT time convolution of α·g over
     each node's stencil window (window_convolution), O(n_points · D ·
-    n_times log n_times) for a window of D columns; β's three lag diagonals
-    and column 0 are one stencil gather each.
+    n_times log n_times) for a window of D columns, with one shared kernel
+    for the nodes that never clip or wrap when vhat is a translation; β's
+    three lag diagonals and column 0 are one stencil gather each.
     """
     n_t = len(times)
     h_t = float(times[1] - times[0]) if n_t > 1 else 1.0
@@ -179,7 +201,8 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, sources, times: np.ndarray,
     c_k0 = np.asarray(c_k0, dtype=float).reshape(-1)
     source = np.asarray(sources(0), dtype=float)
     alpha, lags = simpson_split(n_t, h_t)
-    duhamel = window_convolution(alpha[:, None] * source, idx, wts, kit.fld.grid)
+    kernel = lag_kernel(kit.vhat, 0, times, np.ones(n_t), order=idx.shape[-1])
+    duhamel = window_convolution(alpha[:, None] * source, idx, wts, kit.fld.grid, kernel)
     for lag, beta in enumerate(lags):
         duhamel[lag:] += beta[:, None] * interp_apply(
             source[:n_t - lag], idx[lag], wts[lag])

@@ -230,7 +230,8 @@ class TestTimeSeries:
     def test_blocked_fd_bit_identical(self, order, axis, periodic):
         """u_derivative_values equals the reference bit for bit, on small
         arrays, on many leading rows, and on leading rows of more than 2^16
-        elements each (3 * 32769)."""
+        elements each (3 * 32769); and on non-contiguous views: the one-state
+        slice that transport_series passes, and swapped leading axes."""
         rng = np.random.default_rng(order)
         for shape in ((40, 3, 17), (600, 2, 129), (12, 3, 2**15 + 1)):
             grid = UGrid(-1.0, 1.0, shape[-1], boundary_mode="periodic" if periodic
@@ -238,10 +239,11 @@ class TestTimeSeries:
             vals = rng.normal(size=shape)
             if periodic:
                 vals[..., -1] = vals[..., 0]
-            np.testing.assert_array_equal(
-                u_derivative_values(vals, grid),
-                reference_fd_derivative(vals, grid.spacing, order, axis=axis,
-                                        periodic=periodic))
+            for view in (vals, vals[:, :1], vals.swapaxes(0, 1)):
+                np.testing.assert_array_equal(
+                    u_derivative_values(view, grid),
+                    reference_fd_derivative(view, grid.spacing, order, axis=axis,
+                                            periodic=periodic))
 
     def test_derivative_cap(self, monkeypatch):
         """The rules' recursion ends: an order-K build reads U_j^(n) only up to

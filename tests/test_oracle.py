@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from fastswitch import oracle
 from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField, flow,
-                             flow_positions, interp_weights)
+                             flow_positions, interp_weights, lag_kernel)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.oracle import DirectSolverCost, direct_solve_phi, mc_expectation
 from fastswitch.singular import kernel_node_weights
@@ -419,7 +419,7 @@ class TestDirectSolver:
         n_steps = round(t / (eps * h_s))
         weights, _ = kernel_node_weights(m.sojourns, 0, h_s * np.arange(n_steps + 1))
         lag_times = eps * h_s * np.arange(1, n_steps + 1)
-        return [oracle._lag_kernel(fld, x, lag_times, weights[x, 1:])
+        return [lag_kernel(fld, x, lag_times, weights[x, 1:], order=oracle.INTERP_ORDER)
                 for x in range(m.n_states)]
 
     def test_gathers_only_clipped_end_columns(self):

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fastswitch import regular
 from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField,
-                              interp_apply, sup_norm, u_derivative_values)
+                              flow_positions, interp_apply, lag_kernel, sup_norm,
+                              u_derivative_values)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import L_series_values, build_kit, velocity_power_values
 from fastswitch.regular import (averaged_flow_table, cumulative_simpson_weights, regular_term,
                                solve_c0, solve_ck, system_rhs_values)
 
-from conftest import GRID, PHI, layer_values, make_model_a, make_pm_field, reference_fd_derivative
+from conftest import (GRID, PHI, layer_values, make_model_a, make_model_b, make_pm_field,
+                      reference_fd_derivative)
 
 
 TIMES = np.linspace(0.0, 1.0, 501)
@@ -148,6 +153,60 @@ class TestSolveCk:
         """vhat = 1/3 travels 20/3 > 2π over the horizon, so each node's
         stencil window wraps the seam and covers the whole period."""
         assert self._duhamel_gap("periodic", np.linspace(0.0, 20.0, 61)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["pm", "periodic", "linear", "tabulated"])
+    def test_shared_kernel_covers_unclipped_nodes(self, monkeypatch, kind):
+        """A translating vhat's lag kernel covers exactly the nodes whose
+        flow-table stencils clip or wrap at no time, and the per-node path
+        convolves only the others; any other vhat has no kernel, and every
+        node takes the per-node path.  A flowed position within rounding of
+        a node counts as on it (the periodic grid's node 1 at t = 0 reads
+        0.999...): the stencils one column apart interpolate the same node
+        value there."""
+        kit = build_kit(make_model_a(), _duhamel_field(kind))
+        grid, times = kit.fld.grid, np.linspace(0.0, 0.6, 61)
+        npts = grid.n_points
+        kernel = lag_kernel(kit.vhat, 0, times, np.ones(len(times)), order=4)
+        expected = np.arange(npts)
+        if kind in ("pm", "periodic"):
+            p = np.round((flow_positions(kit.vhat, 0, times) - grid.u_min) / grid.spacing, 9)
+            low = np.floor(p) - 1
+            last = npts - 1 - (grid.boundary_mode == "periodic")
+            clean = ((low >= 0) & (low + 3 <= last)).all(axis=0)
+            np.testing.assert_array_equal(expected[kernel[2]], np.flatnonzero(clean))
+            expected = np.flatnonzero(~clean)
+        else:
+            assert kernel is None
+        per_node = []
+        original = regular._node_convolution
+
+        def counted(v_hat, length, idx, wts, grid, rest, out):
+            per_node.append(np.arange(npts)[rest])
+            return original(v_hat, length, idx, wts, grid, rest, out)
+        monkeypatch.setattr(regular, "_node_convolution", counted)
+        solve_ck(kit, np.zeros(npts), values_only(np.ones((len(times), npts))), times,
+                 averaged_flow_table(kit, times))
+        np.testing.assert_array_equal(np.concatenate(per_node), expected)
+        print(f"duhamel per-node nodes {kind}: {len(expected)} of {npts}")
+
+    def test_transient_memory(self):
+        """At model B's shipped sizes (501 times x 257 points) the transients
+        stay within 6.5x the source's bytes: the shared kernel's product is
+        formed over blocks of nodes, as the per-node kernels are."""
+        kit = build_kit(make_model_b(), make_pm_field())
+        table = averaged_flow_table(kit, TIMES)
+        rng = np.random.default_rng(3)
+        init, source = rng.normal(size=GRID.n_points), rng.normal(size=(len(TIMES), GRID.n_points))
+        solve_ck(kit, init, values_only(source), TIMES, table)   # imports outside the trace
+        tracemalloc.start()
+        try:
+            solve_ck(kit, init, values_only(source), TIMES, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"solve_ck memory: peak {peak / 2**20:.2f} MB = {peak / source.nbytes:.2f} x "
+              f"source ({len(TIMES)} times, {GRID.n_points} points)")
+        assert peak <= 6.5 * source.nbytes
 
 
 class TestRegularTerm:
