@@ -152,19 +152,20 @@ def interp_eval(grid: UGrid, values: np.ndarray, positions: np.ndarray,
     return interp_apply(values, idx, w)
 
 
-def lag_kernel(fld: VelocityField, x: int, lag_times: np.ndarray,
-               lag_weights: np.ndarray, order: int):
-    """Dense lag kernel of a state whose flow is a translation, u + b·t.
+def lag_kernel(fld: VelocityField, x: int, lag_times: np.ndarray, order: int):
+    """Lag kernel of state x's flow over lag_times, shared by many nodes.
 
-    Lag j moves every node by the same c_j = b·t_j / spacing columns, so a
-    node u whose width-order stencils neither clip nor wrap reads lag j at
-    the columns u + d_min + d with the weight K[d, j]: the lag weight times
-    the Lagrange weight of c_j.  Returns (K, d_min, inner), inner the slice
-    of those nodes, or None for any other flow or when no node qualifies.
+    A translation, u + b·t, moves every node by the same c_j = b·t_j /
+    spacing columns at lag j, so a node u whose width-order stencils neither
+    clip nor wrap reads lag j at the columns u + d_min + d with the Lagrange
+    weight K[d, j] of c_j.  Returns (K, d_min, inner), inner the slice of
+    those nodes.  For any other flow, or when every node clips or wraps,
+    inner is empty and K has no rows.
     """
     b = fld.specs[x].drift
+    empty = np.zeros((0, len(lag_times))), 0, slice(0, 0)
     if b is None:
-        return None
+        return empty
     grid = fld.grid
     c = b * lag_times / grid.spacing
     base = np.floor(c).astype(np.intp) - (order // 2 - 1)
@@ -174,10 +175,10 @@ def lag_kernel(fld: VelocityField, x: int, lag_times: np.ndarray,
     last = grid.n_points - 1 - (grid.boundary_mode == "periodic")
     inner = slice(max(0, -d_min), last - d_max + 1)
     if inner.stop <= inner.start:
-        return None
+        return empty
     K = np.zeros((d_max - d_min + 1, len(c)))
     K[base[:, None] - d_min + np.arange(order), np.arange(len(c))[:, None]] = (
-        lag_weights[:, None] * lagrange_weights(c - base, order))
+        lagrange_weights(c - base, order))
     return K, d_min, inner
 
 
@@ -196,20 +197,15 @@ def u_derivative_values(values: np.ndarray, grid: UGrid) -> np.ndarray:
 
     Node i takes the Fornberg stencil on the five consecutive nodes from
     clip(i - 2, 0, n - 5): one centred stencil in the interior, applied as a
-    weighted sum of shifted slices over blocks of flattened rows, and
-    one-sided stencils within two nodes of an open end, which overwrite what
-    that sum leaves there.  A periodic grid wraps around, padded and then
-    sliced, and its last node repeats the first.
+    weighted sum of shifted slices over blocks of flattened rows.  Within
+    two nodes of an end, what that sum leaves is overwritten: on an open
+    grid by one-sided stencils, on a periodic grid by the centred stencil
+    wrapped around, and there the last node repeats the first.
     """
     values = np.asarray(values, dtype=float)
     periodic = grid.boundary_mode == "periodic"
     n = values.shape[-1] - int(periodic)
-    v = values
-    if periodic:
-        core = values[..., :n]
-        v = np.concatenate([core[..., n - 2:], core, core[..., :2]], axis=-1)
-
-    rows = v.reshape(-1, v.shape[-1])   # a view unless v's rows are scattered
+    rows = values.reshape(-1, values.shape[-1])   # a view unless the rows are scattered
     out = np.empty(rows.shape)
     w = _STENCILS[2] / grid.spacing
     step = max(1, _FD_BLOCK // rows.shape[1])
@@ -220,13 +216,16 @@ def u_derivative_values(values: np.ndarray, grid: UGrid) -> np.ndarray:
         for j in range(1, 5):
             if w[j] != 0.0:
                 part += w[j] * src[j:j + part.size]
-    out = out.reshape(v.shape)
+    out = out.reshape(values.shape)
     if periodic:
-        return np.concatenate([out[..., 2:n + 2], out[..., 2:3]], axis=-1)
+        # the flat pass's sums in its order (w[2] is 0); node n repeats node 0
+        ends = np.r_[0, 1, n - 2, n - 1, n]
+        out[..., ends] = interp_apply(values, (ends[:, None] + np.arange(-2, 3)) % n, w)
+        return out
     # each open end: its two nodes share the end's five
     for nodes, start in ((slice(0, 2), 0), (slice(n - 2, n), n - 5)):
         w = _STENCILS[nodes.start - start:nodes.stop - start] / grid.spacing
-        ends = np.einsum("rw,w...->r...", w, np.moveaxis(v[..., start:start + 5], -1, 0))
+        ends = np.einsum("rw,w...->r...", w, np.moveaxis(values[..., start:start + 5], -1, 0))
         out[..., nodes] = np.moveaxis(ends, 0, -1)
     return out
 

@@ -52,6 +52,7 @@ class SojournDistribution:
             raise ModelError(f"exponential shape must be 1 (use erlang), got {self.shape}")
         if self.shape < 1 or self.shape != int(self.shape):
             raise ModelError(f"erlang shape must be a positive integer, got {self.shape}")
+        object.__setattr__(self, "shape", int(self.shape))   # the formulas count with it
 
     # -- distribution functions ------------------------------------------------
 

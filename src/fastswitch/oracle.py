@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (VelocityField, flow, flow_map, flow_positions, grid_index,
-                    interp_weights, lag_kernel)
+                    interp_apply, interp_weights, lag_kernel)
 from .model import SemiMarkovModel
 
 
@@ -166,30 +166,37 @@ def march_steps(t_eval, eps: float, h_s: float, richardson: bool) -> dict:
     return keep
 
 
+def _diagonals(a: np.ndarray, offset: int, shape: tuple, row_step: int) -> np.ndarray:
+    """Read-only view of the contiguous array a's flat elements offset +
+    row_step·d + u, for (d, u) within shape: shifted windows of a row
+    (row_step 1), or shifted diagonals of a matrix (its row length + 1)."""
+    flat = a.reshape(-1)[offset:]
+    return np.lib.stride_tricks.as_strided(flat, shape, (row_step * a.itemsize, a.itemsize),
+                                           writeable=False)
+
+
 def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
            eps: float, h_s: float, n_steps: int, keep: dict) -> dict:
     """Product-integration march of the first-jump identity; keep maps
     step index -> slot for storing Φ.
 
-    The history of P Φ is kept reversed (step m in row n_steps - m), so the
-    lags 1..jm of step i are one contiguous block.  For a state whose flow
-    is a translation, the nodes whose stencils neither clip nor wrap share
-    one lag kernel K (see field.lag_kernel): their history sums are the shifted
-    diagonals of the BLAS product G = K[:, :jm] @ block, O(n_steps J
-    n_points D) flops for D column offsets.  A dense product gives the sums
-    a blocked FFT would, up to summation order, with far less code.  Every
-    other node (the clipped or wrapped end columns, and every node of a
-    linear or tabulated state) gathers its flowed stencils, built once per
-    state with the lag weights folded in, as flat offsets into that block:
-    one gather and one einsum sum per state and step.
+    Both terms of the identity end at one lag per state, J = min(n_steps,
+    ceil(decay_point(1e-14) / h_s) + 1): the first-jump term of step i
+    carries F̄(s_i), and the history's lag j a weight of at most
+    F̄(s_{j-1}), both under 1e-14 past J.  Lags 0..J split each state's
+    nodes once (field.lag_kernel): the inner nodes share one lag kernel K,
+    and the edge nodes (all of a linear or tabulated state) take their own
+    flowed stencils.  Both give the first-jump terms of all steps before the
+    march, K through the sliding windows of φ and (P φ)_x.
 
-    The history-free first-jump terms of all steps are formed before the
-    march.  A translation state takes them, at the nodes that clip or wrap
-    at no lag 0..n_steps, from the same per-lag stencils over its own
-    offset range: one product with the sliding windows of φ and (P φ)_x.
-    Full flowed stencils, (n_steps+1) x INTERP_ORDER per column, are built
-    only for the other columns, and the history's gathered end columns are
-    a subset of them.
+    The history of P Φ is kept reversed (step m in row n_steps - m), so the
+    lags 1..jm of step i are one contiguous block.  The inner nodes' history
+    sums are the shifted diagonals of the BLAS product G = K[:, :jm] @ block,
+    K cut to lags 1..J times the lag weights: O(n_steps J n_points D) flops
+    for D column offsets, the sums a blocked FFT would give, up to summation
+    order, with far less code.  The edge stencils' rows 1..J, the lag weights
+    folded in, are flat offsets into that block: one gather and one einsum
+    sum per state and step.
     """
     from .singular import kernel_node_weights
 
@@ -205,61 +212,43 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     j_cut = [min(n_steps, int(math.ceil(d.decay_point(1e-14) / h_s)) + 1)
              for d in model.sojourns]
 
-    A = np.eye(n) - weights[:, 0, None] * model.P
-    A_inv = np.linalg.inv(A)
+    A_inv = np.linalg.inv(np.eye(n) - weights[:, 0, None] * model.P)
 
     phi_row = np.asarray(phi_values, dtype=float).reshape(-1)
     p_phi = np.einsum("xy,u->xu", model.P, phi_row)
-    first = np.empty((n_steps + 1, n, npts))   # history-free part of each rhs
-    cols, lag_idx, lag_w, dense = [], [], [], []
+    first = np.zeros((n_steps + 1, n, npts))   # history-free part of each rhs
+    kernels, lag_idx, lag_w = [], [], []
     for x in range(n):
         jc = j_cut[x]
-        pos = flow_positions(fld, x, times_phys)
-        edge = slice(None)   # columns that take their own flowed stencils
-        stencils = lag_kernel(fld, x, times_phys, np.ones(n_steps + 1), INTERP_ORDER)
-        if stencils is not None:
-            # the nodes that clip or wrap at no lag 0..n_steps read φ and
-            # (P φ)_x through the per-lag stencils: row d of each window is
-            # its row shifted by d_min + d columns
-            S, d_min, inner = stencils
-            edge = np.r_[0:inner.start, inner.stop:npts]
-            phi_win, p_phi_win = np.lib.stride_tricks.sliding_window_view(
-                np.stack([phi_row, p_phi[x]])[:, inner.start + d_min:],
-                inner.stop - inner.start, axis=1)[:, :len(S)]
-            np.matmul(surv[x, :, None] * S.T, phi_win, out=first[:, x, inner])
-            first[1:jc + 1, x, inner] -= (left_w[x, 1:jc + 1, None] * S.T[1:jc + 1]) @ p_phi_win
-        idx, w = interp_weights(grid, pos[:, edge], order=INTERP_ORDER)
-        del pos
-        first[:, x, edge] = surv[x, :, None] * np.einsum("iuq,iuq->iu", phi_row[idx], w)
+        K, d_min, inner = lag_kernel(fld, x, times_phys[:jc + 1], INTERP_ORDER)
+        edge = np.r_[0:inner.start, inner.stop:npts]
+        n_in = inner.stop - inner.start
+        # row d of each window is φ or (P φ)_x shifted by d_min + d columns
+        phi_win, p_phi_win = (_diagonals(r, inner.start + d_min, (len(K), n_in), 1)
+                              for r in (phi_row, p_phi[x]))
+        np.matmul(surv[x, :jc + 1, None] * K.T, phi_win, out=first[:jc + 1, x, inner])
+        first[1:jc + 1, x, inner] -= (left_w[x, 1:jc + 1, None] * K.T[1:]) @ p_phi_win
+        idx, w = interp_weights(grid, flow_positions(fld, x, times_phys[:jc + 1])[:, edge],
+                                order=INTERP_ORDER)
+        first[:jc + 1, x, edge] = surv[x, :jc + 1, None] * interp_apply(phi_row, idx, w)
         # cells i <= J start beyond the integration bound; their left-node
         # part is already in the exact first-jump tail
-        first[1:jc + 1, x, edge] -= left_w[x, 1:jc + 1, None] * np.einsum(
-            "iuq,iuq->iu", p_phi[x][idx[1:jc + 1]], w[1:jc + 1])
-        kernel = lag_kernel(fld, x, times_phys[1:jc + 1], weights[x, 1:jc + 1], INTERP_ORDER)
-        col, sub = edge, slice(None)   # gathered columns, and their place in edge
-        if kernel is not None:
-            K, d_min, inner = kernel
-            col = np.r_[0:inner.start, inner.stop:npts]
-            sub = np.searchsorted(np.arange(npts)[edge], col)
-            # rows d of G[d, u + d_min + d], for u in inner, as a strided view
-            G = np.empty((K.shape[0], npts))
-            diag = np.lib.stride_tricks.as_strided(
-                G.reshape(-1)[inner.start + d_min:],
-                shape=(K.shape[0], inner.stop - inner.start),
-                strides=((npts + 1) * G.itemsize, G.itemsize), writeable=False)
-            kernel = (K, G, diag, inner)
-        dense.append(kernel)
-        cols.append(col)
-        # (lag, stencil, point) layout: a lag prefix is contiguous; each raw
-        # stencil array is freed once folded
-        w = w[1:jc + 1, sub].transpose(0, 2, 1)
-        lag_w.append(np.multiply(weights[x, 1:jc + 1, None, None], w,
-                                 out=np.empty(w.shape)))
-        del w
-        idx = idx[1:jc + 1, sub].transpose(0, 2, 1)
-        lag_idx.append(np.add(idx, npts * np.arange(jc)[:, None, None],
-                              out=np.empty(idx.shape, dtype=np.intp)))
-        del idx
+        first[1:jc + 1, x, edge] -= left_w[x, 1:jc + 1, None] * interp_apply(
+            p_phi[x], idx[1:], w[1:])
+        # lag 0 reaches offsets of its own, which would add all-zero rows
+        reach = np.flatnonzero(K[:, 1:].any(axis=1))
+        lo, hi = reach.min(initial=len(K)), reach.max(initial=-1) + 1
+        K = K[lo:hi, 1:] * weights[x, 1:jc + 1]
+        G = np.empty((len(K), npts))
+        diag = _diagonals(G, inner.start + d_min + lo, (len(K), n_in), npts + 1)
+        kernels.append((K, G, diag, inner, edge))
+        # (lag, stencil, point) layout: a lag prefix is contiguous
+        shape = (jc, INTERP_ORDER, len(edge))
+        lag_w.append(np.multiply(weights[x, 1:jc + 1, None, None], w[1:].transpose(0, 2, 1),
+                                 out=np.empty(shape)))
+        lag_idx.append(np.add(idx[1:].transpose(0, 2, 1), npts * np.arange(jc)[:, None, None],
+                              out=np.empty(shape, dtype=np.intp)))
+        del idx, w
 
     hist = np.empty((n, n_steps + 1, npts))   # reversed history of P Φ
     hist[:, n_steps] = p_phi
@@ -269,15 +258,13 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     for i in range(1, n_steps + 1):
         row = n_steps - i + 1   # step i - 1; lag j sits j - 1 rows further
         rhs = first[i]
-        for x in range(n):
+        for x, (K, G, diag, inner, edge) in enumerate(kernels):
             jm = min(i, j_cut[x])
             block = hist[x, row:row + jm]
-            if dense[x] is not None:
-                K, G, diag, inner = dense[x]
-                np.matmul(K[:, :jm], block, out=G)
-                rhs[x, inner] += diag.sum(axis=0)
-            rhs[x, cols[x]] += np.einsum("lqc,lqc->c", block.reshape(-1)[lag_idx[x][:jm]],
-                                         lag_w[x][:jm])
+            np.matmul(K[:, :jm], block, out=G)
+            rhs[x, inner] += diag.sum(axis=0)
+            rhs[x, edge] += np.einsum("lqc,lqc->c", block.reshape(-1)[lag_idx[x][:jm]],
+                                      lag_w[x][:jm])
         cur = A_inv @ rhs
         np.matmul(model.P, cur, out=hist[:, row - 1])
         if i in keep:

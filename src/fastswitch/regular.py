@@ -93,7 +93,7 @@ def window_convolution(values: np.ndarray, idx: np.ndarray, wts: np.ndarray,
     values is (n_t, n_points) and (idx, wts) a flow table over the same
     times, whose stencils are consecutive columns from idx[l, u, 0] (wrapped
     on a periodic grid, as interp_weights builds them).  kernel, the
-    table's field.lag_kernel or None, gives its inner nodes the sums
+    table's field.lag_kernel, gives its inner nodes the sums
     Σ_d K[d] ⋆ values[:, u + d_min + d]; every other node takes its own
     kernel (_node_convolution).  All are zero-padded real-FFT convolutions
     over time, over blocks of nodes that bound the temporaries.
@@ -102,29 +102,27 @@ def window_convolution(values: np.ndarray, idx: np.ndarray, wts: np.ndarray,
     length = fft_length(2 * n_t - 1)  # no wrap-around
     v_hat = np.fft.rfft(np.ascontiguousarray(values.T), length)   # (column, freq)
     out = np.empty((n_t, n_p))
-    rest = slice(None)   # the nodes of the per-node path
-    if kernel is not None:
-        K, d_min, inner = kernel
-        k_hat = np.fft.rfft(K, length)
-        block = max(1, _WINDOW_BLOCK // k_hat.shape[1])
-        for c in range(inner.start, inner.stop, block):
-            n_b, prod = min(block, inner.stop - c), 0
-            for d, k in enumerate(k_hat, c + d_min):
-                prod += k * v_hat[d:d + n_b]
-            out[:, c:c + n_b] = np.fft.irfft(prod, length)[:, :n_t].T
-        rest = np.r_[0:inner.start, inner.stop:n_p]
-    _node_convolution(v_hat, length, idx, wts, grid, rest, out)
+    K, d_min, inner = kernel
+    k_hat = np.fft.rfft(K, length)
+    block = max(1, _WINDOW_BLOCK // k_hat.shape[1])
+    for c in range(inner.start, inner.stop, block):
+        n_b, prod = min(block, inner.stop - c), 0
+        for d, k in enumerate(k_hat, c + d_min):
+            prod += k * v_hat[d:d + n_b]
+        out[:, c:c + n_b] = np.fft.irfft(prod, length)[:, :n_t].T
+    _node_convolution(v_hat, length, idx, wts, grid, np.r_[0:inner.start, inner.stop:n_p], out)
     return out
 
 
 def _node_convolution(v_hat, length: int, idx, wts, grid: UGrid, rest, out: np.ndarray):
-    """window_convolution at the nodes rest (a slice or an index array):
-    node u's stencils touch a window of D columns at all lags (modulo the
-    period, each shift taken the short way round the seam), so its sums are
+    """window_convolution at the nodes rest, an index array: node u's
+    stencils touch a window of D columns at all lags (modulo the period,
+    each shift taken the short way round the seam), so its sums are
     Σ_d K[u, d] ⋆ values[:, col(u, d)], the lag weights scattered into K."""
     n_t, n_p, order = idx.shape
     period = n_p - 1 if grid.boundary_mode == "periodic" else None
-    shift = idx[:, rest, 0] - idx[0, rest, 0]   # each stencil's start, from t = 0
+    shift = idx[:, rest, 0]   # a copy: each stencil's start, made relative to t = 0
+    shift -= shift[0]
     if period is not None:
         shift = (shift + period // 2) % period - period // 2
     low = shift.min(axis=0)
@@ -201,7 +199,7 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, sources, times: np.ndarray,
     c_k0 = np.asarray(c_k0, dtype=float).reshape(-1)
     source = np.asarray(sources(0), dtype=float)
     alpha, lags = simpson_split(n_t, h_t)
-    kernel = lag_kernel(kit.vhat, 0, times, np.ones(n_t), order=idx.shape[-1])
+    kernel = lag_kernel(kit.vhat, 0, times, order=idx.shape[-1])
     duhamel = window_convolution(alpha[:, None] * source, idx, wts, kit.fld.grid, kernel)
     for lag, beta in enumerate(lags):
         duhamel[lag:] += beta[:, None] * interp_apply(

@@ -200,6 +200,21 @@ class TestExponentialIsErlangOne:
         with pytest.raises(ModelError, match="exponential shape"):
             SojournDistribution("exponential", rate=1.0, shape=2)
 
+    def test_integral_float_shape_is_the_integer_law(self):
+        """shape 2.0 passes validation and then computes as shape 2: its
+        moments, partial moments and samples were a TypeError before."""
+        law = SojournDistribution("erlang", rate=1.0, shape=2.0)
+        ref = SojournDistribution("erlang", rate=1.0, shape=2)
+        assert law == ref and type(law.shape) is int
+        assert [law.moment(k) for k in range(5)] == [ref.moment(k) for k in range(5)]
+        tau = np.linspace(0.0, 5.0, 11)
+        for k in range(3):
+            np.testing.assert_array_equal(law.partial_moment(k, tau), ref.partial_moment(k, tau))
+        u = np.random.default_rng(0).random((50, law.n_uniforms))
+        np.testing.assert_array_equal(law.from_uniforms(u), ref.from_uniforms(u))
+        with pytest.raises(ModelError, match="positive integer"):
+            SojournDistribution("erlang", rate=1.0, shape=2.5)
+
 
 class TestStationary:
     def test_antidiagonal_rho(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,21 @@ class TestTimeSeries:
                     u_derivative_values(view, grid),
                     reference_fd_derivative(view, grid.spacing, order, axis=axis,
                                             periodic=periodic))
+
+    def test_periodic_fd_memory(self):
+        """A periodic u-derivative allocates little beyond its output: no
+        padded copy of the input and no sliced copy of the result (3.03x the
+        input's bytes when it made both, 1.13x measured without them)."""
+        grid = UGrid(-1.0, 1.0, 257, boundary_mode="periodic")
+        vals = np.random.default_rng(0).normal(size=(251, 2, 257))
+        u_derivative_values(vals, grid)   # imports outside the trace
+        tracemalloc.start()
+        try:
+            u_derivative_values(vals, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * vals.nbytes
 
     def test_derivative_cap(self, monkeypatch):
         """The rules' recursion ends: an order-K build reads U_j^(n) only up to

@@ -416,10 +416,8 @@ class TestDirectSolver:
 
     @staticmethod
     def _lag_kernels(m, fld, t, eps, h_s):
-        n_steps = round(t / (eps * h_s))
-        weights, _ = kernel_node_weights(m.sojourns, 0, h_s * np.arange(n_steps + 1))
-        lag_times = eps * h_s * np.arange(1, n_steps + 1)
-        return [lag_kernel(fld, x, lag_times, weights[x, 1:], order=oracle.INTERP_ORDER)
+        lag_times = eps * h_s * np.arange(1, round(t / (eps * h_s)) + 1)
+        return [lag_kernel(fld, x, lag_times, order=oracle.INTERP_ORDER)
                 for x in range(m.n_states)]
 
     def test_gathers_only_clipped_end_columns(self):
@@ -442,7 +440,8 @@ class TestDirectSolver:
     def test_linear_states_gather_every_column(self):
         m, (fld, _) = make_mixed_model(), _mixed_fields(_SMALL)
         kernels = self._lag_kernels(m, fld, 1.0, 0.2, 0.02)
-        assert [k is None for k in kernels] == [True, False, True]
+        assert [len(K) == 0 and inner.stop <= inner.start
+                for K, _, inner in kernels] == [True, False, True]
 
     @staticmethod
     def _stencil_columns(monkeypatch, case):
@@ -462,7 +461,7 @@ class TestDirectSolver:
     def test_translations_build_stencils_per_lag(self, monkeypatch):
         """A translation state's first-jump term reads per-lag stencils: full
         stencils are built only for the columns that clip at some lag
-        0..n_steps, far fewer than the grid's."""
+        0..J (J = n_steps here), far fewer than the grid's."""
         m, fld, t_eval, eps, _ = REFERENCE_CASES["model_a"]()
         grid, npts = fld.grid, fld.grid.n_points
         n_steps = round(max(t_eval) / (eps * 0.02))
@@ -480,6 +479,34 @@ class TestDirectSolver:
         widths = self._stencil_columns(monkeypatch, "mixed_linear")
         # states 0 and 2 are linear, state 1 a translation
         assert widths[0] == widths[2] == _SMALL.n_points > widths[1]
+
+    def test_one_split_per_state(self, monkeypatch):
+        """Lags 0..J split each state's nodes once: one lag kernel and one
+        stencil build per state, both over J + 1 lags, where J is the
+        history's cut, below n_steps here."""
+        kernel_lags, stencil_rows = [], []
+        lag_kernel_orig, interp_weights_orig = oracle.lag_kernel, oracle.interp_weights
+
+        def counted_kernel(fld, x, lag_times, *args, **kwargs):
+            kernel_lags.append((x, len(lag_times)))
+            return lag_kernel_orig(fld, x, lag_times, *args, **kwargs)
+
+        def counted_weights(grid, positions, *args, **kwargs):
+            stencil_rows.append(np.shape(positions)[0])
+            return interp_weights_orig(grid, positions, *args, **kwargs)
+        monkeypatch.setattr(oracle, "lag_kernel", counted_kernel)
+        monkeypatch.setattr(oracle, "interp_weights", counted_weights)
+        m, fld, t_eval, eps, kwargs = REFERENCE_CASES["lag_cutoff_periodic"]()
+        direct_solve_phi(m, fld, PHI, t_eval, eps, **kwargs)
+        n_steps = round(max(t_eval) / (eps * kwargs["h_s"]))
+        lags = [min(n_steps, math.ceil(d.decay_point(1e-14) / kwargs["h_s"]) + 1) + 1
+                for d in m.sojourns]
+        print(f"direct march split: lag_kernel calls {[x for x, _ in kernel_lags]}, "
+              f"lags {[n for _, n in kernel_lags]}, stencil rows {stencil_rows}, "
+              f"J + 1 {lags} of {n_steps + 1}")
+        assert kernel_lags == list(enumerate(lags))
+        assert stencil_rows == lags
+        assert max(lags) < n_steps + 1
 
     def test_march_memory(self):
         """A translation march holds little beyond its two (n_steps + 1) x

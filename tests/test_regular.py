@@ -158,25 +158,25 @@ class TestSolveCk:
     def test_shared_kernel_covers_unclipped_nodes(self, monkeypatch, kind):
         """A translating vhat's lag kernel covers exactly the nodes whose
         flow-table stencils clip or wrap at no time, and the per-node path
-        convolves only the others; any other vhat has no kernel, and every
-        node takes the per-node path.  A flowed position within rounding of
+        convolves only the others; any other vhat's kernel has no rows and no
+        inner nodes, and every node takes the per-node path.  A flowed position within rounding of
         a node counts as on it (the periodic grid's node 1 at t = 0 reads
         0.999...): the stencils one column apart interpolate the same node
         value there."""
         kit = build_kit(make_model_a(), _duhamel_field(kind))
         grid, times = kit.fld.grid, np.linspace(0.0, 0.6, 61)
         npts = grid.n_points
-        kernel = lag_kernel(kit.vhat, 0, times, np.ones(len(times)), order=4)
+        K, _, inner = lag_kernel(kit.vhat, 0, times, order=4)
         expected = np.arange(npts)
         if kind in ("pm", "periodic"):
             p = np.round((flow_positions(kit.vhat, 0, times) - grid.u_min) / grid.spacing, 9)
             low = np.floor(p) - 1
             last = npts - 1 - (grid.boundary_mode == "periodic")
             clean = ((low >= 0) & (low + 3 <= last)).all(axis=0)
-            np.testing.assert_array_equal(expected[kernel[2]], np.flatnonzero(clean))
+            np.testing.assert_array_equal(expected[inner], np.flatnonzero(clean))
             expected = np.flatnonzero(~clean)
         else:
-            assert kernel is None
+            assert len(K) == 0 and inner.stop <= inner.start
         per_node = []
         original = regular._node_convolution
 
