@@ -117,7 +117,7 @@ def cmd_expand(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load(args)
     if cfg.oracle.method == "direct":
-        # an off-grid oracle time needs only the config to reject
+        # an off-grid oracle time or an over-long march needs only the config to reject
         for eps in cfg.epsilons:
             march_steps(cfg.oracle.t_eval, eps, cfg.oracle.h_s, cfg.oracle.richardson)
     out = Path(args.out)

@@ -141,7 +141,7 @@ def mc_expectation(model: SemiMarkovModel, fld: VelocityField, phi, t: float,
 
 
 INTERP_ORDER = 6      # stencil width of the flowed-history interpolation
-MAX_STEPS = 60000     # longest march direct_solve_phi accepts
+MAX_STEPS = 60000     # longest march march_steps accepts
 
 
 class DirectSolverCost(RuntimeError):
@@ -152,7 +152,8 @@ def march_steps(t_eval, eps: float, h_s: float, richardson: bool) -> dict:
     """Step index on the march grid of step eps*h_s -> each requested time,
     kept as requested so that every epsilon reports the same t; raises
     ValueError when some time is not a whole number of steps, with
-    richardson of the coarse march's steps 2*eps*h_s."""
+    richardson of the coarse march's steps 2*eps*h_s, and DirectSolverCost
+    when the longest march (with richardson, at h_s/2) exceeds MAX_STEPS."""
     h_phys = eps * h_s
     stride, factor = (2, "2*") if richardson else (1, "")
     keep = {}
@@ -163,6 +164,13 @@ def march_steps(t_eval, eps: float, h_s: float, richardson: bool) -> dict:
                              f"oracle.h_s = {factor}{eps:g}*{h_s:g}; choose oracle.h_s so "
                              f"that t / ({factor}eps*h_s) is an integer")
         keep[stride * i] = t
+    longest = 2 * max(keep) if richardson else max(keep)
+    if longest > MAX_STEPS:
+        march = "the Richardson half-step march (h_s/2)" if richardson else "the march"
+        raise DirectSolverCost(
+            f"{march} needs {longest} steps (> {MAX_STEPS}) at eps={eps:g}, "
+            f"oracle.h_s={h_s:g}; increase h_s, shorten the horizon, or use the "
+            "Monte Carlo oracle")
     return keep
 
 
@@ -183,20 +191,20 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     Both terms of the identity end at one lag per state, J = min(n_steps,
     ceil(decay_point(1e-14) / h_s) + 1): the first-jump term of step i
     carries F̄(s_i), and the history's lag j a weight of at most
-    F̄(s_{j-1}), both under 1e-14 past J.  Lags 0..J split each state's
-    nodes once (field.lag_kernel): the inner nodes share one lag kernel K,
-    and the edge nodes (all of a linear or tabulated state) take their own
-    flowed stencils.  Both give the first-jump terms of all steps before the
-    march, K through the sliding windows of φ and (P φ)_x.
+    F̄(s_{j-1}), both under 1e-14 past J.  Lag 0 is the implicit diagonal
+    A = I - diag(w_0) P, so lags 1..J split each state's nodes once
+    (field.lag_kernel): the inner nodes share one lag kernel K, and the
+    edge nodes (all of a linear or tabulated state) take their own flowed
+    stencils.  Both give the first-jump terms of steps 1..J before the
+    march (step 0's is never read), K through the windows of φ and (P φ)_x.
 
     The history of P Φ is kept reversed (step m in row n_steps - m), so the
     lags 1..jm of step i are one contiguous block.  The inner nodes' history
     sums are the shifted diagonals of the BLAS product G = K[:, :jm] @ block,
-    K cut to lags 1..J times the lag weights: O(n_steps J n_points D) flops
-    for D column offsets, the sums a blocked FFT would give, up to summation
-    order, with far less code.  The edge stencils' rows 1..J, the lag weights
-    folded in, are flat offsets into that block: one gather and one einsum
-    sum per state and step.
+    K times the lag weights: O(n_steps J n_points D) flops for D column
+    offsets, the sums a blocked FFT would give, up to summation order, with
+    far less code.  The edge stencils, the lag weights folded in, are flat
+    offsets into that block: one gather and one einsum per state and step.
     """
     from .singular import kernel_node_weights
 
@@ -220,33 +228,30 @@ def _march(model: SemiMarkovModel, fld: VelocityField, phi_values: np.ndarray,
     kernels, lag_idx, lag_w = [], [], []
     for x in range(n):
         jc = j_cut[x]
-        K, d_min, inner = lag_kernel(fld, x, times_phys[:jc + 1], INTERP_ORDER)
+        lags = slice(1, jc + 1)
+        K, d_min, inner = lag_kernel(fld, x, times_phys[lags], INTERP_ORDER)
         edge = np.r_[0:inner.start, inner.stop:npts]
         n_in = inner.stop - inner.start
         # row d of each window is φ or (P φ)_x shifted by d_min + d columns
         phi_win, p_phi_win = (_diagonals(r, inner.start + d_min, (len(K), n_in), 1)
                               for r in (phi_row, p_phi[x]))
-        np.matmul(surv[x, :jc + 1, None] * K.T, phi_win, out=first[:jc + 1, x, inner])
-        first[1:jc + 1, x, inner] -= (left_w[x, 1:jc + 1, None] * K.T[1:]) @ p_phi_win
-        idx, w = interp_weights(grid, flow_positions(fld, x, times_phys[:jc + 1])[:, edge],
+        np.matmul(surv[x, lags, None] * K.T, phi_win, out=first[lags, x, inner])
+        first[lags, x, inner] -= (left_w[x, lags, None] * K.T) @ p_phi_win
+        idx, w = interp_weights(grid, flow_positions(fld, x, times_phys[lags])[:, edge],
                                 order=INTERP_ORDER)
-        first[:jc + 1, x, edge] = surv[x, :jc + 1, None] * interp_apply(phi_row, idx, w)
+        first[lags, x, edge] = surv[x, lags, None] * interp_apply(phi_row, idx, w)
         # cells i <= J start beyond the integration bound; their left-node
         # part is already in the exact first-jump tail
-        first[1:jc + 1, x, edge] -= left_w[x, 1:jc + 1, None] * interp_apply(
-            p_phi[x], idx[1:], w[1:])
-        # lag 0 reaches offsets of its own, which would add all-zero rows
-        reach = np.flatnonzero(K[:, 1:].any(axis=1))
-        lo, hi = reach.min(initial=len(K)), reach.max(initial=-1) + 1
-        K = K[lo:hi, 1:] * weights[x, 1:jc + 1]
+        first[lags, x, edge] -= left_w[x, lags, None] * interp_apply(p_phi[x], idx, w)
+        K = K * weights[x, lags]
         G = np.empty((len(K), npts))
-        diag = _diagonals(G, inner.start + d_min + lo, (len(K), n_in), npts + 1)
+        diag = _diagonals(G, inner.start + d_min, (len(K), n_in), npts + 1)
         kernels.append((K, G, diag, inner, edge))
         # (lag, stencil, point) layout: a lag prefix is contiguous
         shape = (jc, INTERP_ORDER, len(edge))
-        lag_w.append(np.multiply(weights[x, 1:jc + 1, None, None], w[1:].transpose(0, 2, 1),
+        lag_w.append(np.multiply(weights[x, lags, None, None], w.transpose(0, 2, 1),
                                  out=np.empty(shape)))
-        lag_idx.append(np.add(idx[1:].transpose(0, 2, 1), npts * np.arange(jc)[:, None, None],
+        lag_idx.append(np.add(idx.transpose(0, 2, 1), npts * np.arange(jc)[:, None, None],
                               out=np.empty(shape, dtype=np.intp)))
         del idx, w
 
@@ -287,13 +292,6 @@ def direct_solve_phi(model: SemiMarkovModel, fld: VelocityField, phi, t_eval,
     _check_horizon(eps, t_eval, "t_eval")
     keep = march_steps(t_eval, eps, h_s, richardson)
     n_steps = max(keep)
-    # the longest march that will run: with richardson, the one at h_s/2
-    longest = 2 * n_steps if richardson else n_steps
-    if longest > MAX_STEPS:
-        march = "the Richardson half-step march (h_s/2)" if richardson else "the march"
-        raise DirectSolverCost(
-            f"{march} needs {longest} steps (> {MAX_STEPS}); increase h_s, "
-            "shorten the horizon, or use the Monte Carlo oracle")
     grid = fld.grid
     phi_values = phi(grid.nodes)
     if n_steps == 0:

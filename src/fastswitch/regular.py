@@ -8,11 +8,11 @@ and the homogeneous part is pure composition with the flow.
 
 The Duhamel integral uses cumulative-Simpson weights S[i, j] = α(j) + β(i, j):
 α is the composite rule's interior weight, β the few end corrections (lags
-0-2 and column 0).  The α part is a causal time convolution over the window
-of D grid columns that a node's flowed stencils touch at any lag, summed by
-FFT in O(n_points · D · n_times log n_times), with one kernel shared by the
-nodes that never clip or wrap when vhat is a translation (field.lag_kernel);
-β takes a fixed number of stencil gathers.
+0-2 and column 0).  The α part, with column 0 and the initial data, is one
+causal time convolution over the window of D grid columns that a node's
+flowed stencils touch at any lag, summed by FFT in O(n_points · D · n_times
+log n_times), with one kernel shared by the nodes that never clip or wrap
+when vhat is a translation (field.lag_kernel); lags 0-2 take three gathers.
 """
 from __future__ import annotations
 
@@ -66,19 +66,19 @@ def simpson_split(n_t: int, h: float):
     of every row i < n_t, split as α(j) + β(i, j).
 
     α(j) is the composite rule's interior weight, 2h/3 at even j and 4h/3 at
-    odd j.  β is nonzero only on lags i - j = 0, 1, 2 (the trapezoid row 1,
-    the ends of even rows, the quadratic end panel of odd rows) and in column
-    0, where it is -h/3 for every row i >= 3.  Returns α and the three lag
-    diagonals, diagonal l holding β(i, i - l) for i = l..n_t-1.
+    odd j.  β is -h/3 in column 0 of every row and otherwise nonzero only on
+    lags i - j = 0, 1, 2 (the ends of even rows, the quadratic end panel of
+    odd rows), where row 1, the trapezoid, is the one row overridden.
+    Returns α and the three lag diagonals, diagonal l holding β(i, i - l)
+    but column 0's -h/3, for i = l..n_t-1.
     """
     odd = np.arange(n_t) % 2 == 1
     alpha = np.where(odd, 4.0 * h / 3.0, 2.0 * h / 3.0)
     lags = [np.where(odd, -11.0 * h / 12.0, -h / 3.0),   # end node j = i
             np.where(odd, h / 3.0, 0.0)[1:],               # j = i - 1
             np.where(odd, -h / 12.0, 0.0)[2:]]             # j = i - 2
-    lags[0][:2] = (-2.0 * h / 3.0, -5.0 * h / 6.0)[:n_t]   # empty row, trapezoid
-    lags[1][:1] = -h / 6.0                                 # trapezoid start
-    lags[2][:1] = -h / 3.0                                 # row 2 starts at column 0
+    lags[0][1:2] = -5.0 * h / 6.0                          # trapezoid row 1
+    lags[1][:1] = h / 6.0
     return alpha, [lag for lag in lags if lag.size]
 
 
@@ -187,11 +187,12 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, sources, times: np.ndarray,
     sources(m) the solution's own read (transport_series).  The solution is
     c(t_i, u) = c_k0(pos_i(u)) + ∫_0^{t_i} g(s, pos_{i-s}(u)) ds
     with composite Simpson over the shared time grid, S[i, j] = α(j) + β(i, j)
-    (simpson_split).  The α part is one FFT time convolution of α·g over
-    each node's stencil window (window_convolution), O(n_points · D ·
-    n_times log n_times) for a window of D columns, with one shared kernel
-    for the nodes that never clip or wrap when vhat is a translation; β's
-    three lag diagonals and column 0 are one stencil gather each.
+    (simpson_split).  Row i of a time convolution reads row 0 at lag i with
+    unit weight, so α·g plus c_k0 and column 0's -h/3·g(0) in row 0 is one
+    FFT time convolution over each node's stencil window (window_convolution),
+    O(n_points · D · n_times log n_times) for a window of D columns, with one
+    shared kernel for the nodes that never clip or wrap when vhat is a
+    translation; β's three lag diagonals are one stencil gather each.
     """
     n_t = len(times)
     h_t = float(times[1] - times[0]) if n_t > 1 else 1.0
@@ -200,13 +201,12 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, sources, times: np.ndarray,
     source = np.asarray(sources(0), dtype=float)
     alpha, lags = simpson_split(n_t, h_t)
     kernel = lag_kernel(kit.vhat, 0, times, order=idx.shape[-1])
-    duhamel = window_convolution(alpha[:, None] * source, idx, wts, kit.fld.grid, kernel)
+    start = alpha[:, None] * source
+    start[0] += c_k0 - (h_t / 3.0) * source[0]
+    c = window_convolution(start, idx, wts, kit.fld.grid, kernel)
     for lag, beta in enumerate(lags):
-        duhamel[lag:] += beta[:, None] * interp_apply(
-            source[:n_t - lag], idx[lag], wts[lag])
-    duhamel[3:] -= (h_t / 3.0) * interp_apply(source[0], idx[3:], wts[3:])
-    out = np.repeat((interp_apply(c_k0, idx, wts) + duhamel)[:, None, :],
-                    kit.model.n_states, axis=1)
+        c[lag:] += beta[:, None] * interp_apply(source[:n_t - lag], idx[lag], wts[lag])
+    out = np.repeat(c[:, None, :], kit.model.n_states, axis=1)
     out[0] = c_k0[None, :]
     return transport_series(kit, out, lambda m: source if m == 0 else sources(m))
 

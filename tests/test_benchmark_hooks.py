@@ -24,9 +24,9 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
     """The traced spans of both layers wrap names looked up in pipeline,
     singular and regular at call time, or their spans read zero.  The
     transport solves make a fixed number of stencil gathers, whatever
-    n_times: solve_c0 one, and each solve_ck at most five (its initial data,
-    Simpson's end corrections on lags 0-2 and column 0; the rest of its
-    Duhamel integral is an FFT convolution).  Each order forms its transport
+    n_times: solve_c0 one, and each solve_ck three: Simpson's lag 0-2 ends
+    (its initial data, column 0 and the rest of its Duhamel integral are one
+    FFT convolution).  Each order forms its transport
     source in one closed-form call, and the order-1 coefficient's second time
     derivative reads that source's first in one more.  The layer march's
     resolvent is the same at every order and is built once."""
@@ -38,12 +38,21 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
                            "solve_ck", "interp_apply", "initial_ck0",
                            "projected_frak_L_series", "renewal_resolvent"], 0)
 
+    # the stencil gathers made within each transport solve
+    gathers, solving = {"solve_c0": 0, "solve_ck": 0}, []
+
     def counted(module, attr):
         original = getattr(module, attr)
 
         def wrapper(*args, **kwargs):
             calls[attr] += 1
-            return original(*args, **kwargs)
+            if attr == "interp_apply" and solving:
+                gathers[solving[-1]] = gathers.get(solving[-1], 0) + 1
+            solving.append(attr)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                solving.pop()
         monkeypatch.setattr(module, attr, wrapper)
 
     for attr in ("solve_Wk", "averaged_flow_table", "solve_c0", "solve_ck", "initial_ck0",
@@ -54,7 +63,10 @@ def test_traced_layers_are_called_through_module_attributes(monkeypatch):
     counted(regular, "projected_frak_L_series")
     pipeline.build_expansion(make_model_a(), make_pm_field(UGrid(-6.0, 6.0, 65)), PHI,
                              order=2, horizon=0.5, h_t=0.01, h_tau=0.01)
-    assert 0 < calls.pop("interp_apply") <= 1 + 5 * 2
+    print(f"transport gathers: solve_c0 {gathers['solve_c0']}, "
+          f"solve_ck {gathers['solve_ck'] // calls['solve_ck']} per order")
+    assert calls.pop("interp_apply") == 1 + 3 * 2
+    assert gathers == {"solve_c0": 1, "solve_ck": 3 * 2}
     assert calls.pop("initial_ck0") == 2
     assert calls == {"solve_Wk": 2, "psi_k0": 2, "averaged_flow_table": 1,
                      "solve_c0": 1, "solve_ck": 2, "projected_frak_L_series": 3,

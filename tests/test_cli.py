@@ -427,6 +427,21 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "2*eps*oracle.h_s" in err and "t=0.25 " in err
 
+    def test_over_long_march_exits_one_before_the_build(self, tmp_path, capsys, monkeypatch):
+        # eps 0.0001 * h_s 0.05 = 5e-6 takes 100000 steps to t = 0.5: the
+        # step count needs only the config, so neither the expansion nor
+        # the eps 0.2 march runs, and no output directory is made
+        def no_build(*args, **kwargs):
+            raise AssertionError("expansion built")
+        monkeypatch.setattr(cli, "build_expansion", no_build)
+        path = small_config(tmp_path, epsilons=[0.2, 0.0001])
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "the march needs 100000 steps (> 60000)" in err
+        assert "eps=0.0001" in err and "oracle.h_s=0.05" in err
+        assert not out.exists()
+
     def test_epsilon_override(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "out"

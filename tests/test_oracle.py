@@ -461,19 +461,36 @@ class TestDirectSolver:
     def test_translations_build_stencils_per_lag(self, monkeypatch):
         """A translation state's first-jump term reads per-lag stencils: full
         stencils are built only for the columns that clip at some lag
-        0..J (J = n_steps here), far fewer than the grid's."""
+        1..J (J = n_steps here), far fewer than the grid's.  Lag 0 is the
+        march's implicit diagonal, so it widens no edge: 12 columns of the
+        negative-drift state clip, where lags 0..J would clip 13."""
         m, fld, t_eval, eps, _ = REFERENCE_CASES["model_a"]()
         grid, npts = fld.grid, fld.grid.n_points
         n_steps = round(max(t_eval) / (eps * 0.02))
         clipped = []
         for x in range(m.n_states):
-            p = (flow_positions(fld, x, eps * 0.02 * np.arange(n_steps + 1))
+            p = (flow_positions(fld, x, eps * 0.02 * np.arange(1, n_steps + 1))
                  - grid.u_min) / grid.spacing
             low = np.floor(p) - (oracle.INTERP_ORDER // 2 - 1)
             clipped.append(int(((low < 0) | (low + oracle.INTERP_ORDER > npts))
                                .any(axis=0).sum()))
         assert self._stencil_columns(monkeypatch, "model_a") == clipped
-        assert max(clipped) < npts // 4
+        assert clipped[1] == 12 and max(clipped) < npts // 4
+
+    def test_lag_zero_widens_no_edge(self, monkeypatch):
+        """On the 257-point grid, the drift -1 state's 807 lags of 0.001
+        share one kernel at the inner nodes 15..255; lags 0..807 would end
+        them at 254."""
+        inners = []
+        original = oracle.lag_kernel
+
+        def recorded(*args, **kwargs):
+            kernel = original(*args, **kwargs)
+            inners.append(kernel[2])
+            return kernel
+        monkeypatch.setattr(oracle, "lag_kernel", recorded)
+        direct_solve_phi(make_model_a(), make_pm_field(), PHI, [1.0], 0.05, h_s=0.02)
+        assert inners[1] == slice(15, 255)
 
     def test_linear_states_build_stencils_for_every_column(self, monkeypatch):
         widths = self._stencil_columns(monkeypatch, "mixed_linear")
@@ -481,9 +498,9 @@ class TestDirectSolver:
         assert widths[0] == widths[2] == _SMALL.n_points > widths[1]
 
     def test_one_split_per_state(self, monkeypatch):
-        """Lags 0..J split each state's nodes once: one lag kernel and one
-        stencil build per state, both over J + 1 lags, where J is the
-        history's cut, below n_steps here."""
+        """Lags 1..J split each state's nodes once: one lag kernel and one
+        stencil build per state, both over J lags, where J is the history's
+        cut, below n_steps here; lag 0 is the march's implicit diagonal."""
         kernel_lags, stencil_rows = [], []
         lag_kernel_orig, interp_weights_orig = oracle.lag_kernel, oracle.interp_weights
 
@@ -499,14 +516,14 @@ class TestDirectSolver:
         m, fld, t_eval, eps, kwargs = REFERENCE_CASES["lag_cutoff_periodic"]()
         direct_solve_phi(m, fld, PHI, t_eval, eps, **kwargs)
         n_steps = round(max(t_eval) / (eps * kwargs["h_s"]))
-        lags = [min(n_steps, math.ceil(d.decay_point(1e-14) / kwargs["h_s"]) + 1) + 1
+        lags = [min(n_steps, math.ceil(d.decay_point(1e-14) / kwargs["h_s"]) + 1)
                 for d in m.sojourns]
         print(f"direct march split: lag_kernel calls {[x for x, _ in kernel_lags]}, "
               f"lags {[n for _, n in kernel_lags]}, stencil rows {stencil_rows}, "
-              f"J + 1 {lags} of {n_steps + 1}")
+              f"J {lags} of {n_steps}")
         assert kernel_lags == list(enumerate(lags))
         assert stencil_rows == lags
-        assert max(lags) < n_steps + 1
+        assert max(lags) < n_steps
 
     def test_march_memory(self):
         """A translation march holds little beyond its two (n_steps + 1) x

@@ -11,7 +11,7 @@ from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField,
 from fastswitch.model import SemiMarkovModel, SojournDistribution
 from fastswitch.operators import L_series_values, build_kit, velocity_power_values
 from fastswitch.regular import (averaged_flow_table, cumulative_simpson_weights, regular_term,
-                               solve_c0, solve_ck, system_rhs_values)
+                               simpson_split, solve_c0, solve_ck, system_rhs_values)
 
 from conftest import (GRID, PHI, layer_values, make_model_a, make_model_b, make_pm_field,
                       reference_fd_derivative)
@@ -63,6 +63,20 @@ def _duhamel_field(kind):
 @pytest.fixture(scope="module")
 def kit_a():
     return build_kit(make_model_a(), make_pm_field())
+
+
+@pytest.mark.parametrize("h", [0.37, 0.01])
+@pytest.mark.parametrize("n_t", [*range(1, 13), 101, 102])
+def test_simpson_split_rebuilds_every_row(n_t, h):
+    """α, the three lag diagonals and -h/3 in column 0 of every row rebuild
+    each row of the cumulative-Simpson weights, the first rows included."""
+    alpha, lags = simpson_split(n_t, h)
+    for i in range(n_t):
+        row = alpha[:i + 1].copy()
+        row[0] -= h / 3.0
+        for lag, beta in enumerate(lags[:i + 1]):
+            row[i - lag] += beta[i - lag]
+        assert np.abs(row - cumulative_simpson_weights(i, h)).max() <= 1e-15 * h
 
 
 class TestSolveC0:
