@@ -17,7 +17,7 @@ from .analysis import remainder_compare
 from .config import ConfigError, RunConfig, load_config
 from .model import ModelError, validate_model
 from .oracle import march_steps
-from .pipeline import ExpansionResult, build_expansion
+from .pipeline import ExpansionResult, build_expansion, model_section
 
 
 def _fmt(x: float) -> str:
@@ -38,6 +38,12 @@ def _write_series_csv(path: Path, quantity: str, k: int, times: np.ndarray,
                 lead = f"{time_lead}{x},"
                 fh.write((lead + lead.join(u_lines))
                          % tuple(values[i, x, ::u_stride].tolist()))
+
+
+def _write_json(path: Path, doc: dict):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _floats(text: str) -> list:
@@ -82,19 +88,8 @@ def cmd_expand(args) -> int:
     try:
         result = _expand(cfg)
     except Exception as exc:
-        diag = validate_model(cfg.model)
-        partial = {
-            "error": str(exc),
-            "model": {
-                "row_sum_error_max": float(diag.row_sum_errors.max()),
-                "irreducible": diag.irreducible,
-                "aperiodic": diag.aperiodic,
-                "messages": diag.messages,
-            },
-        }
-        with open(out / "diagnostics.json", "w") as fh:
-            json.dump(partial, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "diagnostics.json",
+                    {"error": str(exc), "model": model_section(validate_model(cfg.model))})
         raise
     u_nodes = cfg.field.grid.nodes
     ts, us = cfg.output.t_stride, cfg.output.u_stride
@@ -107,9 +102,7 @@ def cmd_expand(args) -> int:
             layer, stride = result.W[k], cfg.output.tau_stride
             _write_series_csv(out / f"W_{k}.csv", "W", k, result.tau_grid.nodes[::stride],
                               layer.coeffs[::stride] @ layer.basis, 1, us, u_nodes)
-    with open(out / "diagnostics.json", "w") as fh:
-        json.dump(result.diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "diagnostics.json", result.diagnostics)
     print(f"expansion written to {out}")
     return 0
 
@@ -141,18 +134,19 @@ def cmd_compare(args) -> int:
             if r["error"] > 0:
                 fh.write(f"{_fmt(np.log10(r['eps']))},{_fmt(np.log10(r['error']))},"
                          f"{r['order']},{_fmt(r['t'])}\n")
-    with open(out / "remainder.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "remainder.json", doc)
     print(f"remainder report written to {out}")
     return 0
 
 
 def _diagnostics_lines(diag: dict) -> list:
     lines = ["== expansion diagnostics =="]
-    for section in ("model", "operator"):
-        for key, val in sorted(diag.get(section, {}).items()):
-            lines.append(f"{section}.{key}: {val}")
+    if "error" in diag:   # the record of a failed build
+        lines.append(f"error: {diag['error']}")
+    for section, entries in sorted(diag.items()):
+        if section not in ("error", "orders", "adjudications"):
+            for key, val in sorted(entries.items()):
+                lines.append(f"{section}.{key}: {val}")
     for k, entry in sorted(diag.get("orders", {}).items()):
         for key, val in sorted(entry.items()):
             lines.append(f"order{k}.{key}: {val}")
@@ -163,7 +157,10 @@ def _diagnostics_lines(diag: dict) -> list:
 
 
 def _remainder_lines(rem: dict) -> list:
-    lines = ["== remainder slopes =="]
+    lines = ["== remainder rows ==", f"{'eps':>8} {'t':>5} {'N':>2} {'error':>12}"]
+    for r in rem["rows"]:
+        lines.append(f"{r['eps']:8.3f} {r['t']:5.2f} {r['order']:2d} {r['error']:12.4e}")
+    lines.append("== remainder slopes ==")
     for s in rem["slopes"]:
         slope_txt = "n/a" if s["slope"] is None else f"{s['slope']:.3f}"
         lines.append(f"order {s['order']} @ t={s['t']}: slope {slope_txt} [{s['status']}]")

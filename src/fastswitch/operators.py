@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import VelocityField, u_derivative_values
+from .field import VelocityField, averaged_velocity, u_derivative_values
 from .model import SemiMarkovModel, embedded_stationary, generator, semi_markov_stationary
 
 
@@ -114,8 +114,6 @@ class OperatorKit:
 
 
 def build_kit(model: SemiMarkovModel, fld: VelocityField) -> OperatorKit:
-    from .field import averaged_velocity
-
     rho = embedded_stationary(model)
     pi, m_hat = semi_markov_stationary(model, rho)
     Q = generator(model)

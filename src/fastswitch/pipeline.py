@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import TestFunction, VelocityField, grid_index, lagrange_weights, sup_norm
-from .model import SemiMarkovModel, validate_model
+from .model import ModelDiagnostics, SemiMarkovModel, validate_model
 from .operators import OperatorKit, TimeSeries, build_kit, state_mix
 from .oracle import _check_horizon
 from .regular import (averaged_flow_table, regular_term, solve_c0, solve_ck,
@@ -90,6 +90,15 @@ def time_steps(horizon: float, h_t: float) -> int:
     return max(4, int(round(horizon / h_t)))
 
 
+def model_section(diag: ModelDiagnostics) -> dict:
+    """The `model` section of diagnostics.json, of a build and of a failed one."""
+    return {"row_sum_error_max": float(diag.row_sum_errors.max()),
+            "irreducible": diag.irreducible, "aperiodic": diag.aperiodic,
+            "spectral_gap": diag.spectral_gap,
+            "cramer_margin": [float(c) for c in diag.cramer_margin],
+            "messages": diag.messages}
+
+
 def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunction,
                     order: int = 2, horizon: float = 1.0, h_t: float = 0.002,
                     h_tau: float = 0.005, tau_max: float | None = None) -> ExpansionResult:
@@ -149,15 +158,10 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
         }
 
     result.diagnostics = {
-        "model": {
-            "row_sum_error_max": float(diag.row_sum_errors.max()),
-            "irreducible": diag.irreducible,
-            "aperiodic": diag.aperiodic,
-            "spectral_gap": diag.spectral_gap,
-            "cramer_margin": [float(c) for c in diag.cramer_margin],
-        },
+        "model": model_section(diag),
         "field": {"velocity_bound": kit.fld.bound()},
         "operator": {
+            "pi": [float(p) for p in kit.pi], "m_hat": float(kit.m_hat),
             "potential_identity_residual": kit.potential.identity_residual,
             "potential_commute_residual": kit.potential.commute_residual,
         },

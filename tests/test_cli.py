@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,7 +334,7 @@ class TestExpandCommand:
                     "regularity_PI", "regularity_I_minus_Pi", "renewal_t0", "layer_rank"}
         assert expected <= set(diag["orders"]["1"].keys())
 
-    def test_partial_diagnostics_on_failure(self, tmp_path):
+    def test_partial_diagnostics_on_failure(self, tmp_path, capsys):
         # a second-order build with a far-too-short layer window fails its
         # tail bound but still leaves an error record behind
         path = small_config(tmp_path, order=2,
@@ -342,6 +345,14 @@ class TestExpandCommand:
         with open(out / "diagnostics.json") as fh:
             diag = json.load(fh)
         assert "error" in diag
+        # the error record's model section is a build's, and report prints the error
+        good = tmp_path / "good"
+        assert main(["expand", "--config", str(small_config(tmp_path)), "--out", str(good)]) == 0
+        with open(good / "diagnostics.json") as fh:
+            assert diag["model"] == json.load(fh)["model"]
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        assert f"\nerror: {diag['error']}\n" in capsys.readouterr().out
 
     def test_coarse_tau_grid_names_layer_settings(self, tmp_path, capsys):
         # 16 / 5.0 rounds up to 4 fast-time panels, short of the 8 the layer needs
@@ -506,6 +517,14 @@ class TestReportCommand:
         assert "adjudications" in text
         assert "slope" in text
         assert (out / "summary.txt").exists()
+        for line_start in ("grids.n_tau: ", "field.velocity_bound: ", "operator.pi: [",
+                           "operator.m_hat: ", "== remainder rows =="):
+            assert f"\n{line_start}" in text, line_start
+        # the rows block: a header, then one line per row of remainder.json
+        rows_block = text.split("== remainder rows ==\n")[1].split("== remainder slopes ==")[0]
+        with open(out / "remainder.json") as fh:
+            n_rows = len(json.load(fh)["rows"])
+        assert len(rows_block.splitlines()) == 1 + n_rows
 
     def test_missing_inputs_exit_one(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "empty")]) == 1
@@ -536,6 +555,21 @@ class TestReportCommand:
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv,code,stream,text", [
+        (["validate"], 0, "stdout", "model: usable"),
+        (["expand", "--order", "5"], 2, "stderr", "config error: order 5")])
+    def test_shell_sees_exit_status(self, tmp_path, argv, code, stream, text):
+        """The exit status of `python -m fastswitch.cli`, as a shell sees it."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "fastswitch.cli", *argv, "--config",
+                               str(MODEL_A), "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == code, proc.stderr
+        assert text in getattr(proc, stream)
+        assert "Traceback" not in proc.stderr
 
     def test_config_parse_error_exit_two(self, tmp_path):
         path = tmp_path / "broken.json"
