@@ -17,7 +17,7 @@ from .analysis import remainder_compare
 from .config import ConfigError, RunConfig, load_config
 from .model import ModelError, validate_model
 from .oracle import march_steps
-from .pipeline import ExpansionResult, build_expansion, model_section
+from .pipeline import MAX_ORDER, ExpansionResult, build_expansion, model_section
 
 
 def _fmt(x: float) -> str:
@@ -88,16 +88,19 @@ def cmd_expand(args) -> int:
     try:
         result = _expand(cfg)
     except Exception as exc:
+        for path in out.glob(f"[cUW]_[0-{MAX_ORDER}].csv"):   # an earlier build's series
+            path.unlink()
         _write_json(out / "diagnostics.json",
                     {"error": str(exc), "model": model_section(validate_model(cfg.model))})
         raise
     u_nodes = cfg.field.grid.nodes
     ts, us = cfg.output.t_stride, cfg.output.u_stride
+    per_state = (len(result.times), cfg.model.n_states, len(u_nodes))   # U_0's row widens
     for k in range(result.order + 1):
         _write_series_csv(out / f"c_{k}.csv", "c", k, result.times,
-                          result.c[k].values[:, :1, :], ts, us, u_nodes)
+                          result.c[k].values, ts, us, u_nodes)
         _write_series_csv(out / f"U_{k}.csv", "U", k, result.times,
-                          result.U[k].values, ts, us, u_nodes)
+                          np.broadcast_to(result.U[k].values, per_state), ts, us, u_nodes)
         if k >= 1:
             layer, stride = result.W[k], cfg.output.tau_stride
             _write_series_csv(out / f"W_{k}.csv", "W", k, result.tau_grid.nodes[::stride],

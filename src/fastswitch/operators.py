@@ -64,8 +64,8 @@ class TimeSeries:
     whole grid, n >= 1.  A rule whose derivatives are read more than once
     memoizes them where it is made."""
 
-    values: np.ndarray  # (n_times, n_states, n_points)
-    rule: object  # n -> (n_times, n_states, n_points)
+    values: np.ndarray  # (n_times, n_states, n_points); a c_k's one state row broadcasts
+    rule: object  # n -> an array of values' shape
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -108,9 +108,8 @@ class OperatorKit:
         return self.model.moments(n)
 
     def project_values(self, values: np.ndarray) -> np.ndarray:
-        """Π along the state axis of (..., n, n_points), broadcast back."""
-        avg = np.einsum("y,...yu->...u", self.pi, values)
-        return np.repeat(avg[..., None, :], len(self.pi), axis=-2)
+        """Π along the state axis of (..., n, n_points): one row, (..., 1, n_points)."""
+        return np.einsum("y,...yu->...u", self.pi, values)[..., None, :]
 
 
 def build_kit(model: SemiMarkovModel, fld: VelocityField) -> OperatorKit:
@@ -127,11 +126,11 @@ def build_kit(model: SemiMarkovModel, fld: VelocityField) -> OperatorKit:
 
 
 def velocity_power_values(fld: VelocityField, values: np.ndarray, power: int) -> np.ndarray:
-    """(v(u;x) ∂_u)^power along the last two axes of (..., n_states, n_points)."""
+    """(v(u;x) ∂_u)^power along the last two axes of (..., n_states or 1, n_points)."""
     out = values
     for _ in range(power):
         out = u_derivative_values(out, fld.grid)
-        out *= fld.values
+        out = np.multiply(out, fld.values, out=out if out.shape[-2] == len(fld.values) else None)
     return out
 
 
@@ -142,13 +141,16 @@ def L_series_values(k: int, kit: OperatorKit, series: TimeSeries,
     so this is (L_k U)^(shift).  The sum is taken in Horner form,
     L_k U = V(... V(c_0 P U) + c_1 P U' ...) + c_k P U^(k) with
     c_j = (-1)^(j+1) C(k, j), which costs k u-derivative passes, not
-    k(k+1)/2."""
+    k(k+1)/2.  A one-row (null-space) series skips the mix: P 1 = 1."""
     if k < 1:
         raise ValueError("L order must be >= 1")
     for j in range(k + 1):
-        term = state_mix(kit.P, series.derivative_values(j + shift))
+        values = series.derivative_values(j + shift)
+        term = values.copy() if values.shape[-2] == 1 else state_mix(kit.P, values)
         term *= (-1.0) ** (j + 1) * math.comb(k, j)
-        if j:
-            term += velocity_power_values(kit.fld, out, 1)
-        out = term
+        if j:   # V's product is full width, and the term adds into it
+            out = velocity_power_values(kit.fld, out, 1)
+            out += term
+        else:
+            out = term
     return out

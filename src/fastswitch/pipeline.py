@@ -34,7 +34,8 @@ ADJUDICATIONS = {
 @dataclass
 class ExpansionResult:
     """The expansion's series by order.  c_k(0) is row 0 of c[k] (φ at
-    k = 0), U_k^R is U[k] - c[k], and W_k(0) is -U_k(0)."""
+    k = 0), U_k^R is U[k] - c[k], and W_k(0) is -U_k(0).  c[k] and U[0] =
+    c[0] hold one state row, which broadcasts; evaluate widens it."""
 
     kit: OperatorKit
     order: int
@@ -70,7 +71,7 @@ class ExpansionResult:
 
     def evaluate(self, eps: float, t: float, order: int | None = None) -> np.ndarray:
         """Partial sum U_0 + Σ_{k<=order} eps^k (U_k + W_k(t/eps)), for eps
-        finite and > 0 and order an integer in [0, self.order]."""
+        finite and > 0 and order an integer in [0, self.order]: (n_states, n_points)."""
         if order is None:
             order = self.order
         if isinstance(order, bool) or not isinstance(order, (int, np.integer)) \
@@ -78,7 +79,7 @@ class ExpansionResult:
             raise ValueError(f"order must be an integer in [0, {self.order}], got {order!r}")
         i = self.t_index(t)
         _check_horizon(eps, t)
-        total = self.U[0].values[i].copy()
+        total = np.repeat(self.U[0].values[i], self.kit.model.n_states, axis=0)
         for k in range(1, order + 1):
             total += eps**k * (self.U[k].values[i] + self.layer_value(k, t / eps))
         return total
@@ -114,10 +115,8 @@ def build_expansion(model: SemiMarkovModel, fld: VelocityField, phi: TestFunctio
     flow_table = averaged_flow_table(kit, times)
     c0 = solve_c0(kit, phi, times, flow_table)
 
-    result = ExpansionResult(kit=kit, order=order, times=times, tau_grid=grid_tau)
-    result.c.append(c0)
-    result.U.append(c0)
-    result.W.append(None)
+    result = ExpansionResult(kit=kit, order=order, times=times, tau_grid=grid_tau,
+                             c=[c0], U=[c0], W=[None])
 
     orders_diag: dict = {}
     if order > 0:

@@ -21,7 +21,7 @@ import functools
 import numpy as np
 
 from .field import TestFunction, UGrid, flow_positions, interp_apply, interp_weights, lag_kernel
-from .operators import L_series_values, OperatorKit, TimeSeries, velocity_power_values
+from .operators import L_series_values, OperatorKit, TimeSeries, state_mix, velocity_power_values
 
 
 def cumulative_simpson_weights(i: int, h: float) -> np.ndarray:
@@ -156,27 +156,25 @@ def transport_series(kit: OperatorKit, values: np.ndarray, sources=None) -> Time
     """A solution of the averaged transport equation ∂_t c = vhat ∂_u c + g,
     with the equation's time derivatives c^(n) = vhat ∂_u c^(n-1) + g^(n-1),
     memoized.  sources(m) is g^(m), shape (n_times, n_points); None is g = 0.
-    The values repeat one row over the states, so the rule runs on one row."""
+    c is in Q's null space: one state row, shape (n_times, 1, n_points)."""
     @functools.cache
     def rule(n: int) -> np.ndarray:
-        out = velocity_power_values(kit.vhat, series.derivative_values(n - 1)[:, :1], 1)
+        out = velocity_power_values(kit.vhat, series.derivative_values(n - 1), 1)
         if sources is not None:
             out += sources(n - 1)[:, None, :]
-        return np.repeat(out, kit.model.n_states, axis=1)
+        return out
     series = TimeSeries(values, rule)
     return series
 
 
 def solve_c0(kit: OperatorKit, phi: TestFunction, times: np.ndarray,
              flow_table) -> TimeSeries:
-    """Averaged transport solution c0(t, u) = φ(flow of vhat from u over t);
-    flow_table is averaged_flow_table(kit, times)."""
-    grid = kit.fld.grid
-    n = kit.model.n_states
+    """Averaged transport solution c0(t, u) = φ(flow of vhat from u over t)
+    in one state row; flow_table is averaged_flow_table(kit, times)."""
     idx, wts = flow_table
-    phi_vals = phi(grid.nodes)
-    vals = np.repeat(interp_apply(phi_vals, idx, wts)[:, None, :], n, axis=1)
-    vals[0] = phi_vals[None, :]
+    phi_vals = phi(kit.fld.grid.nodes)
+    vals = interp_apply(phi_vals, idx, wts)[:, None, :]
+    vals[0] = phi_vals
     return transport_series(kit, vals)
 
 
@@ -192,8 +190,8 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, sources, times: np.ndarray,
     FFT time convolution over each node's stencil window (window_convolution),
     O(n_points · D · n_times log n_times) for a window of D columns, with one
     shared kernel for the nodes that never clip or wrap when vhat is a
-    translation; β's three lag diagonals are one stencil gather each.
-    """
+    translation; β's three lag diagonals are one stencil gather each.  One
+    state row holds c (transport_series)."""
     n_t = len(times)
     h_t = float(times[1] - times[0]) if n_t > 1 else 1.0
     idx, wts = flow_table
@@ -206,9 +204,8 @@ def solve_ck(kit: OperatorKit, c_k0: np.ndarray, sources, times: np.ndarray,
     c = window_convolution(start, idx, wts, kit.fld.grid, kernel)
     for lag, beta in enumerate(lags):
         c[lag:] += beta[:, None] * interp_apply(source[:n_t - lag], idx[lag], wts[lag])
-    out = np.repeat(c[:, None, :], kit.model.n_states, axis=1)
-    out[0] = c_k0[None, :]
-    return transport_series(kit, out, lambda m: source if m == 0 else sources(m))
+    c[0] = c_k0
+    return transport_series(kit, c[:, None, :], lambda m: source if m == 0 else sources(m))
 
 
 def system_rhs_values(kit: OperatorKit, U_list: list, k: int, shift: int = 0) -> np.ndarray:
@@ -225,10 +222,8 @@ def regular_term(kit: OperatorKit, U_list: list, k: int, rhs_values: np.ndarray)
     order-k right side S_k = system_rhs_values(kit, U_list, k), passed as
     rhs_values, with its projected defect |Π U_k^R|.  Its time derivatives
     (U_k^R)^(n) = R0 S_k^(n) are memoized."""
-    def range_part(rhs):
-        return np.einsum("xy,tyu->txu", kit.R0, rhs)
-    series = TimeSeries(range_part(rhs_values), functools.cache(
-        lambda n: range_part(system_rhs_values(kit, U_list, k, n))))
+    series = TimeSeries(state_mix(kit.R0, rhs_values), functools.cache(
+        lambda n: state_mix(kit.R0, system_rhs_values(kit, U_list, k, n))))
     return series, float(np.abs(kit.project_values(series.values)).max())
 
 

@@ -123,11 +123,12 @@ def forcing_terms(kit: OperatorKit, k: int, U: list) -> list:
     (k-n, n, V^k P φ / n!) for 1 <= n <= k, φ read from U_0(0).  The
     (0, 0, P W_k(0)) term waits for c_k(0).  U holds the lower orders' series.
     """
+    rows = kit.fld.values.shape   # U_0's one state row widens to (n_states, n_points)
     terms = [(r, n, -U[k - r - n].derivative_values(n)[0] / math.factorial(n))
              for r in range(k) for n in range(int(r == 0), k - r + 1)]
-    terms = [(r, n, velocity_power_values(kit.fld, state_mix(kit.P, v), r))
+    terms = [(r, n, velocity_power_values(kit.fld, state_mix(kit.P, np.broadcast_to(v, rows)), r))
              for r, n, v in terms]
-    vk_phi = velocity_power_values(kit.fld, state_mix(kit.P, U[0].values[0]), k)
+    vk_phi = velocity_power_values(kit.fld, U[0].values[0], k)   # P φ = φ; V widens it
     return terms + [(k - n, n, vk_phi / math.factorial(n)) for n in range(1, k + 1)]
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -353,6 +354,30 @@ class TestExpandCommand:
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 0
         assert f"\nerror: {diag['error']}\n" in capsys.readouterr().out
+
+    def test_failure_removes_an_earlier_builds_series(self, tmp_path, capsys):
+        """A failed expand into a finished output directory leaves none of
+        that build's series next to its error record; compare's files stay."""
+        finished = tmp_path / "finished"
+        assert main(["expand", "--config", str(MODEL_A), "--out", str(finished)]) == 0
+        assert main(["compare", "--config", str(MODEL_A), "--epsilon", "0.2,0.1",
+                     "--out", str(finished)]) == 0
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        with open(MODEL_A) as fh:
+            doc = json.load(fh)
+        doc.update(order=2, layer={"h_tau": 0.02, "tau_max": 2.0})
+        path = tmp_path / "short_window.json"
+        path.write_text(json.dumps(doc))
+        assert main(["expand", "--config", str(path), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.glob("[cUW]_*.csv")) == []
+        for name in ("remainder.csv", "remainder.json", "slopes.csv", "plotdata.csv"):
+            assert (out / name).read_bytes() == (finished / name).read_bytes(), name
+        with open(out / "diagnostics.json") as fh:
+            error = json.load(fh)["error"]
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        assert f"\nerror: {error}\n" in capsys.readouterr().out
 
     def test_coarse_tau_grid_names_layer_settings(self, tmp_path, capsys):
         # 16 / 5.0 rounds up to 4 fast-time panels, short of the 8 the layer needs

@@ -1,15 +1,18 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastswitch import regular
+from fastswitch import operators, pipeline, regular, singular
+from fastswitch.config import load_config
 from fastswitch.field import (StateVelocity, TestFunction, UGrid, VelocityField,
                               flow_positions, interp_apply, lag_kernel, sup_norm,
                               u_derivative_values)
 from fastswitch.model import SemiMarkovModel, SojournDistribution
-from fastswitch.operators import L_series_values, build_kit, velocity_power_values
+from fastswitch.operators import L_series_values, build_kit, state_mix, velocity_power_values
+from fastswitch.pipeline import build_expansion
 from fastswitch.regular import (averaged_flow_table, cumulative_simpson_weights, regular_term,
                                simpson_split, solve_c0, solve_ck, system_rhs_values)
 
@@ -17,6 +20,7 @@ from conftest import (GRID, PHI, layer_values, make_model_a, make_model_b, make_
                       reference_fd_derivative)
 
 
+REPO = Path(__file__).resolve().parent.parent
 TIMES = np.linspace(0.0, 1.0, 501)
 
 
@@ -231,15 +235,25 @@ class TestRegularTerm:
         expected = np.einsum("xy,tyu->txu", kit.R0, l1c0) + res.c[1].values
         assert np.abs(res.U[1].values - expected).max() < 1e-12
 
-    def test_single_state_model_U_equals_c(self):
+    def test_single_state_model_U_equals_c(self, monkeypatch):
+        """P = [[1.0]]: every series has one row, so every L_series_values
+        call skips the state mix, and the expansion is c_0 alone."""
+        def no_mix(P, values):
+            raise AssertionError("a one-state series reached the state mix")
+        monkeypatch.setattr(operators, "state_mix", no_mix)
         grid = GRID
         m = SemiMarkovModel(states=("s",), P=[[1.0]],
                             sojourns=(SojournDistribution("erlang", rate=2.0, shape=2),))
         fld = VelocityField(grid, (StateVelocity("constant", value=0.5),))
-        from fastswitch.pipeline import build_expansion
-        res = build_expansion(m, fld, PHI, order=1, horizon=0.5, h_t=0.0025,
+        res = build_expansion(m, fld, PHI, order=2, horizon=0.5, h_t=0.0025,
                               h_tau=0.01)
         assert np.abs(res.U[1].values - res.c[1].values).max() < 1e-13
+        assert not res.U[1].values.any()
+        assert np.abs(res.U[2].values).max() <= 7e-16
+        for eps, t in ((0.2, 0.25), (0.05, 0.5)):
+            got = res.evaluate(eps, t)
+            assert got.shape == (1, grid.n_points)
+            assert_allclose(got, res.c[0].values[res.t_index(t)], rtol=0, atol=1e-16)
 
     def test_solvability_residual_small(self, expansion_a):
         # Q c_k = 0 and Q R0 = I - Π, so Q U_k - S_k = -Π S_k: the system
@@ -402,3 +416,58 @@ class TestPermutationEquivariance:
         assert np.abs(res.c[1].values[:, 0] - res2.c[1].values[:, 0]).max() < 1e-10
         assert np.abs(res.U[1].values[:, 0] - res2.U[1].values[:, 1]).max() < 1e-10
         assert np.abs(res.U[1].values[:, 1] - res2.U[1].values[:, 0]).max() < 1e-10
+
+
+class TestNullSpaceLayout:
+    """c_k lies in the null space of Q, so every c_k, its time derivatives
+    and every Π-projection hold one state row, which broadcasts."""
+
+    def build_b(self):
+        return build_expansion(make_model_b(), make_pm_field(), PHI, order=3,
+                               horizon=0.5, h_t=0.005, h_tau=0.0025)
+
+    def test_one_state_row(self):
+        res = self.build_b()
+        n_t, n_p = len(res.times), GRID.n_points
+        assert res.U[0] is res.c[0]
+        for k, c_k in enumerate(res.c):
+            assert c_k.values.shape == (n_t, 1, n_p), k
+            for n in range(1, 4):
+                assert c_k.derivative_values(n).shape == (n_t, 1, n_p), (k, n)
+            assert res.kit.project_values(res.U[k].values).shape == (n_t, 1, n_p), k
+        for U_k in res.U[1:]:
+            assert U_k.values.shape == (n_t, 2, n_p)
+        assert res.evaluate(0.1, 0.5, order=0).shape == (2, n_p)
+
+    def test_state_mix_never_meets_one_row(self, monkeypatch):
+        """A one-row array skips P (P 1 = 1) or is widened before a state
+        mix: the mix's einsum would broadcast the row, about 7x slower."""
+        shapes = []
+
+        def checked(P, values):
+            shapes.append(values.shape)
+            return state_mix(P, values)
+        for module in (operators, regular, singular, pipeline):
+            monkeypatch.setattr(module, "state_mix", checked)
+        self.build_b()
+        assert shapes and all(shape[-2] == 2 for shape in shapes)
+
+    def test_expansion_memory(self):
+        """An order-3 model-B build at h_t 0.002, held and at its peak: one
+        row per c_k rather than a copy per state."""
+        cfg = load_config(REPO / "configs" / "model_b.json", {"order": 3})
+
+        def build():
+            return build_expansion(cfg.model, cfg.field, cfg.phi, order=cfg.order,
+                                   horizon=cfg.horizon, h_t=0.002, h_tau=0.0025)
+        build()   # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            res = build()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.times) == 501
+        print(f"expansion memory: peak {peak / 2**20:.1f} MB, held {held / 2**20:.1f} MB")
+        assert peak <= 64 * 2**20 and held <= 21 * 2**20
+
