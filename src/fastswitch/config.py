@@ -10,7 +10,7 @@ import numpy as np
 
 from .field import StateVelocity, TestFunction, UGrid, VelocityField, grid_index
 from .model import SemiMarkovModel, SojournDistribution
-from .oracle import MIN_SAMPLES
+from .oracle import MIN_SAMPLES, SEED_LIMIT
 from .pipeline import MAX_ORDER, time_steps
 
 
@@ -82,7 +82,7 @@ def _known(doc, keys, where: str) -> dict:
 def _number(val, name: str, cast=float, positive: bool = False):
     """val as a finite number, integral for cast=int and > 0 if positive;
     anything else (a fraction for an integer, a boolean, a string) is a
-    ConfigError."""
+    ConfigError.  An integer val is returned exactly, not through a float."""
     try:
         num = None if isinstance(val, (bool, str)) else float(val)
     except (TypeError, ValueError, OverflowError):
@@ -92,7 +92,7 @@ def _number(val, name: str, cast=float, positive: bool = False):
         need = "an integer" if cast is int else "a number"
         need += (" >= 1" if cast is int else " > 0") if positive else ""
         raise ConfigError(f"{name} must be {need}, got {val!r}")
-    return cast(num)
+    return val if cast is int and isinstance(val, int) else cast(num)
 
 
 def _numbers(vals, name: str) -> list:
@@ -219,6 +219,9 @@ def config_from_document(doc: dict) -> RunConfig:
                           richardson=odoc.get("richardson", False))
     if not isinstance(oracle.richardson, bool):
         raise ConfigError(f"oracle.richardson must be true or false, got {oracle.richardson!r}")
+    if not -SEED_LIMIT <= oracle.seed < SEED_LIMIT:
+        raise ConfigError(f"oracle.seed must be an integer in [-2**63, 2**63), "
+                          f"got {oracle.seed!r}")
     if oracle.n_samples < MIN_SAMPLES:
         raise ConfigError(f"oracle.n_samples must be an integer >= {MIN_SAMPLES}, "
                           f"got {oracle.n_samples!r}")

@@ -7,7 +7,8 @@ state), so results are bit-identical for a given seed regardless of how the
 work is scheduled.  The switching process does not depend on u, so every
 requested node of a start state rides the same sampled paths; each jump
 round draws uniforms (alive × channels) for the replicates still running
-only, and groups them by state with one stable argsort.  An affine flow is
+only, groups them by state with one stable argsort and one take, and
+updates each state's contiguous slice in place.  An affine flow is
 an affine map of u and so is a composition of them, so with affine
 velocities each replicate carries two scalars, its path's flow map, and
 not a row of positions; a tabulated state makes the field flow positions.
@@ -39,11 +40,24 @@ class OracleEstimate:
 
 
 MIN_SAMPLES = 1000    # fewest replicates mc_expectation accepts
+SEED_LIMIT = 2**63    # seeds lie in [-SEED_LIMIT, SEED_LIMIT): one Philox key each
 
 
 def _philox_stream(seed: int, x_idx: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, x_idx], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _next_states(cum_row: np.ndarray, u: np.ndarray, dtype) -> np.ndarray:
+    """Next state of each jump uniform u from one row of the cumulative
+    transition matrix: the count of cum_row[:-1] entries at or below u.  The
+    row is nondecreasing, so this is min(searchsorted(cum_row, u, "right"),
+    n - 1); the last entry is never compared, so a row whose sum rounds
+    below 1 sends no u past the last state."""
+    out = np.zeros(u.shape, dtype=dtype)
+    for c in cum_row[:-1]:
+        out += u >= c
+    return out
 
 
 def _check_horizon(eps: float, t, t_name: str = "t") -> None:
@@ -63,16 +77,24 @@ def mc_expectation(model: SemiMarkovModel, fld: VelocityField, phi, t: float,
     """Sample mean of φ(u(t)) with standard errors, per start (state, node).
 
     Per start state, every requested node rides each replicate's one
-    switching path.  Each jump round draws one row per running replicate and
-    groups those rows by state with one stable argsort, so each state's
-    sojourns, flows and next states are one slice.  When every state's
-    velocity is affine, a replicate carries its path's flow map, two scalars
-    (scale, shift) composed per segment from field.flow_map, and its final
-    positions are formed once as nodes * scale + shift; a field with a
-    tabulated state flows a row of positions, one per node, through
-    field.flow.  A node's column is reduced on its own, so its estimate reads
-    the same whether the node is requested alone or with others."""
+    switching path.  Each jump round draws one row per running replicate,
+    groups those rows by state with one stable argsort and one np.take, and
+    gathers the replicates' remaining times (and flow maps) in that order
+    once; each state's sojourns, flows and next states update one
+    contiguous slice in place, and the round scatters back once.  The next
+    state counts the cumulative transition row's entries at or below the
+    jump uniform (_next_states).  When every state's velocity is affine, a
+    replicate carries its path's flow map, two scalars (scale, shift)
+    composed per segment from field.flow_map, and its final positions are
+    formed once as nodes * scale + shift; a field with a tabulated state
+    flows a row of positions, one per node, through field.flow.  A node's
+    column is reduced on its own, so its estimate reads the same whether the
+    node is requested alone or with others.  seed must lie in
+    [-2**63, 2**63): the Philox key holds it modulo 2**64, so a wider range
+    would alias."""
     _check_horizon(eps, t)
+    if not -SEED_LIMIT <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed!r}")
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"Monte Carlo estimate needs at least {MIN_SAMPLES} samples")
     grid = fld.grid
@@ -99,30 +121,35 @@ def mc_expectation(model: SemiMarkovModel, fld: VelocityField, phi, t: float,
         while alive.size:
             # one row per running replicate: channel 0 drives the jump,
             # channels 1.. the sojourn; the stable sort keeps each state's
-            # rows in draw order
+            # rows in draw order, and each state's replicates are one slice
+            # of the grouped arrays, updated in place
             draws = rng.random((alive.size, channels))
             st = state[alive]
             by_state = np.argsort(st, kind="stable")
-            grouped, draws = alive[by_state], draws[by_state]
+            grouped, draws = alive[by_state], np.take(draws, by_state, axis=0)
+            rem, nxt = remaining[grouped], np.empty_like(st)
+            if affine:
+                sc_g, sh_g = scale[grouped], shift[grouped]
             lo = 0
             for s, hi in enumerate(np.cumsum(np.bincount(st, minlength=n))):
-                sel, d = grouped[lo:hi], draws[lo:hi]
+                part, d = slice(lo, hi), draws[lo:hi]
                 lo = hi
-                if not sel.size:
+                if not d.size:
                     continue
-                dt = eps * model.sojourns[s].from_uniforms(d[:, 1:])
-                rem = remaining[sel]
-                step = np.minimum(dt, rem)
-                remaining[sel] = rem - step     # exactly 0 at the horizon
+                step = np.minimum(eps * model.sojourns[s].from_uniforms(d[:, 1:]), rem[part])
+                rem[part] -= step               # exactly 0 at the horizon
                 if affine:
                     sc, sh = flow_map(fld, s, step)
-                    scale[sel] *= sc
-                    shift[sel] = shift[sel] * sc + sh
+                    sc_g[part] *= sc
+                    sh_g[part] = sh_g[part] * sc + sh
                 else:
+                    sel = grouped[part]
                     u[sel] = flow(fld, s, u[sel], step[:, None], check=False)
                 # a finished replicate's state is never read again
-                state[sel] = np.minimum(np.searchsorted(cum_p[s], d[:, 0], side="right"),
-                                        n - 1)
+                nxt[part] = _next_states(cum_p[s], d[:, 0], nxt.dtype)
+            remaining[grouped], state[grouped] = rem, nxt
+            if affine:
+                scale[grouped], shift[grouped] = sc_g, sh_g
             alive = alive[remaining[alive] > 0.0]
         # one row of final positions per node
         finals = nodes[:, None] * scale + shift if affine else np.ascontiguousarray(u.T)

@@ -81,8 +81,9 @@ class TestConfig:
         assert (cfg.output.t_stride, cfg.output.tau_stride, cfg.output.u_stride) == (25, 40, 1)
 
 
-    @pytest.mark.parametrize("seed", [0, -3])
+    @pytest.mark.parametrize("seed", [0, -3, -2**63, 2**63 - 1, 2**53 + 1])
     def test_zero_and_negative_seeds_load(self, tmp_path, seed):
+        # every seed of [-2**63, 2**63) loads exactly, not rounded through a float
         path = small_config(tmp_path)
         doc = json.loads(path.read_text())
         doc["oracle"]["seed"] = seed
@@ -112,6 +113,10 @@ class TestConfig:
         ("", "epsilons", [0.2, 0.2]), ("", "epsilons", [0.2, 0.1, 0.05, 0.1]),
         ("", "epsilons", []), ("oracle", "t_eval", []),
         ("oracle", "t_eval", [0.25, 0.5, 0.25]),
+        # the Philox key holds a seed modulo 2**64: outside [-2**63, 2**63)
+        # a seed would draw another seed's samples
+        ("oracle", "seed", 2**63), ("oracle", "seed", -2**63 - 1),
+        ("oracle", "seed", 2**64 + 1),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, section, key, value):
         # small_config: horizon 0.5, h_t 0.005

@@ -121,6 +121,25 @@ def _mixed_fields(grid):
     return closed, tabulated
 
 
+def _four_state_tabulated(grid):
+    """Four states, one erlang(3) sojourn (four draw channels), zero
+    transition probabilities (row 0 ends in one), tabulated velocities."""
+    model = SemiMarkovModel(
+        states=("a", "b", "c", "d"),
+        P=[[0.0, 0.5, 0.5, 0.0], [0.3, 0.0, 0.0, 0.7], [0.2, 0.3, 0.0, 0.5],
+           [0.4, 0.1, 0.5, 0.0]],
+        sojourns=(SojournDistribution("exponential", rate=2.0),
+                  SojournDistribution("erlang", rate=3.0, shape=3),
+                  SojournDistribution("uniform", a=0.1, b=0.9),
+                  SojournDistribution("erlang", rate=2.0, shape=2)))
+    closed = VelocityField(grid, (StateVelocity("linear", slope=-0.1, intercept=1.0),
+                                  StateVelocity("constant", value=-1.0),
+                                  StateVelocity("linear", slope=0.05, intercept=0.3),
+                                  StateVelocity("constant", value=0.5)))
+    return model, VelocityField(grid, tuple(StateVelocity("tabulated", table=row)
+                                            for row in closed.values))
+
+
 def _fast_model():
     # decay points 3.2 and 1.6: J_x is well below n_steps at eps 0.2, t = 1
     return SemiMarkovModel(states=("a", "b"), P=[[0.0, 1.0], [1.0, 0.0]],
@@ -230,6 +249,33 @@ MC_CASES = {
                          np.arange(0, 65, 8)),
 }
 
+# name -> (model, tabulated field): the cases mc_expectation is held to
+# reference_mc on bit for bit
+TABULATED_CASES = {
+    "mixed": lambda: (make_mixed_model(), _mixed_fields(_SMALL)[1]),
+    "four_state": lambda: _four_state_tabulated(_SMALL),
+}
+
+
+def _searchsorted_next(cum_row, u):
+    return np.minimum(np.searchsorted(cum_row, u, side="right"), len(cum_row) - 1)
+
+
+@pytest.mark.parametrize("row", ([0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0],
+                                 [0.1] * 10, [1.0], [0.0, 0.0, 1.0]))
+def test_next_states_match_searchsorted(row):
+    """The comparison count gives the state searchsorted gives, at every
+    cumulative entry exactly, at both ends of [0, 1) and past a row sum that
+    rounds below 1."""
+    cum_row = np.cumsum(row)
+    u = np.concatenate([cum_row, [0.0, np.nextafter(1.0, 0.0)],
+                        np.random.default_rng(0).random(1000)])
+    got = oracle._next_states(cum_row, u, np.uint8)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _searchsorted_next(cum_row, u))
+    if len(row) == 10:
+        assert cum_row[-1] < 1.0 and got[len(row) + 1] == 9
+
 
 class TestMCExpectation:
     @pytest.mark.parametrize("seed", (3, 17))
@@ -249,15 +295,68 @@ class TestMCExpectation:
         assert np.abs(got.values - expected[0]).max() <= 1e-14
         assert np.abs(got.stderr - expected[1]).max() <= 1e-14
 
-    def test_tabulated_field_flows_positions(self):
+    @pytest.mark.parametrize("eps", (0.2, 0.05))
+    @pytest.mark.parametrize("case", sorted(TABULATED_CASES))
+    def test_tabulated_field_flows_positions(self, case, eps):
         """A tabulated state has no flow map: such a field keeps the positions
-        loop's arithmetic, bit for bit."""
-        m, (_, fld) = make_mixed_model(), _mixed_fields(_SMALL)
+        loop's arithmetic, bit for bit, through the grouped round's slices
+        and its comparison-count next states."""
+        m, fld = TABULATED_CASES[case]()
         u_idx = np.arange(0, 129, 32)
-        got = mc_expectation(m, fld, PHI, 1.0, 0.2, 1000, 5, u_indices=u_idx)
-        values, stderr = reference_mc(m, fld, PHI, 1.0, 0.2, 1000, 5, u_idx)
+        got = mc_expectation(m, fld, PHI, 1.0, eps, 1000, 5, u_indices=u_idx)
+        values, stderr = reference_mc(m, fld, PHI, 1.0, eps, 1000, 5, u_idx)
         assert np.array_equal(got.values, values)
         assert np.array_equal(got.stderr, stderr)
+
+    def test_sampler_rounds_and_draws(self, monkeypatch):
+        """Jump rounds and uniform rows drawn per start state, counted on the
+        Philox generators: the grouped round reads the streams exactly as
+        the positions loop does."""
+        counts = []
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng, self.rounds, self.rows = rng, 0, 0
+                counts.append(self)
+
+            def random(self, size):
+                self.rounds += 1
+                self.rows += size[0]
+                return self.rng.random(size)
+
+        stream = oracle._philox_stream
+        monkeypatch.setattr(oracle, "_philox_stream", lambda *key: Counted(stream(*key)))
+        m, fld, u_idx = MC_CASES["mixed_linear"]()
+        mc_expectation(m, fld, PHI, 1.0, 0.1, 2000, 3, u_indices=u_idx)
+        got = [(c.rounds, c.rows) for c in counts]
+        counts.clear()
+        reference_mc(m, fld, PHI, 1.0, 0.1, 2000, 3, u_idx)
+        expected = [(c.rounds, c.rows) for c in counts]
+        print(f"mc sampler: mixed_linear eps 0.1 seed 3 2000 samples: rounds "
+              f"{'/'.join(str(r) for r, _ in got)} draws {'/'.join(str(d) for _, d in got)}")
+        assert got == expected and len(got) == m.n_states
+
+    @pytest.mark.parametrize("seed", (2**63, -2**63 - 1, 2**64 + 1))
+    def test_seed_outside_key_range_rejected(self, monkeypatch, seed):
+        """The Philox key holds a seed modulo 2**64, so a seed outside
+        [-2**63, 2**63) would alias one inside; it is refused before any draw."""
+        def no_draw(*args):
+            raise AssertionError("stream opened")
+        monkeypatch.setattr(oracle, "_philox_stream", no_draw)
+        with pytest.raises(ValueError, match=r"^seed must lie in \[-2\*\*63, 2\*\*63\)"):
+            mc_expectation(make_model_a(), make_pm_field(), PHI, 0.5, 0.1, 1000, seed)
+
+    def test_seed_range_ends_keep_their_streams(self):
+        """Seeds at both ends of the range run, each on its own key: -1 is
+        2**64 - 1 modulo 2**64, as it always was, and differs from 2**63 - 1."""
+        m, fld, u_idx = make_model_a(), make_pm_field(), np.array([128])
+        runs = {seed: mc_expectation(m, fld, PHI, 0.5, 0.1, 1000, seed, u_indices=u_idx).values
+                for seed in (-2**63, -1, 2**63 - 1)}
+        assert not np.array_equal(runs[-1], runs[2**63 - 1])
+        assert not np.array_equal(runs[-2**63], runs[2**63 - 1])
+        first = oracle._philox_stream(-1, 0).random(4)
+        assert np.array_equal(first, np.random.Generator(np.random.Philox(
+            key=np.array([2**64 - 1, 0], dtype=np.uint64))).random(4))
 
     def test_constant_function(self):
         m = make_model_a()
